@@ -1,21 +1,23 @@
 """SKY401 — rpc-discipline: coordinator→site calls ride the fault funnel.
 
 PR 1 made site failure a first-class protocol event: every
-coordinator→site RPC flows through :meth:`Coordinator._rpc`, which
-retries under the :class:`RetryPolicy`, escalates exhausted retries to
-the lifecycle FSM, and keeps the Corollary-1 coverage books honest.  A
-direct endpoint call from a coordinator bypasses all of it — one
-transport fault unwinds the whole query instead of degrading it.
+coordinator→site RPC flows through the coordinator's funnel
+(:meth:`Coordinator._rpc_script`), which retries under the
+:class:`RetryPolicy`, escalates exhausted retries to the lifecycle FSM,
+and keeps the Corollary-1 coverage books honest.  Protocol scripts
+reach it by *describing* the call — ``yield _Rpc(site, "method",
+args)`` — never by making it.  A direct endpoint call from a
+coordinator bypasses all of it — one transport fault unwinds the whole
+query instead of degrading it.
 
 The rule checks functions of classes that (transitively) subclass
 ``Coordinator`` inside ``distributed/``.  A site-endpoint call on a
 non-``self`` receiver is legal only when it is
 
-* inside ``_rpc`` itself (the funnel's own body),
-* inside a lambda/nested function passed as an argument to
-  ``self._rpc(...)`` or ``call_with_retry(...)``, or
-* inside a ``try`` whose handler catches ``RETRYABLE_FAULTS`` (the
-  deliberately unretried single-shot liveness probe pattern).
+* inside a lambda/nested function passed as an argument to the retry
+  loop (``attempt_loop(...)`` / ``call_with_retry(...)``), or
+* inside a ``try`` whose handler catches ``RETRYABLE_FAULTS`` (a pump's
+  single attempt, or a deliberately unretried single-shot probe).
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from .protocol import RPC_METHODS, _is_rpc_call
 
 __all__ = ["RpcDisciplineRule"]
 
-#: Function names whose call arguments are the fault-aware path.
-_FUNNELS = ("_rpc", "call_with_retry")
+#: Function names whose call arguments are the fault-aware path: a
+#: thunk handed to the shared retry loop or its blocking driver.
+_FUNNELS = ("attempt_loop", "call_with_retry")
 
 
 class RpcDisciplineRule(Rule):
@@ -37,7 +40,7 @@ class RpcDisciplineRule(Rule):
     name = "rpc-discipline"
     severity = Severity.ERROR
     description = (
-        "Coordinator→site RPC outside the _rpc/RetryPolicy funnel: a direct "
+        "Coordinator→site RPC outside the _Rpc/RetryPolicy funnel: a direct "
         "endpoint call turns one transport fault into a full-query failure "
         "instead of a Corollary-1 degraded answer."
     )
@@ -60,17 +63,14 @@ class RpcDisciplineRule(Rule):
             yield module.finding(
                 self,
                 node,
-                f"`{dotted_name(node.func)}(...)` is a direct site RPC; wrap "
-                f'it as `self._rpc(site, "{method}", lambda: ...)` so retries, '
-                "FSM escalation, and coverage tracking apply",
+                f"`{dotted_name(node.func)}(...)` is a direct site RPC; describe "
+                f'it as `yield _Rpc(site, "{method}", args)` from a protocol '
+                "script so retries, FSM escalation, and coverage tracking apply",
             )
 
     def _funnelled(self, module: ModuleContext, node: ast.Call) -> bool:
         previous: ast.AST = node
         for anc in module.ancestors(node):
-            if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if anc.name == "_rpc":
-                    return True
             if isinstance(anc, ast.Try) and previous in anc.body:
                 if self._catches_retryable(anc):
                     return True

@@ -325,8 +325,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 FaultyEndpoint(s, chaos_kwargs["fault_schedule"]) for s in sites
             ]
             kwargs["retry_policy"] = chaos_kwargs["retry_policy"]
-        with coordinator_cls(sites, args.threshold, preference, **kwargs) as coord:
-            result = coord.run()
+        result = coordinator_cls(sites, args.threshold, preference, **kwargs).run()
         tracer.save(args.trace)
         summary = summarize_trace(tracer.records)
         print(f"trace: {len(tracer)} RPCs -> {args.trace} "

@@ -10,17 +10,31 @@ against the paper's bandwidth metric.  The concrete algorithms
 :mod:`~repro.distributed.dsud`, :mod:`~repro.distributed.edsud`)
 subclass it and supply only their iteration policy.
 
+One path per behaviour
+----------------------
+Every building block exists once, as a *sans-io* generator script
+(``_*_script``) that yields :class:`_Rpc`/:class:`_Fanout` descriptors
+instead of touching a site; a broadcast of k feedback tuples is one
+script for every k ≥ 1.  :meth:`Coordinator._lower` expands the
+descriptors through the one RPC funnel (:meth:`Coordinator._rpc_script`)
+into what a blocking and an event-loop caller must do differently, and
+two thin pumps do it: :meth:`Coordinator.steps` (``_drive(script)`` for
+a single building block) and :meth:`Coordinator.asteps`.  Neither pump
+contains any bookkeeping, so answers, message books, and FSM journals
+do not depend on which one ran the query.
+
 Fault tolerance
 ---------------
-Every coordinator→site RPC goes through :meth:`_rpc`, which retries
-transport faults under an optional :class:`~repro.fault.retry.RetryPolicy`
-and, when retries are exhausted, escalates to the per-site lifecycle
-FSM (:class:`~repro.fault.fsm.ClusterHealth`) instead of raising.  A
+Every coordinator→site RPC goes through :meth:`Coordinator._rpc_script`,
+which retries transport faults under an optional
+:class:`~repro.fault.retry.RetryPolicy` and, when retries are
+exhausted, escalates to the per-site lifecycle FSM
+(:class:`~repro.fault.fsm.ClusterHealth`) instead of raising.  A
 DOWN site is excluded from subsequent rounds; the factors it can no
 longer contribute are tracked by a
 :class:`~repro.fault.coverage.CoverageTracker`, so every affected
 result carries its Corollary-1 upper bound and the set of sites that
-did contribute.  Run loops call :meth:`poll_recoveries` once per
+did contribute.  Run loops run :meth:`_poll_recoveries_script` once per
 iteration: a DOWN site that answers a liveness probe is re-probed for
 every factor it owes (tightening — possibly retracting — degraded
 results) and handed back to the iteration policy via the sites list
@@ -34,15 +48,12 @@ from __future__ import annotations
 import asyncio
 import inspect
 import itertools
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
     AsyncGenerator,
-    Awaitable,
     Callable,
     Dict,
     Generator,
@@ -59,14 +70,13 @@ from ..core.prob_skyline import ProbabilisticSkyline, SkylineMember
 from ..core.tuples import UncertainTuple
 from ..fault.coverage import CoverageTracker, TupleCoverage
 from ..fault.errors import RETRYABLE_FAULTS
-from ..fault.fsm import ClusterHealth, SiteLifecycle
+from ..fault.fsm import ClusterHealth
 from ..fault.liveness import LivenessBook
-from ..fault.retry import RetryPolicy, acall_with_retry, call_with_retry
+from ..fault.retry import RetryPolicy, attempt_loop
 from ..net.message import Message, MessageKind, Quaternion
 from ..net.stats import LatencyModel, NetworkStats, ProgressLog
 from ..net.transport import SiteEndpoint
 from .runner import RunResult
-from .site import ProbeReply
 
 if TYPE_CHECKING:  # imported lazily — replica builds on distributed.site
     from ..replica.manager import ReplicaManager
@@ -81,18 +91,17 @@ ReportFn = Callable[[UncertainTuple, float], object]
 
 @dataclass(frozen=True)
 class _Rpc:
-    """One site RPC a protocol script asks its driver to perform.
+    """One site RPC a protocol script asks to have performed.
 
     The protocol building blocks are *sans-io* generators: instead of
     calling sites directly they yield ``_Rpc`` descriptors and receive
-    the ``(ok, value)`` verdict back through ``send()``.  The sync
-    driver executes the descriptor through :meth:`Coordinator._rpc`,
-    the async driver through :meth:`Coordinator._arpc` — same retry,
-    FSM, and accounting semantics, because the bookkeeping lives in the
-    script and the settle path, not in the driver.
+    the ``(ok, value)`` verdict back through ``send()``.  Every
+    descriptor is expanded by :meth:`Coordinator._rpc_script` — retry,
+    FSM, and accounting live there, in the script, so the verdict does
+    not depend on which pump carried the call.
 
     ``raw=True`` requests a single unretried attempt with no stats or
-    FSM side effects (the liveness-probe shape): the driver answers
+    FSM side effects (the liveness-probe shape): the verdict is
     ``(alive, value)`` where a transport fault means ``(False, None)``.
     """
 
@@ -104,23 +113,30 @@ class _Rpc:
 
 @dataclass(frozen=True)
 class _Fanout:
-    """A one-round broadcast: per-site RPC plans, executed concurrently.
+    """A one-round broadcast: one sequential RPC plan per target site.
 
-    Each inner list is one site's sequential call plan (stop on the
-    first failed call); plans for distinct sites may run concurrently —
-    the sync driver maps them over the broadcast thread pool, the async
-    driver gathers them — when ``parallel_broadcast`` is set, and run
-    sequentially in plan order otherwise (preserving deterministic
-    per-endpoint call order under chaos schedules).  The reply is a
-    list of per-plan ``(ok, value)`` result lists, aligned with the
-    input.
+    Each inner tuple is one site's call plan (stop on the first failed
+    call).  Plans run one after another in site order, under either
+    pump — that keeps the per-endpoint call order deterministic under
+    chaos schedules, and it is what the simulated clock already assumes
+    (a broadcast is billed as one parallel round whatever the wall
+    clock did).  The reply is a list of per-plan ``(ok, value)`` result
+    lists, aligned with the input.
     """
 
     plans: Tuple[Tuple[_Rpc, ...], ...] = ()
 
 
-#: What a protocol script may yield to its driver.
+#: What a protocol script may yield: a request, or ``None`` for a
+#: scheduling point.
 _Request = Union[_Rpc, _Fanout]
+
+#: What :meth:`Coordinator._lower` asks of a pump.
+_Op = Union[None, Callable[[], Any], float]
+
+#: ``retry_policy=None`` means exactly this: the first transport fault
+#: is terminal.
+_SINGLE_ATTEMPT = RetryPolicy(max_attempts=1)
 
 
 @dataclass
@@ -316,10 +332,9 @@ class Coordinator:
         threshold: float,
         preference: Optional[Preference] = None,
         latency_model: Optional[LatencyModel] = None,
-        parallel_broadcast: bool = False,
+        limit: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
         batch_size: int = 1,
-        limit: Optional[int] = None,
         replica_manager: Optional["ReplicaManager"] = None,
         liveness_book: Optional[LivenessBook] = None,
     ) -> None:
@@ -336,12 +351,6 @@ class Coordinator:
         self.progress = ProgressLog()
         self.results: List[SkylineMember] = []
         self.iterations = 0
-        #: Issue the per-broadcast probes concurrently (one thread per
-        #: target site).  Pays off over real sockets, where each probe
-        #: is a network round-trip; in-process sites gain nothing.
-        #: Accounting is unaffected either way — the simulated clock
-        #: already treats a broadcast as one parallel round.
-        self.parallel_broadcast = parallel_broadcast
         #: ``None`` keeps single-attempt semantics: the first transport
         #: fault marks the site DOWN.  A policy inserts retries (with
         #: backoff) between the fault and that escalation.
@@ -352,14 +361,6 @@ class Coordinator:
         #: fewer coordination rounds for slightly staler Local-Pruning
         #: feedback within a round (see docs/performance.md).
         self.batch_size = batch_size
-        #: Coordinator-lifetime broadcast pool, created lazily on the
-        #: first parallel broadcast and shut down in :meth:`run`'s
-        #: finally path (or :meth:`close`).
-        self._pool: Optional[ThreadPoolExecutor] = None
-        #: Serialises the shared-state mutations inside :meth:`_rpc`
-        #: (stats counters, lifecycle FSM) — under ``parallel_broadcast``
-        #: several probe threads finish their RPCs concurrently.
-        self._state_lock = threading.Lock()
         self.health = ClusterHealth(s.site_id for s in self.sites)
         self.coverage = CoverageTracker(s.site_id for s in self.sites)
         self.coverage.add_tighten_hook(self._tighten_result)
@@ -411,219 +412,110 @@ class Coordinator:
         self.liveness_book = liveness_book
 
     # ------------------------------------------------------------------
-    # the fault-tolerant RPC funnel
+    # the fault-tolerant RPC funnel (sans-io: shared by both pumps)
     # ------------------------------------------------------------------
 
-    def _retry_recorder(
-        self, lifecycle: SiteLifecycle
-    ) -> Callable[[int, float, Exception], None]:
-        """The shared per-retry bookkeeping hook for both RPC funnels."""
-
-        def on_retry(attempt: int, delay: float, exc: Exception) -> None:
-            with self._state_lock:
-                self.stats.record_retry(delay)
-                lifecycle.record_failure()
-
-        return on_retry
-
-    def _settle_rpc(
-        self,
-        site_id: int,
-        lifecycle: SiteLifecycle,
-        label: str,
-        elapsed: float,
-        value: object,
-        error: Optional[Exception],
-    ) -> Tuple[bool, object]:
-        """Post-call bookkeeping shared by :meth:`_rpc` and :meth:`_arpc`.
-
-        The call itself ran unlocked; only the bookkeeping is
-        serialised, so parallel probes still overlap on the wire.
-        """
-        with self._state_lock:
-            self.stats.record_rpc_time(elapsed)
-            if error is not None:
-                self.stats.record_failure()
-                if not lifecycle.is_down:
-                    lifecycle.record_failure()
-                    self.health.mark_down(site_id, reason=f"{label}: {error!r}")
-                    self.stats.sites_lost += 1
-                return False, None
-            if not lifecycle.is_up:
-                # A retry succeeded while SUSPECT, or a reintegration call
-                # succeeded while RECOVERING: either way the site is back.
-                self.health.mark_up(site_id, reason=f"{label} succeeded")
-        return True, value
-
-    def _rpc(
-        self, site: SiteEndpoint, label: str, call: Callable[[], object]
-    ) -> Tuple[bool, object]:
-        """Invoke one site RPC; never raises transport faults.
+    def _rpc_script(
+        self, request: _Rpc
+    ) -> Generator[_Op, Any, Tuple[bool, object]]:
+        """Perform one site RPC; never raises transport faults.
 
         Returns ``(True, value)`` on success.  On a terminal transport
         fault the site is marked DOWN and ``(False, None)`` is returned
-        — the caller degrades instead of unwinding.
-        """
-        site_id = site.site_id
-        lifecycle = self.health.lifecycle(site_id)
-        start = time.perf_counter()
-        if self.retry_policy is None:
-            try:
-                value, error = call(), None
-            except RETRYABLE_FAULTS as exc:
-                value, error = None, exc
-        else:
-            value, error = call_with_retry(
-                call,
-                self.retry_policy,
-                site_id=site_id,
-                on_retry=self._retry_recorder(lifecycle),
-            )
-        elapsed = time.perf_counter() - start
-        return self._settle_rpc(site_id, lifecycle, label, elapsed, value, error)
-
-    async def _arpc(
-        self,
-        site: SiteEndpoint,
-        label: str,
-        call: Callable[[], "Awaitable[Any]"],
-    ) -> Tuple[bool, object]:
-        """Awaitable twin of :meth:`_rpc` — same verdicts, same books.
-
-        Retries go through :func:`acall_with_retry` (identical
-        deterministic backoff, non-blocking sleeps) and land in the
-        same :meth:`_settle_rpc` bookkeeping, so a chaos schedule's
-        FSM transitions and retry accounting replay bit-for-bit
-        whichever funnel carried the call.
-        """
-        site_id = site.site_id
-        lifecycle = self.health.lifecycle(site_id)
-        start = time.perf_counter()
-        if self.retry_policy is None:
-            try:
-                value, error = await call(), None
-            except RETRYABLE_FAULTS as exc:
-                value, error = None, exc
-        else:
-            value, error = await acall_with_retry(
-                call,
-                self.retry_policy,
-                site_id=site_id,
-                on_retry=self._retry_recorder(lifecycle),
-            )
-        elapsed = time.perf_counter() - start
-        return self._settle_rpc(site_id, lifecycle, label, elapsed, value, error)
-
-    # ------------------------------------------------------------------
-    # the script drivers: sync and async execution of _Rpc/_Fanout
-    # ------------------------------------------------------------------
-
-    def _perform_rpc(self, request: _Rpc) -> Tuple[bool, object]:
-        """Execute one descriptor synchronously through the RPC funnel."""
-        site, method, args = request.site, request.method, request.args
-        if request.raw:
-            try:
-                return True, getattr(site, method)(*args)
-            except RETRYABLE_FAULTS:
-                return False, None
-        return self._rpc(site, method, lambda: getattr(site, method)(*args))
-
-    def _run_plan(self, plan: Sequence[_Rpc]) -> List[Tuple[bool, object]]:
-        """One site's sequential fanout plan: stop at the first failure."""
-        out: List[Tuple[bool, object]] = []
-        for rpc in plan:
-            verdict = self._perform_rpc(rpc)
-            out.append(verdict)
-            if not verdict[0]:
-                break
-        return out
-
-    def _perform(self, request: _Request) -> object:
-        """Synchronous driver for one script-yielded request."""
-        if isinstance(request, _Rpc):
-            return self._perform_rpc(request)
-        plans = request.plans
-        if self.parallel_broadcast and len(plans) > 1:
-            return list(self._broadcast_pool().map(self._run_plan, plans))
-        return [self._run_plan(plan) for plan in plans]
-
-    async def _aperform_rpc(self, request: _Rpc) -> Tuple[bool, object]:
-        """Execute one descriptor through the awaitable funnel.
-
-        Endpoints may be sync (in-process :class:`LocalSite` forks,
-        chaos wrappers, promoted replicas) or async
-        (:class:`~repro.net.aio.AsyncSiteEndpoint` proxies); the driver
-        awaits whatever the method returns when it is awaitable, so one
-        coordinator can mix both behind identical accounting.
+        — the caller degrades instead of unwinding.  Attempts and
+        backoffs are *yielded* (see :meth:`_lower`); retry accounting,
+        the observed round-trip clock, and FSM transitions happen here,
+        so a chaos schedule's transitions and retry books replay
+        bit-for-bit under either pump.
         """
         site, method, args = request.site, request.method, request.args
+        site_id = site.site_id
+
+        def call() -> object:
+            return getattr(site, method)(*args)
+
         if request.raw:
-            try:
-                value = getattr(site, method)(*args)
-                if inspect.isawaitable(value):
-                    value = await value
-                return True, value
-            except RETRYABLE_FAULTS:
-                return False, None
+            value, error = yield call
+            return error is None, value
+        lifecycle = self.health.lifecycle(site_id)
 
-        async def call() -> object:
-            value = getattr(site, method)(*args)
-            if inspect.isawaitable(value):
-                value = await value
-            return value
+        def on_retry(attempt: int, delay: float, exc: Exception) -> None:
+            self.stats.record_retry(delay)
+            lifecycle.record_failure()
 
-        return await self._arpc(site, method, call)
+        start = time.perf_counter()
+        value, error = yield from attempt_loop(
+            call, self.retry_policy or _SINGLE_ATTEMPT, site_id, on_retry
+        )
+        self.stats.record_rpc_time(time.perf_counter() - start)
+        if error is not None:
+            self.stats.record_failure()
+            if not lifecycle.is_down:
+                lifecycle.record_failure()
+                self.health.mark_down(site_id, reason=f"{method}: {error!r}")
+                self.stats.sites_lost += 1
+            return False, None
+        if not lifecycle.is_up:
+            # A retry succeeded while SUSPECT, or a reintegration call
+            # succeeded while RECOVERING: either way the site is back.
+            self.health.mark_up(site_id, reason=f"{method} succeeded")
+        return True, value
 
-    async def _arun_plan(self, plan: Sequence[_Rpc]) -> List[Tuple[bool, object]]:
-        out: List[Tuple[bool, object]] = []
-        for rpc in plan:
-            verdict = await self._aperform_rpc(rpc)
-            out.append(verdict)
-            if not verdict[0]:
-                break
-        return out
+    def _lower(
+        self, script: Generator[Optional[_Request], Any, Any]
+    ) -> Generator[_Op, Any, Any]:
+        """Expand a protocol script's requests into pump operations.
 
-    async def _aperform(self, request: _Request) -> object:
-        """Awaitable driver: fanouts become ``asyncio.gather`` rounds."""
-        if isinstance(request, _Rpc):
-            return await self._aperform_rpc(request)
-        plans = request.plans
-        if self.parallel_broadcast and len(plans) > 1:
-            return list(await asyncio.gather(*(self._arun_plan(p) for p in plans)))
-        return [await self._arun_plan(plan) for plan in plans]
-
-    def _drive(self, script: Generator[Optional[_Request], Any, Any]) -> Any:
-        """Run a protocol script to completion synchronously.
-
-        The public building-block methods stay plain calls by pumping
-        their script through this loop; :meth:`steps` and
-        :meth:`asteps` pump the same scripts one request at a time.
+        Only what a blocking and an event-loop caller must do
+        differently is yielded: ``None`` is a scheduling point; a
+        callable is one attempt of one endpoint method (invoke it once,
+        answer ``(value, None)``, or ``(None, fault)`` for a
+        :data:`RETRYABLE_FAULTS` member); a number is a backoff to
+        sleep.  An :class:`_Rpc` lowers to the funnel's attempts and
+        backoffs, a :class:`_Fanout` to its plans run back to back in
+        site order, each stopping at its first failed call.  Closing
+        the lowered generator closes the protocol script, so an
+        abandoned query leaves sites and books at the last completed
+        request boundary.
         """
-        to_send: object = None
-        while True:
-            try:
-                request = script.send(to_send)
-            except StopIteration as stop:
-                return stop.value
-            to_send = None if request is None else self._perform(request)
+        reply: object = None
+        try:
+            while True:
+                try:
+                    request = script.send(reply)
+                except StopIteration as stop:
+                    return stop.value
+                if request is None:
+                    reply = yield None
+                elif isinstance(request, _Rpc):
+                    reply = yield from self._rpc_script(request)
+                else:
+                    rounds: List[List[Tuple[bool, object]]] = []
+                    for plan in request.plans:
+                        verdicts: List[Tuple[bool, object]] = []
+                        for rpc in plan:
+                            verdict = yield from self._rpc_script(rpc)
+                            verdicts.append(verdict)
+                            if not verdict[0]:
+                                break
+                        rounds.append(verdicts)
+                    reply = rounds
+        finally:
+            script.close()
 
     # ------------------------------------------------------------------
     # protocol building blocks
     # ------------------------------------------------------------------
 
-    def prepare_sites(self) -> List[int]:
+    def _prepare_sites_script(
+        self,
+    ) -> Generator[Optional[_Request], Any, List[int]]:
         """Local computing phase on every site; returns |SKY(D_i)| sizes.
 
         A site that fails its PREPARE (after retries) is marked DOWN
         and simply contributes no size — the query proceeds over the
         reachable partitions.
         """
-        sizes: List[int] = self._drive(self._prepare_sites_script())
-        return sizes
-
-    def _prepare_sites_script(
-        self,
-    ) -> Generator[Optional[_Request], Any, List[int]]:
         sizes = []
         for site in self.sites:
             self._account(MessageKind.PREPARE, _SERVER, self._name(site))
@@ -642,25 +534,17 @@ class Coordinator:
         self.stats.record_round()
         return sizes
 
-    def fetch_representative(
+    def _fetch_representative_script(
         self, site: SiteEndpoint, request: bool = True
-    ) -> Optional[Quaternion]:
+    ) -> Generator[Optional[_Request], Any, Optional[Quaternion]]:
         """To-Server phase against one site.
 
         ``request=False`` models the initial fill, where every site
         pushes its head spontaneously and no NEXT_REQUEST is paid.
         Returns ``None`` both for a genuinely exhausted site and for an
         unreachable one — in the latter case the FSM records the loss
-        and :meth:`poll_recoveries` can undo it later.
+        and :meth:`_poll_recoveries_script` can undo it later.
         """
-        quaternion: Optional[Quaternion] = self._drive(
-            self._fetch_representative_script(site, request=request)
-        )
-        return quaternion
-
-    def _fetch_representative_script(
-        self, site: SiteEndpoint, request: bool = True
-    ) -> Generator[Optional[_Request], Any, Optional[Quaternion]]:
         # Re-resolve through the live endpoint table: run loops hold
         # references from query start, which go stale after a failover
         # or failback swaps the logical site's serving endpoint.
@@ -695,14 +579,10 @@ class Coordinator:
         self._delivered_keys[site.site_id].append(quaternion.key)
         return quaternion
 
-    def initial_fill(self) -> List[Quaternion]:
-        """First To-Server round: every site's head, in parallel."""
-        out: List[Quaternion] = self._drive(self._initial_fill_script())
-        return out
-
     def _initial_fill_script(
         self,
     ) -> Generator[Optional[_Request], Any, List[Quaternion]]:
+        """First To-Server round: every site's head, in parallel."""
         out = []
         for site in self.sites:
             quaternion = yield from self._fetch_representative_script(
@@ -713,105 +593,20 @@ class Coordinator:
         self.stats.record_round(tuples_in_round=len(out))
         return out
 
-    def broadcast(self, quaternion: Quaternion) -> float:
-        """Server-Delivery + Local-Pruning round for one candidate.
-
-        Sends the tuple to every reachable site except its origin,
-        folds the returned Eq.-9 factors into the global probability
-        via Lemma 1, and advances the simulated clock by one parallel
-        round.  With full coverage the product is exact; with sites
-        down it is the Corollary-1 upper bound (each missing factor
-        ≤ 1), and the coverage tracker knows which.
-        """
-        probability: float = self._drive(self._broadcast_script(quaternion))
-        return probability
-
-    def _broadcast_script(
-        self, quaternion: Quaternion
-    ) -> Generator[Optional[_Request], Any, float]:
-        global_probability = quaternion.local_probability
-        replies = yield from self._broadcast_probes_script(quaternion)
-        for _site_id, reply in replies:
-            global_probability *= reply.factor
-        return global_probability
-
-    def broadcast_probes(
-        self, quaternion: Quaternion
-    ) -> List[Tuple[int, ProbeReply]]:
-        """Deliver one feedback tuple to every other live site; yield replies.
-
-        Returns ``(site_id, ProbeReply)`` pairs and does all the
-        accounting; :meth:`broadcast` and e-DSUD's factor-tracking
-        variant both build on it.  With ``parallel_broadcast`` the
-        probes run concurrently — safe because each target site only
-        ever receives its own call.
-
-        Accounting is per-reply: FEEDBACK is billed when the probe is
-        *sent* (DOWN sites are never sent to, so never billed), but
-        PROBE_REPLY only when the site actually answers — a site that
-        dies mid-broadcast costs the attempt, not the reply.
-        """
-        replies: List[Tuple[int, ProbeReply]] = self._drive(
-            self._broadcast_probes_script(quaternion)
-        )
-        return replies
-
-    def _broadcast_probes_script(
-        self, quaternion: Quaternion
-    ) -> Generator[Optional[_Request], Any, List[Tuple[int, ProbeReply]]]:
-        t = quaternion.tuple
-        targets = [
-            s
-            for s in self.sites
-            if s.site_id != quaternion.site and not self.health.is_down(s.site_id)
-        ]
-        self.coverage.open(
-            t.key, quaternion.site, t, quaternion.local_probability
-        )
-        for site in targets:
-            self._account(MessageKind.FEEDBACK, _SERVER, self._name(site))
-        attempts = yield _Fanout(
-            tuple((_Rpc(s, "probe_and_prune", (t,)),) for s in targets)
-        )
-        out = []
-        for site, plan_result in zip(targets, attempts):
-            ok, reply = plan_result[0]
-            if not ok:
-                # Mid-broadcast casualty: promote a replica and recover
-                # this round's factor from the replay (billed as
-                # FAILOVER_PROBE/PROBE_REPLY inside _promote, and
-                # already contributed to the coverage books there).
-                factor = yield from self._failover_factor_script(
-                    site.site_id, t.key
-                )
-                if factor is None:
-                    continue  # factor stays missing in the coverage books
-                out.append(
-                    (site.site_id, ProbeReply(factor=factor, pruned=0, queue_remaining=0))
-                )
-                continue
-            self._account(MessageKind.PROBE_REPLY, self._name(site), _SERVER)
-            self.coverage.contribute(t.key, site.site_id, reply.factor)
-            out.append((site.site_id, reply))
-        self.stats.record_round(tuples_in_round=len(targets))
-        return out
-
-    def broadcast_batch(self, quaternions: Sequence[Quaternion]) -> List[float]:
-        """Server-Delivery round for up to ``batch_size`` candidates at once.
-
-        Returns one exact (or Corollary-1 bounded, under failures)
-        global probability per quaternion, aligned with the input.  For
-        a single-element batch this is byte-for-byte :meth:`broadcast`
-        — same messages, same rounds, same multiplication order.
-        """
-        probabilities: List[float] = self._drive(
-            self._broadcast_batch_script(quaternions)
-        )
-        return probabilities
-
     def _broadcast_batch_script(
         self, quaternions: Sequence[Quaternion]
     ) -> Generator[Optional[_Request], Any, List[float]]:
+        """Server-Delivery + Local-Pruning round for up to ``batch_size`` candidates.
+
+        Sends each tuple to every reachable site except its origin,
+        folds the returned Eq.-9 factors into the global probabilities
+        via Lemma 1 (in site order — the multiplication order is part
+        of the bit-identity contract), and advances the simulated clock
+        by one parallel round.  Returns one probability per quaternion,
+        aligned with the input.  With full coverage the product is
+        exact; with sites down it is the Corollary-1 upper bound (each
+        missing factor ≤ 1), and the coverage tracker knows which.
+        """
         quaternions = list(quaternions)
         probabilities = [q.local_probability for q in quaternions]
         triples = yield from self._broadcast_probes_batch_script(quaternions)
@@ -819,38 +614,35 @@ class Coordinator:
             probabilities[index] *= factor
         return probabilities
 
-    def broadcast_probes_batch(
-        self, quaternions: Sequence[Quaternion]
-    ) -> List[Tuple[int, int, float]]:
-        """Deliver a batch of feedback tuples; yield per-tuple factors.
-
-        Returns ``(site_id, batch_index, factor)`` triples.  Each live
-        site receives *one* FEEDBACK message carrying every batch tuple
-        it did not originate (billed at k tuples — the paper's metric
-        counts tuples, not envelopes) and answers with one PROBE_REPLY
-        carrying k scalars.  The whole batch costs a single parallel
-        round.  A single-element batch routes through
-        :meth:`broadcast_probes` so traces, accounting, and arithmetic
-        stay bit-identical to the unbatched protocol.
-
-        Endpoints without :meth:`probe_and_prune_batch` (e.g. region
-        aggregators) degrade to per-tuple probe_and_prune RPCs behind
-        the same batched accounting.
-        """
-        triples: List[Tuple[int, int, float]] = self._drive(
-            self._broadcast_probes_batch_script(quaternions)
-        )
-        return triples
-
     def _broadcast_probes_batch_script(
         self, quaternions: Sequence[Quaternion]
     ) -> Generator[Optional[_Request], Any, List[Tuple[int, int, float]]]:
+        """Deliver a batch of feedback tuples; return per-tuple factors.
+
+        Returns ``(site_id, batch_index, factor)`` triples and does all
+        the accounting; :meth:`_broadcast_batch_script` and e-DSUD's
+        factor-tracking variant both build on it.  Each live site
+        receives *one* FEEDBACK message carrying every batch tuple it
+        did not originate (billed at k tuples — the paper's metric
+        counts tuples, not envelopes) and answers with one PROBE_REPLY
+        carrying k scalars.  The whole batch costs a single parallel
+        round.  This is the only broadcast path: at k = 1 every site's
+        share is a single tuple, so the round is the paper's
+        per-candidate protocol — one ``probe_and_prune`` RPC and one
+        one-tuple FEEDBACK per target, never the batch RPC.
+
+        Accounting is per-reply: FEEDBACK is billed when the probe is
+        *sent* (DOWN sites are never sent to, so never billed), but
+        PROBE_REPLY only when the site actually answers — a site that
+        dies mid-broadcast costs the attempt, not the reply.
+
+        Endpoints without ``probe_and_prune_batch`` (e.g. region
+        aggregators) degrade to per-tuple probe_and_prune RPCs behind
+        the same batched accounting.
+        """
         quaternions = list(quaternions)
         if not quaternions:
             return []
-        if len(quaternions) == 1:
-            replies = yield from self._broadcast_probes_script(quaternions[0])
-            return [(site_id, 0, reply.factor) for site_id, reply in replies]
         for q in quaternions:
             self.coverage.open(q.tuple.key, q.site, q.tuple, q.local_probability)
         plan = []  # (site, indices of batch tuples it must probe)
@@ -869,32 +661,29 @@ class Coordinator:
             )
             total_tuples += len(indices)
 
-        # Three per-site call shapes, mirrored when decoding replies:
-        # a single-tuple probe, one batched RPC, or (for endpoints
-        # without probe_and_prune_batch) sequential per-tuple probes
-        # whose partial factors still tighten coverage.
-        shapes = []
+        # Two per-site call shapes, mirrored when decoding replies: one
+        # batched RPC, or — for a single-tuple share (every share at
+        # k = 1) and for endpoints without probe_and_prune_batch —
+        # sequential per-tuple probes whose partial factors still
+        # tighten coverage.
+        batched = []
         fanout_plans = []
         for site, indices in plan:
             ts = [quaternions[i].tuple for i in indices]
-            if len(ts) == 1:
-                shapes.append("single")
-                fanout_plans.append((_Rpc(site, "probe_and_prune", (ts[0],)),))
-            elif getattr(site, "probe_and_prune_batch", None) is not None:
-                shapes.append("batch")
+            one_rpc = (
+                len(ts) > 1 and getattr(site, "probe_and_prune_batch", None) is not None
+            )
+            batched.append(one_rpc)
+            if one_rpc:
                 fanout_plans.append((_Rpc(site, "probe_and_prune_batch", (ts,)),))
             else:
-                shapes.append("sequential")
                 fanout_plans.append(
                     tuple(_Rpc(site, "probe_and_prune", (t,)) for t in ts)
                 )
         attempts = yield _Fanout(tuple(fanout_plans))
         out = []
-        for (site, indices), shape, results in zip(plan, shapes, attempts):
-            if shape == "single":
-                ok, reply = results[0]
-                factors = [reply.factor] if ok else []
-            elif shape == "batch":
+        for (site, indices), one_rpc, results in zip(plan, batched, attempts):
+            if one_rpc:
                 ok, reply = results[0]
                 factors = list(reply.factors) if ok else []
             else:
@@ -902,7 +691,8 @@ class Coordinator:
             if not factors:
                 # Mid-round casualty: a promoted replica supplies the
                 # whole batch's factors through the replay inside
-                # _promote (billed and contributed there).
+                # _promote (billed there as FAILOVER_PROBE/PROBE_REPLY
+                # and already contributed to the coverage books).
                 replayed = yield from self._failover_factors_script(site.site_id)
                 if replayed is None:
                     continue  # factors stay missing in the coverage books
@@ -1003,7 +793,9 @@ class Coordinator:
     # recovery and reintegration
     # ------------------------------------------------------------------
 
-    def poll_recoveries(self) -> List[SiteEndpoint]:
+    def _poll_recoveries_script(
+        self,
+    ) -> Generator[Optional[_Request], Any, List[SiteEndpoint]]:
         """Give every DOWN site one chance to come back; drive failback.
 
         Free while the cluster is healthy (a single flag check).  Each
@@ -1019,12 +811,6 @@ class Coordinator:
         each failed-over primary gets its own liveness probe — on an
         answer it is re-synced and promoted back (failback).
         """
-        recovered: List[SiteEndpoint] = self._drive(self._poll_recoveries_script())
-        return recovered
-
-    def _poll_recoveries_script(
-        self,
-    ) -> Generator[Optional[_Request], Any, List[SiteEndpoint]]:
         if not self.health.any_down and not self._failed_over:
             return []
         recovered: List[SiteEndpoint] = []
@@ -1047,7 +833,9 @@ class Coordinator:
         yield from self._poll_failbacks_script()
         return recovered
 
-    def _probe_liveness(self, endpoint: SiteEndpoint, kind: str = "site") -> bool:
+    def _probe_liveness_script(
+        self, endpoint: SiteEndpoint, kind: str = "site"
+    ) -> Generator[Optional[_Request], Any, bool]:
         """One unretried liveness probe, shared through the book if any.
 
         Solo (``liveness_book is None``) this is exactly the historical
@@ -1058,12 +846,6 @@ class Coordinator:
         the probe of a failed-over *primary* from shadowing the probe
         of the logical site's serving endpoint.
         """
-        alive: bool = self._drive(self._probe_liveness_script(endpoint, kind=kind))
-        return alive
-
-    def _probe_liveness_script(
-        self, endpoint: SiteEndpoint, kind: str = "site"
-    ) -> Generator[Optional[_Request], Any, bool]:
         book = self.liveness_book
         key = (kind, endpoint.site_id)
         if book is not None:
@@ -1113,9 +895,11 @@ class Coordinator:
     # replica failover and failback
     # ------------------------------------------------------------------
 
-    def _failover(
+    def _failover_script(
         self, site_id: int
-    ) -> Optional[Tuple[SiteEndpoint, int, Dict[int, float]]]:
+    ) -> Generator[
+        Optional[_Request], Any, Optional[Tuple[SiteEndpoint, int, Dict[int, float]]]
+    ]:
         """Re-target a DOWN logical site at its buddy replica.
 
         Returns ``(endpoint, |SKY(D_i)|, replayed factors by key)`` on
@@ -1127,16 +911,6 @@ class Coordinator:
         itself died — with one buddy there is no second failover), or
         promotion failed.
         """
-        promoted: Optional[Tuple[SiteEndpoint, int, Dict[int, float]]] = (
-            self._drive(self._failover_script(site_id))
-        )
-        return promoted
-
-    def _failover_script(
-        self, site_id: int
-    ) -> Generator[
-        Optional[_Request], Any, Optional[Tuple[SiteEndpoint, int, Dict[int, float]]]
-    ]:
         if self.replica_manager is None or site_id in self._failed_over:
             return None
         if not self.health.is_down(site_id):
@@ -1148,7 +922,7 @@ class Coordinator:
         self.health.mark_recovering(site_id, "failover: promoting buddy replica")
         promoted = yield from self._promote_script(site_id, replica)
         if promoted is None:
-            # _promote's failing _rpc already journalled the fault and
+            # _promote's failing RPC already journalled the fault and
             # marked the site DOWN again; the query stays degraded.
             return None
         size, factors = promoted
@@ -1156,39 +930,18 @@ class Coordinator:
         self.stats.failovers += 1
         return replica, size, factors
 
-    def _failover_factor(self, site_id: int, key: int) -> Optional[float]:
-        """One broadcast tuple's Eq.-9 factor, recovered via failover."""
-        factor: Optional[float] = self._drive(
-            self._failover_factor_script(site_id, key)
-        )
-        return factor
-
-    def _failover_factor_script(
-        self, site_id: int, key: int
-    ) -> Generator[Optional[_Request], Any, Optional[float]]:
-        factors = yield from self._failover_factors_script(site_id)
-        if factors is None:
-            return None
-        return factors.get(key)
-
-    def _failover_factors(self, site_id: int) -> Optional[Dict[int, float]]:
-        """Fail over and return every factor the promotion replayed."""
-        factors: Optional[Dict[int, float]] = self._drive(
-            self._failover_factors_script(site_id)
-        )
-        return factors
-
     def _failover_factors_script(
         self, site_id: int
     ) -> Generator[Optional[_Request], Any, Optional[Dict[int, float]]]:
+        """Fail over and return every factor the promotion replayed."""
         promoted = yield from self._failover_script(site_id)
         if promoted is None:
             return None
         return promoted[2]
 
-    def _promote(
+    def _promote_script(
         self, site_id: int, endpoint: SiteEndpoint
-    ) -> Optional[Tuple[int, Dict[int, float]]]:
+    ) -> Generator[Optional[_Request], Any, Optional[Tuple[int, Dict[int, float]]]]:
         """Converge a replacement endpoint onto the serving state and swap it in.
 
         Shared by failover (a replica replaces its dead primary) and
@@ -1214,14 +967,6 @@ class Coordinator:
         Returns ``(|SKY(D_i)|, replayed factors by key)``; ``None`` if
         the replacement itself faulted (the site is then DOWN again).
         """
-        promoted: Optional[Tuple[int, Dict[int, float]]] = self._drive(
-            self._promote_script(site_id, endpoint)
-        )
-        return promoted
-
-    def _promote_script(
-        self, site_id: int, endpoint: SiteEndpoint
-    ) -> Generator[Optional[_Request], Any, Optional[Tuple[int, Dict[int, float]]]]:
         name = self._name(endpoint)
         self._account(MessageKind.PREPARE, _SERVER, name)
         ok, size = yield _Rpc(endpoint, "prepare", (self.threshold,))
@@ -1280,7 +1025,7 @@ class Coordinator:
             self.replica_manager.resync_primary(site_id)
             promoted = yield from self._promote_script(site_id, primary)
             if promoted is None:
-                # The primary died again mid-promotion: _rpc marked the
+                # The primary died again mid-promotion: the funnel marked the
                 # logical site DOWN, but the replica is still serving —
                 # restore UP through the legal RECOVERING hop.
                 if self.health.is_down(site_id):
@@ -1313,7 +1058,7 @@ class Coordinator:
             return
 
     # ------------------------------------------------------------------
-    # the run loop contract
+    # the run loop contract: one script, two thin pumps
     # ------------------------------------------------------------------
 
     def run(self) -> RunResult:
@@ -1322,67 +1067,107 @@ class Coordinator:
             pass
         return self.finish()
 
+    def _pump(
+        self, script: Generator[Optional[_Request], Any, Any]
+    ) -> Generator[None, None, Any]:
+        """The blocking pump: execute a script's lowered operations.
+
+        Yields at each scheduling point and returns the script's value.
+        Genuinely synchronous — plain calls and ``time.sleep`` — so it
+        may be drawn from inside a running event loop (a benchmark
+        draws :meth:`steps` within an ``async def``).
+        """
+        ops = self._lower(script)
+        reply: object = None
+        try:
+            while True:
+                try:
+                    op = ops.send(reply)
+                except StopIteration as stop:
+                    return stop.value
+                reply = None
+                if op is None:
+                    yield
+                elif callable(op):
+                    try:
+                        reply = op(), None
+                    except RETRYABLE_FAULTS as exc:
+                        reply = None, exc
+                else:
+                    time.sleep(op)
+        finally:
+            ops.close()
+
+    def _drive(self, script: Generator[Optional[_Request], Any, Any]) -> Any:
+        """Run one protocol script to completion synchronously.
+
+        The one blocking way to execute a building block outside a run
+        loop (scheduling points are passed over):
+        ``coordinator._drive(coordinator._prepare_sites_script())``.
+        """
+        pump = self._pump(script)
+        while True:
+            try:
+                next(pump)
+            except StopIteration as stop:
+                return stop.value
+
     def steps(self) -> Iterator[None]:
         """Drive the query one scheduling point at a time.
 
         Progressive coordinators yield once per iteration of their run
         loop; the serving layer interleaves many queries by drawing one
         step from each session per scheduler turn.  The generator owns
-        the whole query lifecycle — clock restart on first draw, pool
-        shutdown on exhaustion *or* early ``close()`` of the generator
-        — so abandoning a session cannot leak threads.  Exhaust the
-        generator, then read :meth:`finish` for the RunResult.
+        the whole query lifecycle — clock restart on first draw, script
+        closed on exhaustion *or* early ``close()`` of the generator.
+        Exhaust the generator, then read :meth:`finish` for the
+        RunResult.
         """
         self.progress.restart_clock()
-        script = self._steps()
-        try:
-            to_send: object = None
-            while True:
-                try:
-                    request = script.send(to_send)
-                except StopIteration:
-                    break
-                if request is None:
-                    to_send = None
-                    yield
-                else:
-                    to_send = self._perform(request)
-        finally:
-            script.close()
-            self.close()
+        yield from self._pump(self._steps())
 
     async def asteps(self) -> AsyncGenerator[None, None]:
-        """Awaitable twin of :meth:`steps` — same script, async driver.
+        """The awaiting pump: :meth:`steps` for event-loop callers.
 
-        Pumps the *same* ``_steps`` protocol script, but executes every
-        yielded RPC through :meth:`_arpc` and every fanout through
-        ``asyncio.gather``, so a session awaiting a socket reply hands
+        Executes the *same* lowered ``_steps`` script, but awaits what
+        an endpoint method returns when it is awaitable — endpoints may
+        be sync (in-process :class:`LocalSite` forks, chaos wrappers,
+        promoted replicas) or async
+        (:class:`~repro.net.aio.AsyncSiteEndpoint` proxies), and one
+        coordinator can mix both — and backs off with
+        ``asyncio.sleep``, so a session awaiting a socket reply hands
         the event loop to other sessions instead of blocking the
         scheduler thread.  Scheduling points surface as async-iterator
         items, exactly one per sync ``steps()`` item — drive with
-        ``async for`` and read :meth:`afinish` afterwards.  Teardown
-        uses :meth:`close_nowait` (never joins pool threads on the
-        event loop); a cancelled or abandoned iteration still closes
-        the script, leaving sites and accounting books consistent at
-        the last completed request boundary.
+        ``async for`` and read :meth:`afinish` afterwards.  A cancelled
+        or abandoned iteration still closes the script, leaving sites
+        and accounting books consistent at the last completed request
+        boundary.
         """
         self.progress.restart_clock()
-        script = self._steps()
+        ops = self._lower(self._steps())
+        reply: object = None
         try:
-            to_send: object = None
             while True:
                 try:
-                    request = script.send(to_send)
+                    op = ops.send(reply)
                 except StopIteration:
-                    break
-                if request is None:
-                    to_send = None
+                    return
+                reply = None
+                if op is None:
                     yield
+                elif callable(op):
+                    try:
+                        value = op()
+                        if inspect.isawaitable(value):
+                            value = await value
+                        reply = value, None
+                    except RETRYABLE_FAULTS as exc:
+                        reply = None, exc
                 else:
-                    to_send = await self._aperform(request)
+                    await asyncio.sleep(op)
         finally:
-            script.close()
-            self.close_nowait()
+            ops.close()
 
     async def afinish(self) -> RunResult:
         """Assemble the RunResult once :meth:`asteps` is exhausted.
@@ -1435,58 +1220,12 @@ class Coordinator:
         request descriptors, whose ``(ok, value)`` results come back
         through ``send()``.  Protocol building blocks compose via
         ``yield from self._*_script(...)``, so one iteration policy
-        drives both the sync and the awaitable funnel unchanged.  The
-        default adapts a legacy :meth:`_execute` override, which runs
-        to completion in a single step.
+        runs under both pumps unchanged.
         """
-        self._execute()
-        yield from ()
-
-    def _execute(self) -> None:
         raise NotImplementedError
 
     def _extra(self) -> dict:
         return {}
-
-    def __enter__(self) -> "Coordinator":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Release coordinator-owned resources (the broadcast pool).
-
-        Idempotent; :meth:`run` calls it on every exit path, but a
-        caller driving the protocol building blocks directly should
-        close explicitly (or rely on GC of the daemonless pool).
-        Joins the pool's worker threads — event-loop code must use
-        :meth:`close_nowait` instead.
-        """
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def close_nowait(self) -> None:
-        """Detach the broadcast pool without joining its threads.
-
-        The event-loop-safe close: an aborted serving-layer session
-        lets in-flight broadcasts drain in the background instead of
-        stalling every other session on the loop.  A later
-        :meth:`close` then no-ops.
-        """
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-            self._pool = None
-
-    def _broadcast_pool(self) -> ThreadPoolExecutor:
-        """The lazily created coordinator-lifetime broadcast pool."""
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=max(2, len(self.sites)),
-                thread_name_prefix="broadcast",
-            )
-        return self._pool
 
     # ------------------------------------------------------------------
     # accounting helpers

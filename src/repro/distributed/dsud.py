@@ -25,17 +25,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import TYPE_CHECKING, Any, Generator, List, Optional, Sequence
+from typing import Any, Generator, List, Optional
 
-from ..core.dominance import Preference
-from ..fault.liveness import LivenessBook
-from ..fault.retry import RetryPolicy
-from ..net.stats import LatencyModel
-from ..net.transport import SiteEndpoint
 from .coordinator import Coordinator, _Request
-
-if TYPE_CHECKING:
-    from ..replica.manager import ReplicaManager
 
 __all__ = ["DSUD"]
 
@@ -44,29 +36,6 @@ class DSUD(Coordinator):
     """Distributed Skyline over Uncertain Data — the paper's base algorithm."""
 
     algorithm = "DSUD"
-
-    def __init__(
-        self,
-        sites: Sequence[SiteEndpoint],
-        threshold: float,
-        preference: Optional[Preference] = None,
-        latency_model: Optional[LatencyModel] = None,
-        limit: Optional[int] = None,
-        parallel_broadcast: bool = False,
-        retry_policy: Optional[RetryPolicy] = None,
-        batch_size: int = 1,
-        replica_manager: Optional["ReplicaManager"] = None,
-        liveness_book: Optional[LivenessBook] = None,
-    ) -> None:
-        super().__init__(
-            sites, threshold, preference, latency_model,
-            parallel_broadcast=parallel_broadcast,
-            retry_policy=retry_policy,
-            batch_size=batch_size,
-            limit=limit,
-            replica_manager=replica_manager,
-            liveness_book=liveness_book,
-        )
 
     def _steps(self) -> Generator[Optional[_Request], Any, None]:
         yield from self._prepare_sites_script()

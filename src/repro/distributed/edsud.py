@@ -105,7 +105,6 @@ class EDSUD(Coordinator):
         latency_model: Optional[LatencyModel] = None,
         config: Optional[EDSUDConfig] = None,
         limit: Optional[int] = None,
-        parallel_broadcast: bool = False,
         retry_policy: Optional[RetryPolicy] = None,
         batch_size: int = 1,
         replica_manager: Optional["ReplicaManager"] = None,
@@ -113,7 +112,6 @@ class EDSUD(Coordinator):
     ) -> None:
         super().__init__(
             sites, threshold, preference, latency_model,
-            parallel_broadcast=parallel_broadcast,
             retry_policy=retry_policy,
             batch_size=batch_size,
             limit=limit,
@@ -232,31 +230,10 @@ class EDSUD(Coordinator):
             yield
         self.finish_topk()
 
-    def _broadcast_tracking_factors(self, quaternion: Quaternion) -> float:
-        """Broadcast like the base class, but remember exact factors."""
-        probabilities: List[float] = self._drive(
-            self._broadcast_batch_tracking_script([quaternion])
-        )
-        return probabilities[0]
-
-    def _broadcast_batch_tracking(
-        self, quaternions: Sequence[Quaternion]
-    ) -> List[float]:
-        """Batched broadcast that records each tuple's exact factors.
-
-        A single-element batch routes through the unbatched protocol
-        inside :meth:`Coordinator.broadcast_probes_batch`, so factors,
-        messages, and multiplication order match the per-candidate
-        e-DSUD exactly.
-        """
-        probabilities: List[float] = self._drive(
-            self._broadcast_batch_tracking_script(quaternions)
-        )
-        return probabilities
-
     def _broadcast_batch_tracking_script(
         self, quaternions: Sequence[Quaternion]
     ) -> Generator[Optional[_Request], Any, List[float]]:
+        """Broadcast like the base class, but remember each tuple's exact factors."""
         quaternions = list(quaternions)
         global_probabilities = [q.local_probability for q in quaternions]
         exacts: List[Dict[int, float]] = [{} for _ in quaternions]

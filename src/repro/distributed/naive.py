@@ -47,7 +47,9 @@ class NaiveLocalSkylines(Coordinator):
         gathered.sort(key=lambda q: -q.local_probability)
         for quaternion in gathered:
             self.iterations += 1
-            global_probability = yield from self._broadcast_script(quaternion)
+            (global_probability,) = yield from self._broadcast_batch_script(
+                [quaternion]
+            )
             self.emit(quaternion.tuple, global_probability)
             # Each candidate costs one broadcast round — a scheduling
             # point, so served naive sessions interleave per round

@@ -8,14 +8,16 @@ examples, tests, and the benchmark harness all build on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Any, Dict, List, Optional, Sequence, Type
 
 from ..core.dominance import Preference
 from ..core.tuples import UncertainTuple
 from ..fault.injection import FaultyEndpoint
+from ..fault.liveness import LivenessBook
 from ..fault.retry import RetryPolicy
 from ..fault.schedule import FaultSchedule
 from ..net.stats import LatencyModel
+from ..net.transport import SiteEndpoint
 from ..replica.manager import ReplicaManager
 from .baseline import ShipAllBaseline
 from .coordinator import Coordinator
@@ -28,6 +30,7 @@ from .site import LocalSite, SiteConfig
 __all__ = [
     "ALGORITHMS",
     "build_sites",
+    "assemble_coordinator",
     "build_coordinator",
     "distributed_skyline",
     "adistributed_skyline",
@@ -40,6 +43,9 @@ ALGORITHMS: Dict[str, Type[Coordinator]] = {
     "edsud": EDSUD,
 }
 
+#: The algorithms with an iteration to stop early, batch, or fail over.
+PROGRESSIVE = (DSUD, EDSUD)
+
 
 def build_sites(
     partitions: Sequence[Sequence[UncertainTuple]],
@@ -51,6 +57,62 @@ def build_sites(
         LocalSite(site_id=i, database=part, preference=preference, config=site_config)
         for i, part in enumerate(partitions)
     ]
+
+
+def assemble_coordinator(
+    sites: Sequence[SiteEndpoint],
+    threshold: float,
+    algorithm: str = "edsud",
+    preference: Optional[Preference] = None,
+    latency_model: Optional[LatencyModel] = None,
+    edsud_config: Optional[EDSUDConfig] = None,
+    limit: Optional[int] = None,
+    retry_policy: Optional[RetryPolicy] = None,
+    batch_size: int = 1,
+    replica_manager: Optional[ReplicaManager] = None,
+    liveness_book: Optional[LivenessBook] = None,
+) -> Coordinator:
+    """The coordinator for one query over *ready* endpoints.
+
+    The one place an algorithm name becomes a class: solo queries
+    (:func:`build_coordinator`) and served sessions
+    (:class:`~repro.serve.service.SkylineService`) both end here, so a
+    knob the chosen algorithm cannot honour is rejected the same way
+    everywhere instead of being silently dropped by one front door.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; expected one of {sorted(ALGORITHMS)}"
+        )
+    cls = ALGORITHMS[algorithm]
+    if edsud_config is not None and cls is not EDSUD:
+        raise ValueError(
+            f"edsud_config= requires algorithm='edsud', got {algorithm!r}"
+        )
+    if cls in PROGRESSIVE:
+        knobs: Dict[str, Any] = dict(
+            limit=limit, retry_policy=retry_policy, batch_size=batch_size,
+            replica_manager=replica_manager, liveness_book=liveness_book,
+        )
+        if cls is EDSUD:
+            knobs["config"] = edsud_config
+        return cls(sites, threshold, preference, latency_model, **knobs)
+    if replica_manager is not None:
+        raise ValueError(
+            f"replication requires a progressive algorithm "
+            f"(dsud/edsud); {algorithm!r} has no failover protocol"
+        )
+    if limit is not None:
+        raise ValueError(
+            f"limit= requires a progressive algorithm (dsud/edsud); "
+            f"{algorithm!r} resolves everything before its first result"
+        )
+    if batch_size != 1:
+        raise ValueError(
+            f"batch_size= requires a progressive algorithm (dsud/edsud); "
+            f"{algorithm!r} has no broadcast rounds to batch"
+        )
+    return cls(sites, threshold, preference, latency_model)
 
 
 def build_coordinator(
@@ -75,10 +137,6 @@ def build_coordinator(
     and site/replica assembly are identical, so the two drivers differ
     only in who owns the event loop.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; expected one of {sorted(ALGORITHMS)}"
-        )
     if replication_factor < 1:
         raise ValueError(
             f"replication_factor must be >= 1, got {replication_factor!r}"
@@ -88,9 +146,8 @@ def build_coordinator(
     )
     if fault_schedule is not None:
         sites = [FaultyEndpoint(site, fault_schedule) for site in sites]
-    cls = ALGORITHMS[algorithm]
     if replica_manager is None and replication_factor > 1:
-        if cls not in (DSUD, EDSUD):
+        if ALGORITHMS.get(algorithm) not in PROGRESSIVE:
             raise ValueError(
                 f"replication_factor= requires a progressive algorithm "
                 f"(dsud/edsud); {algorithm!r} has no failover protocol"
@@ -104,36 +161,12 @@ def build_coordinator(
             preference=preference, site_config=site_config,
         )
         replica_manager.ensure_provisioned()
-    if cls is EDSUD:
-        coordinator: Coordinator = EDSUD(
-            sites, threshold, preference, latency_model,
-            config=edsud_config, limit=limit, retry_policy=retry_policy,
-            batch_size=batch_size, replica_manager=replica_manager,
-        )
-    elif cls is DSUD:
-        coordinator = DSUD(
-            sites, threshold, preference, latency_model, limit=limit,
-            retry_policy=retry_policy, batch_size=batch_size,
-            replica_manager=replica_manager,
-        )
-    else:
-        if replica_manager is not None:
-            raise ValueError(
-                f"replication requires a progressive algorithm "
-                f"(dsud/edsud); {algorithm!r} has no failover protocol"
-            )
-        if limit is not None:
-            raise ValueError(
-                f"limit= requires a progressive algorithm (dsud/edsud); "
-                f"{algorithm!r} resolves everything before its first result"
-            )
-        if batch_size != 1:
-            raise ValueError(
-                f"batch_size= requires a progressive algorithm (dsud/edsud); "
-                f"{algorithm!r} has no broadcast rounds to batch"
-            )
-        coordinator = cls(sites, threshold, preference, latency_model)
-    return coordinator
+    return assemble_coordinator(
+        sites, threshold, algorithm=algorithm, preference=preference,
+        latency_model=latency_model, edsud_config=edsud_config, limit=limit,
+        retry_policy=retry_policy, batch_size=batch_size,
+        replica_manager=replica_manager,
+    )
 
 
 def distributed_skyline(
@@ -218,8 +251,7 @@ def distributed_skyline(
         batch_size=batch_size, replication_factor=replication_factor,
         replica_manager=replica_manager,
     )
-    with coordinator:
-        return coordinator.run()
+    return coordinator.run()
 
 
 async def adistributed_skyline(

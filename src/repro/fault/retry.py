@@ -1,7 +1,11 @@
 """Capped exponential backoff with deterministic jitter.
 
-The coordinator wraps every site RPC in :func:`call_with_retry` under a
-:class:`RetryPolicy`.  Two properties matter more than sophistication:
+The coordinator runs every site RPC through :func:`attempt_loop` under
+a :class:`RetryPolicy` — one loop that decides when to try again and
+for how long to back off, but leaves calling and sleeping to whoever
+drives it (the coordinator's blocking or awaiting pump, or
+:func:`call_with_retry` for a plain thunk).  Two properties matter more
+than sophistication:
 
 * **Determinism** — the jitter is a pure function of ``(seed, site_id,
   attempt)``, so a chaos run's timing decisions replay exactly.
@@ -12,15 +16,14 @@ The coordinator wraps every site RPC in :func:`call_with_retry` under a
 
 from __future__ import annotations
 
-import asyncio
 import time
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Optional, Tuple
+from typing import Any, Callable, Generator, Optional, Tuple, Union
 
 from .errors import RETRYABLE_FAULTS
 from .schedule import _deterministic_unit
 
-__all__ = ["RetryPolicy", "call_with_retry", "acall_with_retry"]
+__all__ = ["RetryPolicy", "attempt_loop", "call_with_retry"]
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,42 @@ class RetryPolicy:
         return base * (1.0 + self.jitter * fraction)
 
 
+def attempt_loop(
+    call: Callable[[], Any],
+    policy: RetryPolicy,
+    site_id: int = 0,
+    on_retry: Optional[Callable[[int, float, Exception], None]] = None,
+) -> Generator[Union[Callable[[], Any], float], Any, Tuple[Any, Optional[Exception]]]:
+    """The retry loop, *sans-io*: decides, never calls and never sleeps.
+
+    Yields ``call`` back each time an attempt is due — the driver
+    invokes it once and sends ``(value, None)``, or ``(None, fault)``
+    for a :data:`RETRYABLE_FAULTS` member — and a ``float`` each time a
+    backoff of that many seconds is due.  Returns ``(value, None)`` or
+    ``(None, last_fault)``.  Blocking and event-loop drivers share this
+    one loop, so both see the same attempts and the same deterministic
+    :meth:`RetryPolicy.backoff` delays.  ``on_retry(attempt, delay,
+    exc)`` fires before each backoff.
+    """
+    budget = policy.deadline
+    spent = 0.0
+    last: Optional[Exception] = None
+    for attempt in range(policy.max_attempts):
+        value, last = yield call
+        if last is None:
+            return value, None
+        if attempt + 1 >= policy.max_attempts:
+            break
+        delay = policy.backoff(attempt, site_id)
+        if budget is not None and spent + delay > budget:
+            break
+        spent += delay
+        if on_retry is not None:
+            on_retry(attempt, delay, last)
+        yield delay
+    return None, last
+
+
 def call_with_retry(
     fn: Callable[[], Any],
     policy: RetryPolicy,
@@ -70,60 +109,23 @@ def call_with_retry(
 ) -> Tuple[Any, Optional[Exception]]:
     """Run ``fn`` under ``policy``; returns ``(value, None)`` or ``(None, err)``.
 
-    Only transport faults (:data:`RETRYABLE_FAULTS`) are retried;
-    anything else propagates — an application error is authoritative.
-    ``on_retry(attempt, delay, exc)`` fires before each backoff sleep.
+    The blocking driver of :func:`attempt_loop`.  Only transport faults
+    (:data:`RETRYABLE_FAULTS`) are retried; anything else propagates —
+    an application error is authoritative.  ``on_retry(attempt, delay,
+    exc)`` fires before each backoff sleep.
     """
-    budget = policy.deadline
-    spent = 0.0
-    last: Optional[Exception] = None
-    for attempt in range(policy.max_attempts):
+    loop = attempt_loop(fn, policy, site_id, on_retry)
+    outcome: object = None
+    while True:
         try:
-            return fn(), None
-        except RETRYABLE_FAULTS as exc:
-            last = exc
-            if attempt + 1 >= policy.max_attempts:
-                break
-            delay = policy.backoff(attempt, site_id)
-            if budget is not None and spent + delay > budget:
-                break
-            spent += delay
-            if on_retry is not None:
-                on_retry(attempt, delay, exc)
-            if sleep is not None:
-                sleep(delay)
-    return None, last
-
-
-async def acall_with_retry(
-    fn: Callable[[], Awaitable[Any]],
-    policy: RetryPolicy,
-    site_id: int = 0,
-    on_retry: Optional[Callable[[int, float, Exception], None]] = None,
-) -> Tuple[Any, Optional[Exception]]:
-    """Awaitable twin of :func:`call_with_retry`.
-
-    Same attempt loop, same deterministic :meth:`RetryPolicy.backoff`
-    delays, same non-raising contract — the only difference is that the
-    call is awaited and the backoff is an ``asyncio.sleep`` instead of a
-    blocking one, so retries of one site's RPC overlap other sessions'
-    work on the event loop.
-    """
-    budget = policy.deadline
-    spent = 0.0
-    last: Optional[Exception] = None
-    for attempt in range(policy.max_attempts):
-        try:
-            return await fn(), None
-        except RETRYABLE_FAULTS as exc:
-            last = exc
-            if attempt + 1 >= policy.max_attempts:
-                break
-            delay = policy.backoff(attempt, site_id)
-            if budget is not None and spent + delay > budget:
-                break
-            spent += delay
-            if on_retry is not None:
-                on_retry(attempt, delay, exc)
-            await asyncio.sleep(delay)
-    return None, last
+            due = loop.send(outcome)
+        except StopIteration as stop:
+            return stop.value
+        outcome = None
+        if callable(due):
+            try:
+                outcome = fn(), None
+            except RETRYABLE_FAULTS as exc:
+                outcome = None, exc
+        elif sleep is not None:
+            sleep(due)

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Protocol, Sequence,
 from ..core.tuples import UncertainTuple
 from ..fault.errors import SiteTimeout
 from .message import Quaternion, decode_tuple, encode_tuple
-from .sockets import _LENGTH
+from .sockets import _LENGTH, _frame_length
 from .transport import SiteEndpoint
 
 if TYPE_CHECKING:  # typing only — net must not import distributed at runtime
@@ -187,8 +187,7 @@ class AsyncRemoteSiteProxy:
         self._writer.write(_LENGTH.pack(len(raw)) + raw)
         await self._writer.drain()
         header = await self._reader.readexactly(_LENGTH.size)
-        (length,) = _LENGTH.unpack(header)
-        body = await self._reader.readexactly(length)
+        body = await self._reader.readexactly(_frame_length(header))
         return dict(json.loads(body.decode("utf-8")))
 
     async def _call(self, method: str, **kwargs: Any) -> Any:

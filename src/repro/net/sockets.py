@@ -43,6 +43,29 @@ __all__ = [
 
 _LENGTH = struct.Struct(">I")
 
+#: Upper bound on one frame's body.  The largest legitimate frame is a
+#: ``ship_all`` reply for the biggest benchmarked partition (the
+#: kernels bench's n = 10⁶, d = 3 site: ≈ 124 bytes of JSON per tuple,
+#: ≈ 124 MB); a length prefix announcing more is a corrupt or hostile
+#: stream and is refused before any of its body is read or buffered.
+MAX_FRAME_BYTES = 256 * 1024 * 1024
+
+
+def _frame_length(header: bytes) -> int:
+    """Decode a length prefix, refusing frames over :data:`MAX_FRAME_BYTES`.
+
+    The refusal is a :class:`ConnectionError` — a retryable transport
+    fault — because the stream position is lost: the connection must be
+    dropped and re-dialed, never read further.
+    """
+    (length,) = _LENGTH.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise ConnectionError(
+            f"frame header announces {length} bytes (limit {MAX_FRAME_BYTES}): "
+            "corrupt or hostile stream"
+        )
+    return int(length)
+
 
 def _send_frame(sock: socket.socket, payload: Dict[str, Any]) -> None:
     raw = json.dumps(payload).encode("utf-8")
@@ -63,8 +86,7 @@ def _recv_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
     header = _recv_exact(sock, _LENGTH.size)
     if header is None:
         return None
-    (length,) = _LENGTH.unpack(header)
-    body = _recv_exact(sock, length)
+    body = _recv_exact(sock, _frame_length(header))
     if body is None:
         return None
     return json.loads(body.decode("utf-8"))
@@ -77,7 +99,10 @@ class _SiteRequestHandler(socketserver.BaseRequestHandler):
         site = self.server.session_site()  # type: ignore[attr-defined]
         delay = getattr(self.server, "rpc_delay", 0.0)
         while True:
-            request = _recv_frame(self.request)
+            try:
+                request = _recv_frame(self.request)
+            except ConnectionError:
+                return  # oversized header: drop the connection
             if request is None:
                 return
             try:
@@ -253,6 +278,8 @@ class RemoteSiteProxy:
                     f"no answer to {method!r} within {self.timeout}s",
                 ) from exc
             except (ConnectionError, OSError) as exc:
+                # Whatever broke, the stream position is unknown now.
+                self._needs_redial = True
                 last_error = exc
         raise last_error  # type: ignore[misc]
 

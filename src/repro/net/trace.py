@@ -23,7 +23,7 @@ from .message import Quaternion
 from .transport import SiteEndpoint
 
 if TYPE_CHECKING:  # typing only — net must not import distributed at runtime
-    from ..distributed.site import ProbeReply
+    from ..distributed.site import BatchProbeReply, ProbeReply
 
 __all__ = ["TraceRecord", "ProtocolTracer", "load_trace", "summarize_trace"]
 
@@ -81,6 +81,22 @@ class _TracedEndpoint:
             {
                 "key": t.key,
                 "factor": reply.factor,
+                "pruned": reply.pruned,
+                "queue_remaining": reply.queue_remaining,
+            },
+        )
+        return reply
+
+    def probe_and_prune_batch(self, ts: Sequence[UncertainTuple]) -> "BatchProbeReply":
+        # Explicit, not via __getattr__: a batched round handed straight
+        # to the inner endpoint would leave no record at all.
+        reply = self._inner.probe_and_prune_batch(ts)
+        self._tracer._record(
+            self.site_id,
+            "probe_and_prune_batch",
+            {
+                "keys": [t.key for t in ts],
+                "factors": list(reply.factors),
                 "pruned": reply.pruned,
                 "queue_remaining": reply.queue_remaining,
             },
@@ -153,10 +169,14 @@ def summarize_trace(records: Sequence[TraceRecord]) -> Dict[str, Any]:
     by_site: Dict[int, int] = {}
     pruned = 0
     fetched = 0
+    delivered = 0
     for record in records:
         by_method[record.method] = by_method.get(record.method, 0) + 1
         by_site[record.site_id] = by_site.get(record.site_id, 0) + 1
-        if record.method == "probe_and_prune":
+        if record.method in ("probe_and_prune", "probe_and_prune_batch"):
+            # A batched probe delivers one feedback tuple per key.
+            keys = record.detail.get("keys")
+            delivered += 1 if keys is None else len(keys)
             pruned += int(record.detail.get("pruned", 0))
         if record.method == "pop_representative" and not record.detail.get(
             "exhausted", False
@@ -167,7 +187,7 @@ def summarize_trace(records: Sequence[TraceRecord]) -> Dict[str, Any]:
         "by_method": by_method,
         "by_site": by_site,
         "tuples_fetched": fetched,
-        "broadcast_deliveries": by_method.get("probe_and_prune", 0),
+        "broadcast_deliveries": delivered,
         "candidates_pruned_at_sites": pruned,
         "duration": records[-1].timestamp - records[0].timestamp if records else 0.0,
     }

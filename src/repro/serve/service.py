@@ -50,14 +50,14 @@ from typing import Deque, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.tuples import UncertainTuple
 from ..distributed.coordinator import Coordinator
-from ..distributed.dsud import DSUD
-from ..distributed.edsud import EDSUD
+from ..distributed.query import ALGORITHMS, PROGRESSIVE, assemble_coordinator
 from ..distributed.site import SiteConfig
 from ..fault.injection import FaultyEndpoint
 from ..fault.liveness import LivenessBook
 from ..net.aio import connect_async_sites
 from ..net.stats import LatencyModel
 from ..net.transport import SiteEndpoint
+from ..replica.manager import ReplicaManager
 from ..stream.coordinator import ContinuousCoordinator
 from ..stream.deltas import ResultDelta, StandingQuery
 from ..stream.site import StreamSite
@@ -423,39 +423,26 @@ class SkylineService:
         self,
         spec: QuerySpec,
         sites: Sequence[SiteEndpoint],
-        replica_manager: object,
+        replica_manager: Optional[ReplicaManager],
         book: Optional[LivenessBook],
     ) -> Coordinator:
-        if spec.algorithm == "edsud":
-            return EDSUD(
-                sites,
-                spec.threshold,
-                spec.preference,
-                self.latency_model,
-                config=spec.edsud_config,
-                limit=spec.limit,
-                retry_policy=spec.retry_policy,
-                batch_size=spec.batch_size,
-                replica_manager=replica_manager,
-                liveness_book=book,
+        if ALGORITHMS.get(spec.algorithm) not in PROGRESSIVE:
+            raise ValueError(
+                f"unknown algorithm {spec.algorithm!r}; the service runs "
+                f"progressive queries only (dsud/edsud)"
             )
-        if spec.algorithm == "dsud":
-            if spec.edsud_config is not None:
-                raise ValueError("edsud_config= requires algorithm='edsud'")
-            return DSUD(
-                sites,
-                spec.threshold,
-                spec.preference,
-                self.latency_model,
-                limit=spec.limit,
-                retry_policy=spec.retry_policy,
-                batch_size=spec.batch_size,
-                replica_manager=replica_manager,
-                liveness_book=book,
-            )
-        raise ValueError(
-            f"unknown algorithm {spec.algorithm!r}; the service runs "
-            f"progressive queries only (dsud/edsud)"
+        return assemble_coordinator(
+            sites,
+            spec.threshold,
+            algorithm=spec.algorithm,
+            preference=spec.preference,
+            latency_model=self.latency_model,
+            edsud_config=spec.edsud_config,
+            limit=spec.limit,
+            retry_policy=spec.retry_policy,
+            batch_size=spec.batch_size,
+            replica_manager=replica_manager,
+            liveness_book=book,
         )
 
     # ------------------------------------------------------------------

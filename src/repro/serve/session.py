@@ -147,8 +147,8 @@ class QuerySession:
             finished = True
         except asyncio.CancelledError:
             # Cancellation is the caller's verdict, not a site fault:
-            # the generator's ``finally`` has already detached the pool
-            # and closed the script, so re-raise with books consistent.
+            # the generator's ``finally`` has already closed the script,
+            # so re-raise with books consistent.
             raise
         except BaseException as exc:
             self.error = exc
@@ -172,18 +172,15 @@ class QuerySession:
     async def abort(self, reason: str) -> None:
         """Stop a session early (admission kill, budget exhaustion).
 
-        Runs on the service's event loop, so the coordinator's pool is
-        released without joining its threads: in-flight broadcasts
-        drain in the background instead of stalling every other
-        session.  The bandwidth book is frozen *before* this returns —
-        whatever those draining broadcasts still add to the
-        coordinator's ``tuples_transmitted`` can never be billed to the
-        tenant, because :attr:`transmitted_tuples` now reads the frozen
-        snapshot.
+        Closing the step iterator closes the coordinator's script at
+        its last completed request boundary.  The bandwidth book is
+        frozen *before* this returns — whatever the coordinator's
+        ``tuples_transmitted`` reads afterwards can never be billed to
+        the tenant, because :attr:`transmitted_tuples` now reads the
+        frozen snapshot.
         """
         if self.done:
             return
-        self.coordinator.close_nowait()
         steps, self._steps = self._steps, None
         if steps is not None:
             await steps.aclose()

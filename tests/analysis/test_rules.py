@@ -366,14 +366,18 @@ class FastCoordinator(Coordinator):
 """
     findings = _run(source, RpcDisciplineRule(), "repro/distributed/fake.py")
     assert [f.rule for f in findings] == ["SKY401"]
-    assert "_rpc" in findings[0].message
+    assert 'yield _Rpc(site, "probe", args)' in findings[0].message
 
 
 def test_sky401_accepts_rpcs_inside_the_funnel():
     source = """\
 class FastCoordinator(Coordinator):
-    def poll(self, site, t):
-        return self._rpc(site, "probe", lambda: site.probe(t))
+    def _poll_script(self, site, t):
+        ok, reply = yield _Rpc(site, "probe", (t,))
+        return reply
+
+    def poll_now(self, site, t, policy):
+        return call_with_retry(lambda: site.probe(t), policy)
 
     def liveness(self, site):
         try:

@@ -3,7 +3,9 @@
 Contract under test:
 
 * ``batch_size=1`` (the default) is the pre-batching protocol — same
-  RPC trace, same message books, no batch RPC ever issued.
+  RPC trace, same message books, no batch RPC ever issued (pinned
+  bit-for-bit against the pre-merge coordinator by
+  ``test_golden_ledger``).
 * ``batch_size=k`` produces the same answer (broadcasts resolve exact
   probabilities regardless of grouping) in no more — and on real
   workloads strictly fewer — coordination rounds.
@@ -17,7 +19,7 @@ import pytest
 from repro.distributed.dsud import DSUD
 from repro.distributed.edsud import EDSUD
 from repro.distributed.query import build_sites, distributed_skyline
-from repro.net.message import MessageKind, Quaternion
+from repro.net.message import MessageKind
 from repro.net.sockets import host_sites
 from repro.net.transport import RecordingEndpoint
 
@@ -97,14 +99,15 @@ class TestBatchAccounting:
         partitions = make_partitions(n=90)
         sites = build_sites(partitions)
         coordinator = DSUD(sites, Q, batch_size=2)
-        coordinator.prepare_sites()
+        coordinator._drive(coordinator._prepare_sites_script())
         heads = [site.pop_representative() for site in sites]
         quaternions = [q for q in heads[:2] if q is not None]
         assert len(quaternions) == 2
         before_msgs = dict(coordinator.stats.by_kind)
         before_tuples = coordinator.stats.tuples_transmitted
-        replies = coordinator.broadcast_probes_batch(quaternions)
-        coordinator.close()
+        replies = coordinator._drive(
+            coordinator._broadcast_probes_batch_script(quaternions)
+        )
         # Three sites, two quaternions from sites 0 and 1: sites 0 and
         # 1 each probe the other's tuple (1 each), site 2 probes both.
         feedback_msgs = (
@@ -115,33 +118,6 @@ class TestBatchAccounting:
         assert coordinator.stats.tuples_transmitted - before_tuples == 4
         # Every (quaternion, foreign site) pair contributed a factor.
         assert len(replies) == 4
-
-    def test_single_element_batch_is_the_scalar_broadcast(self):
-        partitions = make_partitions(n=90)
-
-        def trace(batch_size):
-            log = []
-            sites = [
-                RecordingEndpoint(s, log) for s in build_sites(partitions)
-            ]
-            coordinator = DSUD(sites, Q, batch_size=batch_size)
-            coordinator.prepare_sites()
-            head = sites[0].pop_representative()
-            quaternion = Quaternion(
-                site=head.site,
-                tuple=head.tuple,
-                local_probability=head.local_probability,
-            )
-            out = coordinator.broadcast_batch([quaternion])
-            coordinator.close()
-            return out, [r.method for r in log], coordinator.stats
-
-        batched, methods_b, stats_b = trace(batch_size=4)
-        scalar, methods_s, stats_s = trace(batch_size=1)
-        assert batched == scalar  # same floats, same order
-        assert methods_b == methods_s  # same RPC trace, no batch call
-        assert stats_b.by_kind == stats_s.by_kind
-        assert stats_b.tuples_transmitted == stats_s.tuples_transmitted
 
 
 class TestBatchOverTcp:

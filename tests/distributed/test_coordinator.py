@@ -1,11 +1,14 @@
 """Coordinator protocol behaviour, observed through recording endpoints."""
 
+import asyncio
+
 import pytest
 
 from repro.core.prob_skyline import prob_skyline_sfs
 from repro.distributed.dsud import DSUD
 from repro.distributed.edsud import EDSUD
 from repro.distributed.site import LocalSite
+from repro.fault.retry import RetryPolicy
 from repro.net.transport import RecordingEndpoint
 
 from ..conftest import make_random_database
@@ -129,3 +132,21 @@ class TestEmptySites:
         result = coordinator_cls(sites, 0.3).run()
         central = prob_skyline_sfs(db, 0.3)
         assert result.answer.agrees_with(central, tol=1e-9)
+
+
+class TestSyncPump:
+    def test_steps_can_be_drawn_inside_a_running_event_loop(self):
+        """``steps()`` is genuinely synchronous — plain calls, no
+        ``asyncio.run`` underneath — so an ``async def`` may draw it
+        (the solo benchmark workload does exactly this)."""
+        db = make_random_database(120, 2, seed=4, grid=10)
+        sites = [LocalSite(i, db[i::3]) for i in range(3)]
+
+        async def drive():
+            coordinator = DSUD(sites, 0.3, retry_policy=RetryPolicy(max_attempts=2))
+            for _ in coordinator.steps():
+                await asyncio.sleep(0)
+            return coordinator.finish()
+
+        result = asyncio.run(drive())
+        assert result.answer.agrees_with(prob_skyline_sfs(db, 0.3), tol=1e-9)

@@ -1,11 +1,19 @@
 """The one-call front door."""
 
+import asyncio
+
 import pytest
 
 from repro.core.prob_skyline import prob_skyline_sfs
 from repro.distributed.edsud import EDSUDConfig
-from repro.distributed.query import ALGORITHMS, build_sites, distributed_skyline
+from repro.distributed.query import (
+    ALGORITHMS,
+    build_coordinator,
+    build_sites,
+    distributed_skyline,
+)
 from repro.net.stats import LatencyModel
+from repro.serve import QuerySpec, SkylineService
 
 from ..conftest import make_random_database
 
@@ -50,6 +58,27 @@ class TestDistributedSkyline:
         )
         central = prob_skyline_sfs(db, 0.3)
         assert result.answer.agrees_with(central, tol=1e-9)
+
+    @pytest.mark.parametrize("front_door", ["solo", "served"])
+    def test_edsud_config_without_edsud_is_rejected(self, front_door):
+        """Both front doors assemble through one function: a config the
+        chosen algorithm cannot honour is an error, never dropped."""
+        db = make_random_database(40, 2, seed=4, grid=10)
+        partitions = [db[i::2] for i in range(2)]
+
+        async def served():
+            async with SkylineService(partitions) as service:
+                await service.submit(
+                    QuerySpec(0.3, algorithm="dsud", edsud_config=EDSUDConfig())
+                )
+
+        with pytest.raises(ValueError, match="edsud_config= requires"):
+            if front_door == "solo":
+                build_coordinator(
+                    partitions, 0.3, algorithm="dsud", edsud_config=EDSUDConfig()
+                )
+            else:
+                asyncio.run(served())
 
     def test_latency_model_forwarded(self):
         db = make_random_database(100, 2, seed=5, grid=10)

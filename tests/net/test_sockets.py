@@ -1,12 +1,26 @@
 """TCP transport: RPC semantics and full-protocol integration."""
 
+import asyncio
+import contextlib
+import socket
+import socketserver
+import threading
+
 import pytest
 
 from repro.core.prob_skyline import prob_skyline_sfs
 from repro.distributed.dsud import DSUD
 from repro.distributed.edsud import EDSUD
 from repro.distributed.site import LocalSite
-from repro.net.sockets import host_sites
+from repro.fault.errors import RETRYABLE_FAULTS
+from repro.net.aio import AsyncRemoteSiteProxy
+from repro.net.sockets import (
+    _LENGTH,
+    MAX_FRAME_BYTES,
+    RemoteSiteProxy,
+    _recv_frame,
+    host_sites,
+)
 
 from ..conftest import make_random_database
 
@@ -148,26 +162,6 @@ class TestEndToEnd:
         central = prob_skyline_sfs(db, 0.3)
         with host_sites(partitions) as c:
             result = coordinator_cls(c.proxies, 0.3).run()
-        assert result.answer.agrees_with(central, tol=1e-9)
-
-    def test_parallel_broadcast_over_tcp(self):
-        """Concurrent probes: same answer, same books, threads live."""
-        db = make_random_database(300, 2, seed=5, grid=10)
-        partitions = [db[i::5] for i in range(5)]
-        with host_sites(partitions) as c:
-            sequential = EDSUD(c.proxies, 0.3).run()
-        with host_sites(partitions) as c:
-            parallel = EDSUD(c.proxies, 0.3, parallel_broadcast=True)
-            result = parallel.run()
-        assert result.answer.agrees_with(sequential.answer, tol=1e-12)
-        assert result.bandwidth == sequential.bandwidth
-
-    def test_parallel_broadcast_in_process(self):
-        db = make_random_database(200, 2, seed=6, grid=10)
-        partitions = [db[i::3] for i in range(3)]
-        central = prob_skyline_sfs(db, 0.3)
-        sites = [LocalSite(i, partitions[i]) for i in range(3)]
-        result = DSUD(sites, 0.3, parallel_broadcast=True).run()
         assert result.answer.agrees_with(central, tol=1e-9)
 
     def test_site_crash_mid_query_degrades_and_discloses(self):
@@ -325,3 +319,65 @@ class TestProcessHosting:
         assert all(p.is_alive() for p in cluster.processes)
         cluster.close()
         assert all(not p.is_alive() for p in cluster.processes)
+
+
+class TestFrameCap:
+    """A hostile or corrupt length prefix is refused at the header: a
+    retryable fault and a dropped connection, never a wait for (or an
+    allocation of) a body that will not come."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def hostile_server():
+        """Answers every request with an oversized header and no body."""
+
+        class Handler(socketserver.BaseRequestHandler):
+            def handle(self):
+                while _recv_frame(self.request) is not None:
+                    self.request.sendall(_LENGTH.pack(MAX_FRAME_BYTES + 1))
+
+        server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+        server.daemon_threads = True
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            yield server.server_address
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    @staticmethod
+    def assert_refused(error, proxy):
+        assert isinstance(error, RETRYABLE_FAULTS)
+        assert not isinstance(error, TimeoutError)  # refused, not waited out
+        assert "frame header" in str(error)
+        assert proxy._needs_redial
+
+    def test_site_server_drops_the_connection(self, cluster):
+        c, _ = cluster
+        with socket.create_connection(c.servers[0].address, timeout=5.0) as raw:
+            raw.sendall(_LENGTH.pack(MAX_FRAME_BYTES + 1))
+            assert raw.recv(1) == b""  # hung up without reading a body
+        assert c.proxies[0].ping()  # and still serves everyone else
+
+    def test_remote_site_proxy_raises_a_retryable_fault(self):
+        with self.hostile_server() as address:
+            proxy = RemoteSiteProxy(0, address, timeout=5.0)
+            try:
+                with pytest.raises(ConnectionError) as caught:
+                    proxy.ping()
+                self.assert_refused(caught.value, proxy)
+            finally:
+                proxy.close()
+
+    def test_async_remote_site_proxy_raises_a_retryable_fault(self):
+        async def scenario(address):
+            proxy = await AsyncRemoteSiteProxy.connect(0, address, timeout=5.0)
+            try:
+                with pytest.raises(ConnectionError) as caught:
+                    await proxy.ping()
+                self.assert_refused(caught.value, proxy)
+            finally:
+                await proxy.close()
+
+        with self.hostile_server() as address:
+            asyncio.run(scenario(address))

@@ -1,6 +1,7 @@
 """Protocol tracing."""
 
 
+from repro.distributed.dsud import DSUD
 from repro.distributed.edsud import EDSUD
 from repro.distributed.site import LocalSite
 from repro.net.trace import ProtocolTracer, load_trace, summarize_trace
@@ -63,6 +64,18 @@ class TestSummary:
         assert summary["broadcast_deliveries"] == result.stats.tuples_from_server
         assert summary["calls"] == len(tracer.records)
         assert set(summary["by_site"]) == {0, 1, 2}
+
+    def test_batched_rounds_are_journalled_and_summarised(self):
+        db = make_random_database(400, 2, seed=7, grid=10)
+        tracer = ProtocolTracer()
+        sites = [LocalSite(i, db[i::4]) for i in range(4)]
+        result = DSUD(tracer.wrap(sites), 0.3, batch_size=4).run()
+        summary = summarize_trace(tracer.records)
+        assert summary["by_method"].get("probe_and_prune_batch", 0) > 0
+        assert summary["broadcast_deliveries"] == result.stats.tuples_from_server
+        pruned = sum(site.pruned_total for site in sites)
+        assert pruned > 0
+        assert summary["candidates_pruned_at_sites"] == pruned
 
     def test_empty_trace_summary(self):
         summary = summarize_trace([])

@@ -146,8 +146,8 @@ def test_cancelled_asteps_await_leaves_sites_consistent():
         with pytest.raises(asyncio.CancelledError):
             await task
         # The async generator is finished: its finally closed the
-        # script and detached the pool, so aclose is a clean no-op and
-        # further draws see exhaustion, not a wedged script.
+        # script, so aclose is a clean no-op and further draws see
+        # exhaustion, not a wedged script.
         await agen.aclose()
         with pytest.raises(StopAsyncIteration):
             await agen.__anext__()
@@ -155,7 +155,6 @@ def test_cancelled_asteps_await_leaves_sites_consistent():
         # endpoint still answers (a fresh query over forks would work).
         for endpoint in sites:
             assert isinstance(await endpoint.queue_size(), int)
-        coordinator.close()  # idempotent after the generator teardown
 
     asyncio.run(scenario())
 

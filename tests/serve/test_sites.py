@@ -131,26 +131,27 @@ def test_shared_book_deduplicates_liveness_probes_across_queries():
         wrapped = [FaultyEndpoint(sites[0], always_down)] + list(sites[1:])
         return DSUD(wrapped, 0.3, liveness_book=book)
 
-    with coordinator() as first, coordinator() as second:
-        dead = first.sites[0]
-        assert first._probe_liveness(dead) is False
-        assert book.probes == 1
-        baseline = second.stats.messages
-        # The second query reads the epoch's verdict: no new CONTROL
-        # message, no new probe — the snapshot answered.
-        assert second._probe_liveness(second.sites[0]) is False
-        assert book.probes == 1 and book.hits == 1
-        assert second.stats.messages == baseline
-        # A new epoch makes every verdict stale again.
-        book.advance()
-        assert second._probe_liveness(second.sites[0]) is False
-        assert book.probes == 2
+    def probe(query: DSUD) -> bool:
+        return query._drive(query._probe_liveness_script(query.sites[0]))
+
+    first, second = coordinator(), coordinator()
+    assert probe(first) is False
+    assert book.probes == 1
+    baseline = second.stats.messages
+    # The second query reads the epoch's verdict: no new CONTROL
+    # message, no new probe — the snapshot answered.
+    assert probe(second) is False
+    assert book.probes == 1 and book.hits == 1
+    assert second.stats.messages == baseline
+    # A new epoch makes every verdict stale again.
+    book.advance()
+    assert probe(second) is False
+    assert book.probes == 2
 
 
 def test_private_book_is_the_default():
     sites = build_sites(PARTITIONS)
-    with DSUD(sites, 0.3) as coordinator:
-        assert coordinator.liveness_book is None
+    assert DSUD(sites, 0.3).liveness_book is None
 
 
 def test_book_keys_separate_site_and_primary_probes():
