@@ -129,7 +129,7 @@ class TransitiveBlockingRule(ProgramRule):
             return (
                 f"`{fact.name}(...)` is a *sync* SiteEndpoint RPC on the "
                 "event loop: network/compute with no await point — use "
-                "the AsyncSiteEndpoint mirror or hand the call to a thread"
+                "an awaitable endpoint (`AsyncRemoteSiteProxy`) or hand the call to a thread"
             )
         return (
             f"`{fact.name}(...)` blocks the event loop; every other "

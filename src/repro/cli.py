@@ -40,7 +40,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -315,7 +315,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         from .net.trace import ProtocolTracer, summarize_trace
 
         tracer = ProtocolTracer()
-        sites = tracer.wrap(build_sites(partitions, preference=preference))
+        sites: Sequence = tracer.wrap(build_sites(partitions, preference=preference))
         coordinator_cls = ALGORITHMS[args.algorithm]
         kwargs = {"limit": args.limit} if args.algorithm in ("dsud", "edsud") else {}
         if chaos_kwargs:

@@ -1133,7 +1133,7 @@ class Coordinator:
         an endpoint method returns when it is awaitable — endpoints may
         be sync (in-process :class:`LocalSite` forks, chaos wrappers,
         promoted replicas) or async
-        (:class:`~repro.net.aio.AsyncSiteEndpoint` proxies), and one
+        (:class:`~repro.net.aio.AsyncRemoteSiteProxy`), and one
         coordinator can mix both — and backs off with
         ``asyncio.sleep``, so a session awaiting a socket reply hands
         the event loop to other sessions instead of blocking the

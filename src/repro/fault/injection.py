@@ -1,11 +1,12 @@
 """The fault-injecting endpoint decorator.
 
-:class:`FaultyEndpoint` wraps any :class:`~repro.net.transport.SiteEndpoint`
-in the style of :class:`~repro.net.transport.RecordingEndpoint` and
-consults a :class:`~repro.fault.schedule.FaultSchedule` before every
-protocol call.  Injected crashes and timeouts raise *before* the inner
-call runs, so a retried RPC is always safe — the site never saw the
-failed attempt, exactly like a packet lost on the wire.
+:class:`FaultyEndpoint` is an
+:class:`~repro.net.transport.EndpointInterceptor` whose ``before`` hook
+consults a :class:`~repro.fault.schedule.FaultSchedule` ahead of every
+protocol call (one gate per RPC — a batch is one message on the wire).
+Injected crashes and timeouts raise *before* the inner call runs, so a
+retried RPC is always safe — the site never saw the failed attempt,
+exactly like a packet lost on the wire.
 
 Injected faults are journalled in :attr:`FaultyEndpoint.injected` so a
 chaos test can assert the schedule actually fired.
@@ -15,16 +16,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Tuple
 
+from ..net.transport import EndpointInterceptor, SiteEndpoint
 from .errors import SiteCrashed, SiteTimeout
 from .schedule import FaultAction, FaultKind, FaultSchedule
-
-if TYPE_CHECKING:  # typing only — fault must not import distributed at runtime
-    from ..core.tuples import UncertainTuple
-    from ..distributed.site import BatchProbeReply, ProbeReply
-    from ..net.message import Quaternion
-    from ..net.transport import SiteEndpoint
 
 __all__ = ["InjectedFault", "FaultyEndpoint"]
 
@@ -39,28 +35,32 @@ class InjectedFault:
     action: FaultAction
 
 
-class FaultyEndpoint:
-    """Transparent endpoint decorator that replays a fault schedule."""
+class FaultyEndpoint(EndpointInterceptor):
+    """Transparent endpoint decorator that replays a fault schedule.
+
+    ``sleep`` serves injected DELAY faults; pass ``asyncio.sleep`` when
+    an event loop drives the endpoint, so the delay is awaited instead
+    of blocking every co-scheduled session.
+    """
 
     def __init__(
         self,
         inner: "SiteEndpoint",
         schedule: FaultSchedule,
-        sleep: Optional[Callable[[float], None]] = time.sleep,
+        sleep: Optional[Callable[[float], Any]] = time.sleep,
     ) -> None:
-        self.inner = inner
-        self.site_id = inner.site_id
+        super().__init__(inner)
         self.schedule = schedule
         self.calls = 0
         self.injected: List[InjectedFault] = []
         self._sleep = sleep
 
-    def _gate(self, method: str) -> None:
+    def before(self, method: str, args: Tuple[Any, ...]) -> Any:
         """Count the call and apply the scheduled fault, if any."""
         self.calls += 1
         action = self.schedule.decide(self.site_id, method, self.calls)
         if action is None:
-            return
+            return None
         self.injected.append(InjectedFault(self.site_id, method, self.calls, action))
         if action.kind is FaultKind.CRASH:
             raise SiteCrashed(
@@ -71,36 +71,5 @@ class FaultyEndpoint:
                 self.site_id, f"injected timeout on {method} (call {self.calls})"
             )
         if action.kind is FaultKind.DELAY and self._sleep is not None:
-            self._sleep(action.delay)
-
-    # ------------------------------------------------------------------
-    # the SiteEndpoint surface
-    # ------------------------------------------------------------------
-
-    def prepare(self, threshold: float) -> int:
-        self._gate("prepare")
-        return self.inner.prepare(threshold)
-
-    def pop_representative(self) -> "Optional[Quaternion]":
-        self._gate("pop_representative")
-        return self.inner.pop_representative()
-
-    def probe_and_prune(self, t: "UncertainTuple") -> "ProbeReply":
-        self._gate("probe_and_prune")
-        return self.inner.probe_and_prune(t)
-
-    def probe_and_prune_batch(self, ts: "Sequence[UncertainTuple]") -> "BatchProbeReply":
-        # One gate per batch RPC (it is one message on the wire).  Must
-        # be explicit: the __getattr__ passthrough below would silently
-        # hand back the inner method *without* fault injection.
-        self._gate("probe_and_prune_batch")
-        return self.inner.probe_and_prune_batch(ts)
-
-    def queue_size(self) -> int:
-        self._gate("queue_size")
-        return self.inner.queue_size()
-
-    def __getattr__(self, name: str) -> Any:
-        # Everything outside the faulted protocol surface (ship_all,
-        # update hooks, pruned_total, …) passes through untouched.
-        return getattr(self.inner, name)
+            return self._sleep(action.delay)
+        return None

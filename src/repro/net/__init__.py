@@ -2,16 +2,15 @@
 the coordinator↔site endpoint contract, and real TCP transports
 (threaded sockets and asyncio streams over one wire format)."""
 
-from .aio import AsyncLocalEndpoint, AsyncRemoteSiteProxy, AsyncSiteEndpoint
+from .aio import AsyncLocalEndpoint, AsyncRemoteSiteProxy
 from .message import Message, MessageKind, Quaternion, decode_tuple, encode_tuple
 from .stats import LatencyModel, NetworkStats, ProgressEvent, ProgressLog
 from .trace import ProtocolTracer, TraceRecord, load_trace, summarize_trace
-from .transport import CallRecord, RecordingEndpoint, SiteEndpoint
+from .transport import CallRecord, EndpointInterceptor, RecordingEndpoint, SiteEndpoint
 
 __all__ = [
     "AsyncLocalEndpoint",
     "AsyncRemoteSiteProxy",
-    "AsyncSiteEndpoint",
     "Message",
     "MessageKind",
     "Quaternion",
@@ -22,6 +21,7 @@ __all__ = [
     "ProgressEvent",
     "ProgressLog",
     "SiteEndpoint",
+    "EndpointInterceptor",
     "RecordingEndpoint",
     "CallRecord",
     "ProtocolTracer",

@@ -8,7 +8,7 @@ described by a :class:`Message` that knows its kind, its direction, and
 carries.  Scalar probe replies and next-tuple requests carry zero.
 
 Messages also know how to serialise themselves to JSON-compatible
-dicts; the TCP transport (:mod:`repro.net.sockets`) sends exactly these
+dicts; the TCP transport (:mod:`repro.net.rpc`) sends exactly these
 dicts, so the in-process and socket paths exercise one format.
 """
 

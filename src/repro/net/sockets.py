@@ -8,29 +8,35 @@ TCP server and exposes a :class:`RemoteSiteProxy` implementing the same
 any coordinator runs unchanged against real sockets — see
 ``examples/sensor_fusion_live.py`` and the transport integration tests.
 
-Framing is a 4-byte big-endian length prefix followed by a UTF-8 JSON
-document; payload encoding reuses :mod:`repro.net.message` so the wire
-format and the accounting model describe the same objects.
+The frame format, the per-method codecs and the proxy's retry/re-dial
+policy all live in :mod:`repro.net.rpc`; this module only moves frames
+over blocking sockets.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import socket
 import socketserver
-import struct
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from ..core.dominance import Preference
 from ..core.tuples import UncertainTuple
-from ..fault.errors import SiteTimeout
+from .rpc import (
+    HEADER_BYTES,
+    Outcome,
+    Script,
+    SiteProxy,
+    _frame_length,
+    decode_body,
+    dispatch,
+    encode_frame,
+)
 
 if TYPE_CHECKING:  # typing only — net must not import distributed at runtime
-    from ..distributed.site import BatchProbeReply, LocalSite, ProbeReply, SiteConfig
-from .message import Quaternion, decode_tuple, encode_tuple
+    from ..distributed.site import LocalSite, SiteConfig
 
 __all__ = [
     "SiteServer",
@@ -40,36 +46,6 @@ __all__ = [
     "ProcessSiteCluster",
     "host_sites_in_processes",
 ]
-
-_LENGTH = struct.Struct(">I")
-
-#: Upper bound on one frame's body.  The largest legitimate frame is a
-#: ``ship_all`` reply for the biggest benchmarked partition (the
-#: kernels bench's n = 10⁶, d = 3 site: ≈ 124 bytes of JSON per tuple,
-#: ≈ 124 MB); a length prefix announcing more is a corrupt or hostile
-#: stream and is refused before any of its body is read or buffered.
-MAX_FRAME_BYTES = 256 * 1024 * 1024
-
-
-def _frame_length(header: bytes) -> int:
-    """Decode a length prefix, refusing frames over :data:`MAX_FRAME_BYTES`.
-
-    The refusal is a :class:`ConnectionError` — a retryable transport
-    fault — because the stream position is lost: the connection must be
-    dropped and re-dialed, never read further.
-    """
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ConnectionError(
-            f"frame header announces {length} bytes (limit {MAX_FRAME_BYTES}): "
-            "corrupt or hostile stream"
-        )
-    return int(length)
-
-
-def _send_frame(sock: socket.socket, payload: Dict[str, Any]) -> None:
-    raw = json.dumps(payload).encode("utf-8")
-    sock.sendall(_LENGTH.pack(len(raw)) + raw)
 
 
 def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
@@ -82,14 +58,12 @@ def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
     return buf
 
 
-def _recv_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
-    header = _recv_exact(sock, _LENGTH.size)
+def _recv_frame(sock: socket.socket) -> Optional[bytes]:
+    """One frame's body; ``None`` once the peer has hung up."""
+    header = _recv_exact(sock, HEADER_BYTES)
     if header is None:
         return None
-    body = _recv_exact(sock, _frame_length(header))
-    if body is None:
-        return None
-    return json.loads(body.decode("utf-8"))
+    return _recv_exact(sock, _frame_length(header))
 
 
 class _SiteRequestHandler(socketserver.BaseRequestHandler):
@@ -100,56 +74,21 @@ class _SiteRequestHandler(socketserver.BaseRequestHandler):
         delay = getattr(self.server, "rpc_delay", 0.0)
         while True:
             try:
-                request = _recv_frame(self.request)
+                body = _recv_frame(self.request)
             except ConnectionError:
                 return  # oversized header: drop the connection
-            if request is None:
+            if body is None:
                 return
+            request = decode_body(body)
             try:
                 if delay > 0.0:
                     # Simulated WAN service time, applied before the
                     # dispatch so it covers cache hits too.
                     time.sleep(delay)
-                result = self._dispatch(site, request)
-                _send_frame(self.request, {"ok": True, "result": result})
+                reply = encode_frame({"ok": True, "result": dispatch(site, request)})
             except Exception as exc:  # surfaced to the caller, not swallowed
-                _send_frame(self.request, {"ok": False, "error": repr(exc)})
-
-    @staticmethod
-    def _dispatch(site: "LocalSite", request: Dict[str, Any]) -> Any:
-        method = request["method"]
-        if method == "prepare":
-            return site.prepare(float(request["threshold"]))
-        if method == "pop_representative":
-            quaternion = site.pop_representative()
-            return None if quaternion is None else quaternion.to_dict()
-        if method == "probe_and_prune":
-            reply = site.probe_and_prune(decode_tuple(request["tuple"]))
-            return {
-                "factor": reply.factor,
-                "pruned": reply.pruned,
-                "queue_remaining": reply.queue_remaining,
-            }
-        if method == "probe_and_prune_batch":
-            reply = site.probe_and_prune_batch(
-                [decode_tuple(d) for d in request["tuples"]]
-            )
-            return {
-                "factors": list(reply.factors),
-                "pruned": reply.pruned,
-                "queue_remaining": reply.queue_remaining,
-            }
-        if method == "queue_size":
-            return site.queue_size()
-        if method == "ship_all":
-            return [encode_tuple(t) for t in site.ship_all()]
-        if method == "ship_local_skyline":
-            return [
-                q.to_dict() for q in site.ship_local_skyline(float(request["threshold"]))
-            ]
-        if method == "ping":
-            return "pong"
-        raise ValueError(f"unknown RPC method {method!r}")
+                reply = encode_frame({"ok": False, "error": repr(exc)})
+            self.request.sendall(reply)
 
 
 class SiteServer(socketserver.ThreadingTCPServer):
@@ -201,28 +140,14 @@ class SiteServer(socketserver.ThreadingTCPServer):
         return thread
 
 
-class RemoteSiteProxy:
-    """SiteEndpoint implementation speaking the TCP protocol.
+class RemoteSiteProxy(SiteProxy):
+    """The blocking pump of :class:`~repro.net.rpc.SiteProxy`.
 
-    ``timeout`` is a *real* socket deadline applied to connect, send,
-    and receive: a site that accepts the connection but never answers
-    surfaces as :class:`~repro.fault.errors.SiteTimeout` after
-    ``timeout`` seconds instead of hanging the query.  Timeouts are
-    never retried here — whether the lost answer is worth another
-    round trip is the coordinator's :class:`RetryPolicy` decision, and
-    after a timeout the stream position is ambiguous anyway, so the
-    connection is re-dialed before any further use.
-
-    ``retries`` controls transparent reconnection: a dropped connection
-    (transient network fault, site restart behind the same address) is
-    re-dialed and the *idempotent* RPC re-issued up to that many times.
-    Every protocol method is safe to retry except ``pop_representative``
-    — re-popping after an ambiguous failure could skip a candidate — so
-    that one is never retried and an ambiguous drop surfaces as
-    :class:`ConnectionError` for the coordinator to handle.
+    Connects on construction; ``timeout`` is the socket deadline for
+    connect, send and receive.
     """
 
-    _NON_IDEMPOTENT = frozenset({"pop_representative"})
+    _TIMEOUT = socket.timeout
 
     def __init__(
         self,
@@ -231,107 +156,43 @@ class RemoteSiteProxy:
         timeout: float = 30.0,
         retries: int = 0,
     ) -> None:
-        self.site_id = site_id
-        self.address = address
-        self.timeout = timeout
-        self.retries = retries
-        self.reconnects = 0
-        self.timeouts = 0
-        self._sock = socket.create_connection(address, timeout=timeout)
-        self._needs_redial = False
+        super().__init__(site_id, address, timeout=timeout, retries=retries)
+        self._sock: Optional[socket.socket] = None
+        self._pump(self._connect_script())
 
-    def _reconnect(self) -> None:
+    def _pump(self, script: Script) -> Any:
         try:
-            self._sock.close()
-        except OSError:
-            pass
-        self._sock = socket.create_connection(self.address, timeout=self.timeout)
-        self._needs_redial = False
-        self.reconnects += 1
+            request = next(script)
+            while True:
+                request = script.send(self._io(request))
+        except StopIteration as done:
+            return done.value
 
-    def _call(self, method: str, **kwargs: Any) -> Any:
-        attempts = 1 + (0 if method in self._NON_IDEMPOTENT else self.retries)
-        last_error: Optional[Exception] = None
-        for attempt in range(attempts):
+    def _io(self, request: Optional[bytes]) -> Outcome:
+        try:
+            if request is None:
+                self._release()
+                self._sock = socket.create_connection(
+                    self.address, timeout=self.timeout
+                )
+                return None, None
+            assert self._sock is not None
+            self._sock.sendall(request)
+            return _recv_frame(self._sock), None
+        except OSError as exc:  # socket.timeout and ConnectionError included
+            return None, exc
+
+    def _release(self) -> None:
+        if self._sock is not None:
             try:
-                if attempt > 0 or self._needs_redial:
-                    self._reconnect()
-                _send_frame(self._sock, {"method": method, **kwargs})
-                response = _recv_frame(self._sock)
-                if response is None:
-                    raise ConnectionError(
-                        f"site {self.site_id} closed the connection"
-                    )
-                if not response["ok"]:
-                    # An application error is authoritative — no retry.
-                    raise RuntimeError(
-                        f"site {self.site_id} RPC failed: {response['error']}"
-                    )
-                return response["result"]
-            except socket.timeout as exc:
-                # A late reply may still be in flight; the stream is
-                # unusable until re-dialed.  Escalate immediately.
-                self.timeouts += 1
-                self._needs_redial = True
-                raise SiteTimeout(
-                    self.site_id,
-                    f"no answer to {method!r} within {self.timeout}s",
-                ) from exc
-            except (ConnectionError, OSError) as exc:
-                # Whatever broke, the stream position is unknown now.
-                self._needs_redial = True
-                last_error = exc
-        raise last_error  # type: ignore[misc]
-
-    def prepare(self, threshold: float) -> int:
-        return int(self._call("prepare", threshold=threshold))
-
-    def pop_representative(self) -> Optional[Quaternion]:
-        result = self._call("pop_representative")
-        return None if result is None else Quaternion.from_dict(result)
-
-    def probe_and_prune(self, t: UncertainTuple) -> "ProbeReply":
-        from ..distributed.site import ProbeReply
-
-        result = self._call("probe_and_prune", tuple=encode_tuple(t))
-        return ProbeReply(
-            factor=float(result["factor"]),
-            pruned=int(result["pruned"]),
-            queue_remaining=int(result["queue_remaining"]),
-        )
-
-    def probe_and_prune_batch(self, ts: Sequence[UncertainTuple]) -> "BatchProbeReply":
-        from ..distributed.site import BatchProbeReply
-
-        result = self._call(
-            "probe_and_prune_batch", tuples=[encode_tuple(t) for t in ts]
-        )
-        return BatchProbeReply(
-            factors=[float(f) for f in result["factors"]],
-            pruned=int(result["pruned"]),
-            queue_remaining=int(result["queue_remaining"]),
-        )
-
-    def queue_size(self) -> int:
-        return int(self._call("queue_size"))
-
-    def ship_all(self) -> List[UncertainTuple]:
-        return [decode_tuple(d) for d in self._call("ship_all")]
-
-    def ship_local_skyline(self, threshold: float) -> List[Quaternion]:
-        return [
-            Quaternion.from_dict(d)
-            for d in self._call("ship_local_skyline", threshold=threshold)
-        ]
-
-    def ping(self) -> bool:
-        return self._call("ping") == "pong"
+                self._sock.close()
+            except OSError:
+                pass
 
     def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        """Release the connection; idempotent, and final."""
+        self._closed = True
+        self._release()
 
 
 class SiteCluster:

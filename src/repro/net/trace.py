@@ -2,7 +2,8 @@
 
 Debugging a distributed algorithm means asking "what was actually said,
 in what order?".  A :class:`ProtocolTracer` wraps any set of site
-endpoints, timestamps every RPC, and can dump the conversation as
+endpoints — in-process or remote, sync or awaitable — timestamps every
+RPC once its reply is in, and can dump the conversation as
 JSON-lines for offline analysis — the operational sibling of the
 in-memory :class:`~repro.net.transport.RecordingEndpoint` the tests
 use.  :func:`summarize_trace` turns a trace back into the questions one
@@ -16,14 +17,10 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union, cast
 
-from ..core.tuples import UncertainTuple
 from .message import Quaternion
-from .transport import SiteEndpoint
-
-if TYPE_CHECKING:  # typing only — net must not import distributed at runtime
-    from ..distributed.site import BatchProbeReply, ProbeReply
+from .transport import EndpointInterceptor, SiteEndpoint
 
 __all__ = ["TraceRecord", "ProtocolTracer", "load_trace", "summarize_trace"]
 
@@ -50,66 +47,47 @@ class TraceRecord:
         }
 
 
-class _TracedEndpoint:
+def _reply_detail(reply: Any) -> Dict[str, Any]:
+    return {"pruned": reply.pruned, "queue_remaining": reply.queue_remaining}
+
+
+def _pop_detail(args: Tuple[Any, ...], quaternion: Optional[Quaternion]) -> Dict[str, Any]:
+    if quaternion is None:
+        return {"exhausted": True}
+    return {
+        "exhausted": False,
+        "key": quaternion.key,
+        "local_probability": quaternion.local_probability,
+    }
+
+
+#: What a trace record says about each call: ``(args, result) → detail``.
+_DETAIL: Dict[str, Callable[[Tuple[Any, ...], Any], Dict[str, Any]]] = {
+    "prepare": lambda args, size: {"threshold": args[0], "local_skyline": size},
+    "pop_representative": _pop_detail,
+    "probe_and_prune": lambda args, reply: {
+        "key": args[0].key,
+        "factor": reply.factor,
+        **_reply_detail(reply),
+    },
+    "probe_and_prune_batch": lambda args, reply: {
+        "keys": [t.key for t in args[0]],
+        "factors": list(reply.factors),
+        **_reply_detail(reply),
+    },
+    "queue_size": lambda args, size: {"size": size},
+}
+
+
+class _TracedEndpoint(EndpointInterceptor):
     """One endpoint's tracing shim (shares the tracer's journal)."""
 
     def __init__(self, inner: SiteEndpoint, tracer: "ProtocolTracer") -> None:
-        self._inner = inner
+        super().__init__(inner)
         self._tracer = tracer
-        self.site_id = inner.site_id
 
-    def prepare(self, threshold: float) -> int:
-        size = self._inner.prepare(threshold)
-        self._tracer._record(self.site_id, "prepare",
-                             {"threshold": threshold, "local_skyline": size})
-        return size
-
-    def pop_representative(self) -> Optional[Quaternion]:
-        quaternion = self._inner.pop_representative()
-        detail: Dict[str, Any] = {"exhausted": quaternion is None}
-        if quaternion is not None:
-            detail["key"] = quaternion.key
-            detail["local_probability"] = quaternion.local_probability
-        self._tracer._record(self.site_id, "pop_representative", detail)
-        return quaternion
-
-    def probe_and_prune(self, t: UncertainTuple) -> "ProbeReply":
-        reply = self._inner.probe_and_prune(t)
-        self._tracer._record(
-            self.site_id,
-            "probe_and_prune",
-            {
-                "key": t.key,
-                "factor": reply.factor,
-                "pruned": reply.pruned,
-                "queue_remaining": reply.queue_remaining,
-            },
-        )
-        return reply
-
-    def probe_and_prune_batch(self, ts: Sequence[UncertainTuple]) -> "BatchProbeReply":
-        # Explicit, not via __getattr__: a batched round handed straight
-        # to the inner endpoint would leave no record at all.
-        reply = self._inner.probe_and_prune_batch(ts)
-        self._tracer._record(
-            self.site_id,
-            "probe_and_prune_batch",
-            {
-                "keys": [t.key for t in ts],
-                "factors": list(reply.factors),
-                "pruned": reply.pruned,
-                "queue_remaining": reply.queue_remaining,
-            },
-        )
-        return reply
-
-    def queue_size(self) -> int:
-        size = self._inner.queue_size()
-        self._tracer._record(self.site_id, "queue_size", {"size": size})
-        return size
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)
+    def after(self, method: str, args: Tuple[Any, ...], result: Any) -> None:
+        self._tracer._record(self.site_id, method, _DETAIL[method](args, result))
 
 
 class ProtocolTracer:
@@ -119,8 +97,9 @@ class ProtocolTracer:
         self.records: List[TraceRecord] = []
         self._start = time.perf_counter()
 
-    def wrap(self, sites: Sequence[SiteEndpoint]) -> List[_TracedEndpoint]:
-        return [_TracedEndpoint(site, self) for site in sites]
+    def wrap(self, sites: Sequence[SiteEndpoint]) -> List[SiteEndpoint]:
+        """Tracing shims over ``sites`` (sync or awaitable alike)."""
+        return [cast(SiteEndpoint, _TracedEndpoint(site, self)) for site in sites]
 
     def _record(self, site_id: int, method: str, detail: Dict[str, Any]) -> None:
         self.records.append(

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import Deque, List, Mapping, Optional, Sequence, Tuple
+from typing import Deque, List, Mapping, Optional, Sequence, Tuple, cast
 
 from ..core.tuples import UncertainTuple
 from ..distributed.coordinator import Coordinator
@@ -369,7 +369,12 @@ class SkylineService:
             host.view(spec.preference) for host in self.hosts
         ]
         if spec.fault_schedule is not None:
-            sites = [FaultyEndpoint(site, spec.fault_schedule) for site in sites]
+            # asyncio.sleep: an injected DELAY is awaited by the session's
+            # pump instead of stalling every co-scheduled session.
+            sites = [
+                cast(SiteEndpoint, FaultyEndpoint(site, spec.fault_schedule, asyncio.sleep))
+                for site in sites
+            ]
         replica_manager = None
         if spec.replication_factor > 1:
             assert self.replica_book is not None

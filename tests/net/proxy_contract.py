@@ -1,0 +1,290 @@
+"""The behaviour both TCP proxies owe their callers, written once.
+
+:class:`ProxyContract` is instantiated for the blocking proxy in
+``test_sockets.py`` (``kit = SYNC``) and for the asyncio proxy in
+``test_aio.py`` (``kit = ASYNC``), so every case below runs against
+both pumps of the one call script in :mod:`repro.net.rpc`.  A scenario
+is a coroutine either way: :func:`settle` awaits what the async proxy
+hands back and passes through what the sync one already computed.
+"""
+
+import asyncio
+import inspect
+import socket
+import time
+from typing import Any, Awaitable, Callable, NamedTuple
+
+import pytest
+
+from repro.distributed.site import LocalSite
+from repro.fault.errors import SiteTimeout
+from repro.net.aio import AsyncRemoteSiteProxy
+from repro.net.sockets import RemoteSiteProxy
+
+
+class Kit(NamedTuple):
+    """One proxy flavour: how to dial it and how to cut its connection."""
+
+    name: str
+    connect: Callable[..., Awaitable[Any]]
+    sever: Callable[[Any], None]
+
+
+async def _connect_sync(site_id, address, **kwargs):
+    return RemoteSiteProxy(site_id, address, **kwargs)
+
+
+SYNC = Kit("sync", _connect_sync, lambda proxy: proxy._sock.close())
+ASYNC = Kit("async", AsyncRemoteSiteProxy.connect, lambda proxy: proxy._writer.close())
+
+
+async def settle(value):
+    return await value if inspect.isawaitable(value) else value
+
+
+class ProxyContract:
+    kit: Kit
+
+    def drive(self, address, scenario, site_id=0, **kwargs):
+        """Run ``scenario(proxy)`` against a fresh proxy, then close it."""
+
+        async def session():
+            proxy = await self.kit.connect(site_id, address, **kwargs)
+            try:
+                return await scenario(proxy)
+            finally:
+                await settle(proxy.close())
+
+        return asyncio.run(session())
+
+    # ------------------------------------------------------------------
+    # the surface, against an in-process LocalSite over the same data
+
+    def test_ping(self, cluster):
+        c, _ = cluster
+
+        async def scenario(proxy):
+            assert await settle(proxy.ping()) is True
+
+        self.drive(c.servers[0].address, scenario)
+
+    def test_prepare_matches_local(self, cluster):
+        c, db = cluster
+
+        async def scenario(proxy):
+            assert await settle(proxy.prepare(0.3)) == LocalSite(0, db[0::3]).prepare(0.3)
+
+        self.drive(c.servers[0].address, scenario)
+
+    def test_pop_representative_roundtrip(self, cluster):
+        c, db = cluster
+
+        async def scenario(proxy):
+            await settle(proxy.prepare(0.3))
+            q = await settle(proxy.pop_representative())
+            assert q is not None
+            assert q.site == 0
+            assert q.tuple.key in {t.key for t in db[0::3]}
+
+        self.drive(c.servers[0].address, scenario)
+
+    def test_exhaustion_returns_none(self, cluster):
+        c, _ = cluster
+
+        async def scenario(proxy):
+            await settle(proxy.prepare(0.99))
+            while await settle(proxy.pop_representative()) is not None:
+                pass
+            assert await settle(proxy.pop_representative()) is None
+
+        self.drive(c.servers[1].address, scenario, site_id=1)
+
+    def test_probe_and_prune_matches_local(self, cluster):
+        c, db = cluster
+
+        async def scenario(proxy):
+            await settle(proxy.prepare(0.3))
+            local = LocalSite(2, db[2::3])
+            local.prepare(0.3)
+            remote_reply = await settle(proxy.probe_and_prune(db[0]))
+            local_reply = local.probe_and_prune(db[0])
+            assert remote_reply.factor == pytest.approx(local_reply.factor)
+            assert remote_reply.pruned == local_reply.pruned
+
+        self.drive(c.servers[2].address, scenario, site_id=2)
+
+    def test_batch_probe_matches_sequential(self, cluster):
+        c, db = cluster
+
+        async def scenario(proxy):
+            await settle(proxy.prepare(0.3))
+            probes = db[0:6:2]
+            reply = await settle(proxy.probe_and_prune_batch(probes))
+            assert len(reply.factors) == len(probes)
+            local = LocalSite(1, db[1::3])
+            local.prepare(0.3)
+            expected = [local.probe_and_prune(t).factor for t in probes]
+            assert reply.factors == pytest.approx(expected)
+
+        self.drive(c.servers[1].address, scenario, site_id=1)
+
+    def test_rpc_surface_matches_local(self, cluster):
+        """One whole conversation, answer for answer."""
+        c, db = cluster
+
+        async def scenario(proxy):
+            local = LocalSite(0, db[0::3])
+            assert await settle(proxy.prepare(0.3)) == local.prepare(0.3)
+            q = await settle(proxy.pop_representative())
+            local_q = local.pop_representative()
+            assert q is not None and q.tuple.key == local_q.tuple.key
+            assert q.local_probability == pytest.approx(local_q.local_probability)
+            remote_reply = await settle(proxy.probe_and_prune(db[1]))
+            local_reply = local.probe_and_prune(db[1])
+            assert remote_reply.factor == pytest.approx(local_reply.factor)
+            assert remote_reply.pruned == local_reply.pruned
+            assert await settle(proxy.queue_size()) == local.queue_size()
+
+        self.drive(c.servers[0].address, scenario)
+
+    def test_ship_all(self, cluster):
+        c, db = cluster
+
+        async def scenario(proxy):
+            shipped = await settle(proxy.ship_all())
+            assert {t.key for t in shipped} == {t.key for t in db[0::3]}
+
+        self.drive(c.servers[0].address, scenario)
+
+    def test_ship_local_skyline_sorted(self, cluster):
+        c, _ = cluster
+
+        async def scenario(proxy):
+            burst = await settle(proxy.ship_local_skyline(0.3))
+            probs = [q.local_probability for q in burst]
+            assert probs and probs == sorted(probs, reverse=True)
+
+        self.drive(c.servers[0].address, scenario)
+
+    def test_only_table_methods_are_attributes(self, cluster):
+        """A typo is an AttributeError at the call site, never an RPC."""
+        c, _ = cluster
+
+        async def scenario(proxy):
+            with pytest.raises(AttributeError, match="frobnicate"):
+                proxy.frobnicate
+            with pytest.raises(TypeError):
+                await settle(proxy.prepare())
+            assert await settle(proxy.ping())
+
+        self.drive(c.servers[0].address, scenario)
+
+    # ------------------------------------------------------------------
+    # errors, timeouts, drops, teardown
+
+    def test_unknown_method_raises(self, cluster):
+        """The server, not the proxy, is the authority on what it serves."""
+        c, _ = cluster
+
+        async def scenario(proxy):
+            with pytest.raises(RuntimeError, match="RPC failed.*unknown RPC method"):
+                await settle(proxy._call("frobnicate"))
+
+        self.drive(c.servers[0].address, scenario)
+
+    def test_application_error_is_authoritative(self, cluster):
+        c, _ = cluster
+
+        async def scenario(proxy):
+            with pytest.raises(RuntimeError, match="RPC failed.*threshold"):
+                await settle(proxy.prepare(1.5))
+            # Not a transport fault: never retried, and the connection
+            # survives it.
+            assert proxy.reconnects == 0
+            assert await settle(proxy.ping())
+            assert proxy.reconnects == 0
+
+        self.drive(c.servers[0].address, scenario, retries=3)
+
+    def test_timeout_escalates_to_site_timeout(self, cluster):
+        """No answer within the deadline raises SiteTimeout at once — even
+        with retries left — and the next call re-dials first."""
+        c, _ = cluster
+        site = c.servers[0].site
+        prompt_prepare = site.prepare
+
+        def slow_prepare(threshold):
+            time.sleep(0.6)
+            return prompt_prepare(threshold)
+
+        async def scenario(proxy):
+            started = time.perf_counter()
+            with pytest.raises(SiteTimeout):
+                await settle(proxy.prepare(0.3))
+            assert time.perf_counter() - started < 0.55  # not waited out twice
+            assert proxy.timeouts == 1
+            assert proxy._needs_redial
+            assert proxy.reconnects == 0
+            # A late reply may still arrive on the old stream, so the
+            # next call goes out on a fresh connection.
+            assert await settle(proxy.ping())
+            assert proxy.reconnects == 1
+            assert not proxy._needs_redial
+
+        site.prepare = slow_prepare
+        try:
+            self.drive(c.servers[0].address, scenario, timeout=0.2, retries=2)
+        finally:
+            site.prepare = prompt_prepare
+
+    def test_a_listener_that_never_accepts_times_out(self):
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen()
+
+            async def scenario(proxy):
+                with pytest.raises(SiteTimeout):
+                    await settle(proxy.queue_size())
+                assert proxy.timeouts == 1
+
+            self.drive(listener.getsockname(), scenario, timeout=0.2)
+
+    def test_retry_reconnects_after_connection_drop(self, cluster):
+        """With retries enabled, a severed connection self-heals for
+        idempotent RPCs (the server still listens)."""
+        c, _ = cluster
+
+        async def scenario(proxy):
+            assert await settle(proxy.ping())
+            self.kit.sever(proxy)  # transient fault
+            assert await settle(proxy.prepare(0.3)) >= 1  # idempotent -> retried
+            assert proxy.reconnects == 1
+
+        self.drive(c.servers[0].address, scenario, retries=2)
+
+    def test_pop_is_never_retried(self, cluster):
+        """An ambiguous drop during pop must surface, not silently re-pop."""
+        c, _ = cluster
+
+        async def scenario(proxy):
+            await settle(proxy.prepare(0.3))
+            self.kit.sever(proxy)
+            with pytest.raises((ConnectionError, OSError)):
+                await settle(proxy.pop_representative())
+            assert proxy.reconnects == 0
+
+        self.drive(c.servers[0].address, scenario, retries=5)
+
+    def test_closed_proxy_never_silently_redials(self, cluster):
+        c, _ = cluster
+
+        async def scenario(proxy):
+            assert await settle(proxy.ping())
+            await settle(proxy.close())
+            # A straggling RPC after teardown must fail loudly, not dial
+            # a fresh connection past the owner that released it.
+            with pytest.raises(ConnectionError, match="closed"):
+                await settle(proxy.ping())
+            assert proxy.reconnects == 0
+
+        self.drive(c.servers[0].address, scenario, retries=1)

@@ -11,161 +11,24 @@ from repro.net.aio import (
     AsyncRemoteSiteProxy,
     connect_async_sites,
 )
-from repro.net.sockets import host_sites
 
 from ..conftest import make_random_database
+from .proxy_contract import ASYNC, ProxyContract
 
 
 def run(coro):
     return asyncio.run(coro)
 
 
-@pytest.fixture
-def cluster():
-    db = make_random_database(240, 2, seed=1, grid=10)
-    partitions = [db[i::3] for i in range(3)]
-    with host_sites(partitions) as c:
-        yield c, db
-
-
 def _addresses(c):
     return [(i, s.address) for i, s in enumerate(c.servers)]
 
 
-class TestAsyncRemoteProxy:
-    def test_rpc_surface_matches_local(self, cluster):
-        c, db = cluster
+class TestAsyncRemoteProxy(ProxyContract):
+    """The asyncio proxy against the shared contract, plus what only an
+    event-loop transport can do: overlap, fan-out dials, awaited close."""
 
-        async def scenario():
-            proxies = await connect_async_sites(_addresses(c))
-            try:
-                local = LocalSite(0, db[0::3])
-                assert await proxies[0].ping()
-                assert await proxies[0].prepare(0.3) == local.prepare(0.3)
-                q = await proxies[0].pop_representative()
-                local_q = local.pop_representative()
-                assert q is not None and q.tuple.key == local_q.tuple.key
-                assert q.local_probability == pytest.approx(
-                    local_q.local_probability
-                )
-                foreign = db[1]
-                remote_reply = await proxies[0].probe_and_prune(foreign)
-                local_reply = local.probe_and_prune(foreign)
-                assert remote_reply.factor == pytest.approx(local_reply.factor)
-                assert remote_reply.pruned == local_reply.pruned
-                assert await proxies[0].queue_size() == local.queue_size()
-            finally:
-                for p in proxies:
-                    await p.close()
-
-        run(scenario())
-
-    def test_batch_probe_matches_sequential(self, cluster):
-        c, db = cluster
-
-        async def scenario():
-            proxies = await connect_async_sites(_addresses(c))
-            try:
-                await proxies[1].prepare(0.3)
-                probes = db[0:6:2]
-                reply = await proxies[1].probe_and_prune_batch(probes)
-                assert len(reply.factors) == len(probes)
-                local = LocalSite(1, db[1::3])
-                local.prepare(0.3)
-                expected = [local.probe_and_prune(t).factor for t in probes]
-                assert reply.factors == pytest.approx(expected)
-            finally:
-                for p in proxies:
-                    await p.close()
-
-        run(scenario())
-
-    def test_exhaustion_returns_none(self, cluster):
-        c, _ = cluster
-
-        async def scenario():
-            proxy = await AsyncRemoteSiteProxy.connect(2, c.servers[2].address)
-            try:
-                await proxy.prepare(0.99)
-                while await proxy.pop_representative() is not None:
-                    pass
-                assert await proxy.pop_representative() is None
-            finally:
-                await proxy.close()
-
-        run(scenario())
-
-    def test_application_error_is_authoritative(self, cluster):
-        c, _ = cluster
-
-        async def scenario():
-            proxy = await AsyncRemoteSiteProxy.connect(0, c.servers[0].address)
-            try:
-                with pytest.raises(RuntimeError, match="RPC failed"):
-                    await proxy._call("frobnicate")
-                # The connection survives an application error.
-                assert await proxy.ping()
-            finally:
-                await proxy.close()
-
-        run(scenario())
-
-    def test_timeout_escalates_to_site_timeout(self):
-        """A listener that accepts but never answers raises SiteTimeout."""
-
-        async def scenario():
-            server = await asyncio.start_server(
-                lambda r, w: None, "127.0.0.1", 0
-            )
-            host, port = server.sockets[0].getsockname()[:2]
-            proxy = await AsyncRemoteSiteProxy.connect(
-                0, (host, port), timeout=0.2
-            )
-            try:
-                with pytest.raises(SiteTimeout):
-                    await proxy.queue_size()
-                assert proxy.timeouts == 1
-                assert proxy._needs_redial
-            finally:
-                await proxy.close()
-                server.close()
-                await server.wait_closed()
-
-        run(scenario())
-
-    def test_retry_reconnects_after_connection_drop(self, cluster):
-        c, _ = cluster
-
-        async def scenario():
-            proxy = await AsyncRemoteSiteProxy.connect(
-                0, c.servers[0].address, retries=2
-            )
-            try:
-                assert await proxy.ping()
-                proxy._writer.close()  # transient fault
-                assert await proxy.prepare(0.3) >= 1  # idempotent -> retried
-                assert proxy.reconnects >= 1
-            finally:
-                await proxy.close()
-
-        run(scenario())
-
-    def test_pop_is_never_retried(self, cluster):
-        c, _ = cluster
-
-        async def scenario():
-            proxy = await AsyncRemoteSiteProxy.connect(
-                0, c.servers[0].address, retries=5
-            )
-            try:
-                await proxy.prepare(0.3)
-                proxy._writer.close()
-                with pytest.raises((ConnectionError, OSError)):
-                    await proxy.pop_representative()
-            finally:
-                await proxy.close()
-
-        run(scenario())
+    kit = ASYNC
 
     def test_connect_failure_closes_partial_fanout(self, cluster):
         c, _ = cluster
@@ -193,22 +56,6 @@ class TestAsyncRemoteProxy:
             assert writer.is_closing()
             assert proxy._writer is None and proxy._reader is None
             await proxy.close()  # idempotent
-
-        run(scenario())
-
-    def test_closed_proxy_never_silently_redials(self, cluster):
-        c, _ = cluster
-
-        async def scenario():
-            proxy = await AsyncRemoteSiteProxy.connect(0, c.servers[0].address)
-            await proxy.close()
-            # A straggling RPC after teardown must fail loudly, not dial
-            # a fresh connection past the owner that released it.
-            with pytest.raises(ConnectionError, match="closed"):
-                await proxy.ping()
-            with pytest.raises(ConnectionError, match="closed"):
-                await proxy._dial()
-            assert proxy._writer is None
 
         run(scenario())
 

@@ -11,82 +11,19 @@ import pytest
 from repro.core.prob_skyline import prob_skyline_sfs
 from repro.distributed.dsud import DSUD
 from repro.distributed.edsud import EDSUD
-from repro.distributed.site import LocalSite
 from repro.fault.errors import RETRYABLE_FAULTS
 from repro.net.aio import AsyncRemoteSiteProxy
-from repro.net.sockets import (
-    _LENGTH,
-    MAX_FRAME_BYTES,
-    RemoteSiteProxy,
-    _recv_frame,
-    host_sites,
-)
+from repro.net.rpc import _LENGTH, MAX_FRAME_BYTES
+from repro.net.sockets import RemoteSiteProxy, _recv_frame, host_sites
 
 from ..conftest import make_random_database
+from .proxy_contract import SYNC, ProxyContract
 
 
-@pytest.fixture
-def cluster():
-    db = make_random_database(240, 2, seed=1, grid=10)
-    partitions = [db[i::3] for i in range(3)]
-    with host_sites(partitions) as c:
-        yield c, db
+class TestRpcSurface(ProxyContract):
+    """The blocking proxy against the shared contract."""
 
-
-class TestRpcSurface:
-    def test_ping(self, cluster):
-        c, _ = cluster
-        assert all(p.ping() for p in c.proxies)
-
-    def test_prepare_matches_local(self, cluster):
-        c, db = cluster
-        local = LocalSite(0, db[0::3])
-        assert c.proxies[0].prepare(0.3) == local.prepare(0.3)
-
-    def test_pop_representative_roundtrip(self, cluster):
-        c, db = cluster
-        proxy = c.proxies[0]
-        proxy.prepare(0.3)
-        q = proxy.pop_representative()
-        assert q is not None
-        assert q.site == 0
-        assert q.tuple.key in {t.key for t in db[0::3]}
-
-    def test_exhaustion_returns_none(self, cluster):
-        c, _ = cluster
-        proxy = c.proxies[1]
-        proxy.prepare(0.99)
-        while proxy.pop_representative() is not None:
-            pass
-        assert proxy.pop_representative() is None
-
-    def test_probe_and_prune_matches_local(self, cluster):
-        c, db = cluster
-        proxy = c.proxies[2]
-        proxy.prepare(0.3)
-        local = LocalSite(2, db[2::3])
-        local.prepare(0.3)
-        foreign = db[0]
-        remote_reply = proxy.probe_and_prune(foreign)
-        local_reply = local.probe_and_prune(foreign)
-        assert remote_reply.factor == pytest.approx(local_reply.factor)
-        assert remote_reply.pruned == local_reply.pruned
-
-    def test_ship_all(self, cluster):
-        c, db = cluster
-        shipped = c.proxies[0].ship_all()
-        assert {t.key for t in shipped} == {t.key for t in db[0::3]}
-
-    def test_ship_local_skyline_sorted(self, cluster):
-        c, _ = cluster
-        burst = c.proxies[0].ship_local_skyline(0.3)
-        probs = [q.local_probability for q in burst]
-        assert probs == sorted(probs, reverse=True)
-
-    def test_unknown_method_raises(self, cluster):
-        c, _ = cluster
-        with pytest.raises(RuntimeError, match="RPC failed"):
-            c.proxies[0]._call("frobnicate")
+    kit = SYNC
 
 
 class TestFramingRobustness:
@@ -183,43 +120,6 @@ class TestEndToEnd:
             assert result.coverage is not None
             assert not result.coverage.complete
             assert 1 in result.coverage.down_sites
-        finally:
-            cluster.close()
-
-    def test_retry_reconnects_after_connection_drop(self):
-        """With retries enabled, a severed connection self-heals for
-        idempotent RPCs (the server still listens)."""
-        from repro.net.sockets import RemoteSiteProxy
-
-        db = make_random_database(80, 2, seed=9, grid=10)
-        cluster = host_sites([db])
-        try:
-            proxy = RemoteSiteProxy(
-                site_id=0, address=cluster.servers[0].address, retries=2
-            )
-            assert proxy.ping()
-            proxy._sock.close()  # transient fault
-            assert proxy.prepare(0.3) >= 1  # idempotent -> retried
-            assert proxy.reconnects == 1
-            proxy.close()
-        finally:
-            cluster.close()
-
-    def test_pop_is_never_retried(self):
-        """An ambiguous drop during pop must surface, not silently re-pop."""
-        from repro.net.sockets import RemoteSiteProxy
-
-        db = make_random_database(80, 2, seed=10, grid=10)
-        cluster = host_sites([db])
-        try:
-            proxy = RemoteSiteProxy(
-                site_id=0, address=cluster.servers[0].address, retries=5
-            )
-            proxy.prepare(0.3)
-            proxy._sock.close()
-            with pytest.raises((ConnectionError, OSError)):
-                proxy.pop_representative()
-            proxy.close()
         finally:
             cluster.close()
 

@@ -1,9 +1,11 @@
 """Protocol tracing."""
 
+import asyncio
 
 from repro.distributed.dsud import DSUD
 from repro.distributed.edsud import EDSUD
 from repro.distributed.site import LocalSite
+from repro.net.aio import connect_async_sites
 from repro.net.trace import ProtocolTracer, load_trace, summarize_trace
 
 from ..conftest import make_random_database
@@ -63,6 +65,42 @@ class TestSummary:
         assert summary["tuples_fetched"] == result.stats.tuples_to_server
         assert summary["broadcast_deliveries"] == result.stats.tuples_from_server
         assert summary["calls"] == len(tracer.records)
+        assert set(summary["by_site"]) == {0, 1, 2}
+
+    def test_summary_of_a_served_async_run_matches_its_stats(self, cluster):
+        """`asteps()` over traced asyncio proxies: every record holds the
+        awaited reply (at cd4b865 the shim read `.factor` off a coroutine
+        object) and the roll-up agrees with the coordinator's books."""
+        c, db = cluster
+
+        async def scenario():
+            proxies = await connect_async_sites(
+                [(i, s.address) for i, s in enumerate(c.servers)]
+            )
+            tracer = ProtocolTracer()
+            try:
+                coordinator = DSUD(tracer.wrap(proxies), 0.3, batch_size=3)
+                async for _ in coordinator.asteps():
+                    pass
+                result = await coordinator.afinish()
+                probe = await tracer.wrap(proxies)[0].probe_and_prune(db[1])
+            finally:
+                for proxy in proxies:
+                    await proxy.close()
+            return tracer, result, probe
+
+        tracer, result, probe = asyncio.run(scenario())
+        solo = DSUD(
+            [LocalSite(i, db[i::3]) for i in range(3)], 0.3, batch_size=3
+        ).run()
+        assert [m.tuple.key for m in result.answer] == [m.tuple.key for m in solo.answer]
+        assert tracer.records[-1].detail["factor"] == probe.factor
+        records = tracer.records[:-1]
+        summary = summarize_trace(records)
+        assert summary["tuples_fetched"] == result.stats.tuples_to_server
+        assert summary["broadcast_deliveries"] == result.stats.tuples_from_server
+        assert summary["by_method"]["probe_and_prune_batch"] > 0
+        assert summary["calls"] == result.stats.rpc_calls == len(records)
         assert set(summary["by_site"]) == {0, 1, 2}
 
     def test_batched_rounds_are_journalled_and_summarised(self):

@@ -1,11 +1,20 @@
 """The endpoint contract and the recording decorator."""
 
+import asyncio
+import inspect
+
 import pytest
 
+from repro.distributed.hierarchy import RegionCoordinator
 from repro.distributed.site import LocalSite
+from repro.fault.injection import FaultyEndpoint
+from repro.fault.schedule import FaultSchedule
+from repro.net.aio import AsyncLocalEndpoint, AsyncRemoteSiteProxy
+from repro.net.trace import ProtocolTracer
 from repro.net.transport import RecordingEndpoint, SiteEndpoint
 
 from ..conftest import make_random_database
+from .proxy_contract import settle
 
 
 def make_endpoint(seed=1):
@@ -84,3 +93,89 @@ class TestRecordingEndpoint:
         n = endpoint.queue_size()
         assert endpoint.log[-1].method == "queue_size"
         assert endpoint.log[-1].result == n
+
+
+WRAPPERS = {
+    "recording": RecordingEndpoint,
+    "traced": lambda inner: ProtocolTracer().wrap([inner])[0],
+    "faulty": lambda inner: FaultyEndpoint(inner, FaultSchedule(seed=1)),
+    "async-local": AsyncLocalEndpoint,
+}
+
+
+class TestEndpointInterceptor:
+    """One base, four wrappers: each must be transparent over a direct
+    inner and over an awaitable one, and must see replies, not coroutines."""
+
+    @staticmethod
+    async def _conversation(endpoint):
+        foreign = make_random_database(3, 2, seed=9, start_key=500)
+        out = [await settle(endpoint.prepare(0.3))]
+        q = await settle(endpoint.pop_representative())
+        out.append(None if q is None else q.key)
+        out.append((await settle(endpoint.probe_and_prune(foreign[0]))).factor)
+        out.append((await settle(endpoint.probe_and_prune_batch(foreign[1:]))).factors)
+        out.append(await settle(endpoint.queue_size()))
+        return out
+
+    @pytest.mark.parametrize("inner_kind", ["sync", "async"])
+    @pytest.mark.parametrize("wrapper", sorted(WRAPPERS))
+    def test_wrappers_are_transparent_over_sync_and_async_inners(
+        self, wrapper, inner_kind
+    ):
+        db = make_random_database(60, 2, seed=3, grid=8)
+        expected = asyncio.run(self._conversation(LocalSite(0, db)))
+        inner = LocalSite(0, db)
+        if inner_kind == "async":
+            inner = AsyncLocalEndpoint(inner)
+        endpoint = WRAPPERS[wrapper](inner)
+        assert isinstance(endpoint, SiteEndpoint)
+        assert asyncio.run(self._conversation(endpoint)) == expected
+
+    def test_a_sync_stack_never_hands_back_an_awaitable(self):
+        endpoint, _ = make_endpoint()
+        assert not inspect.isawaitable(endpoint.prepare(0.3))
+        assert not inspect.isawaitable(endpoint.queue_size())
+
+    def test_recording_an_async_proxy_journals_the_awaited_reply(self, cluster):
+        """At cd4b865 the journal held the coroutine object itself."""
+        c, db = cluster
+
+        async def scenario():
+            proxy = await AsyncRemoteSiteProxy.connect(0, c.servers[0].address)
+            endpoint = RecordingEndpoint(proxy)
+            try:
+                size = await endpoint.prepare(0.3)
+                reply = await endpoint.probe_and_prune(db[1])
+            finally:
+                await proxy.close()
+            return endpoint.log, size, reply
+
+        log, size, reply = asyncio.run(scenario())
+        assert [r.method for r in log] == ["prepare", "probe_and_prune"]
+        assert log[0].result == size and isinstance(size, int)
+        assert log[1].result is reply
+        assert log[1].args == (db[1],)
+
+    def test_an_awaitable_before_hook_is_awaited_ahead_of_the_call(self):
+        naps = []
+
+        async def nap(delay):
+            naps.append(delay)
+
+        site = LocalSite(0, make_random_database(20, 2, seed=4))
+        schedule = FaultSchedule(seed=1).slow(0, delay=0.25)
+        endpoint = FaultyEndpoint(site, schedule, sleep=nap)
+        pending = endpoint.prepare(0.3)
+        assert site.threshold is None and naps == []  # nothing ran yet
+        assert asyncio.run(pending) == site.queue_size()
+        assert naps == [0.25] and site.threshold == 0.3
+
+    def test_the_surface_is_bound_from_what_the_inner_offers(self):
+        """A region endpoint has no batched probe; neither may its wrapper,
+        or the coordinator would route batches into an AttributeError."""
+        db = make_random_database(40, 2, seed=2)
+        region = RegionCoordinator(0, [LocalSite(0, db[:20]), LocalSite(1, db[20:])])
+        wrapped = RecordingEndpoint(region)
+        assert wrapped.prepare(0.5) >= 1
+        assert getattr(wrapped, "probe_and_prune_batch", None) is None

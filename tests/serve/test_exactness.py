@@ -187,3 +187,42 @@ def test_serving_throughput_amortizes_site_preparation():
     templates, forks = asyncio.run(drive())
     assert templates == SITES  # one template per site, not per session
     assert forks == 4 * SITES  # but every session got private views
+
+
+def test_an_injected_delay_never_stalls_the_event_loop():
+    """A DELAY fault in a served spec is awaited by that session's pump:
+    the loop keeps running everyone else (a ticker here) through the
+    150 ms nap, and the answer and books are still the solo run's.  At
+    cd4b865 the wrapper slept with ``time.sleep`` on the loop thread."""
+    schedule = FaultSchedule(seed=3).slow(2, delay=0.15, at_call=4, until_call=5)
+    spec = QuerySpec(threshold=0.4, algorithm="dsud", fault_schedule=schedule)
+
+    async def drive() -> Tuple[Optional[RunResult], float]:
+        loop = asyncio.get_running_loop()
+        longest_gap = 0.0
+        ticking = True
+
+        async def ticker() -> None:
+            nonlocal longest_gap
+            last = loop.time()
+            while ticking:
+                await asyncio.sleep(0.001)
+                now = loop.time()
+                longest_gap = max(longest_gap, now - last)
+                last = now
+
+        async with SkylineService(PARTITIONS) as service:
+            session = await service.submit(spec)  # site forks built here
+            task = asyncio.ensure_future(ticker())
+            started = loop.time()
+            await service.drain()
+            elapsed = loop.time() - started
+            ticking = False
+            await task
+        assert elapsed >= 0.15  # the delay really was served
+        return session.result, longest_gap
+
+    result, longest_gap = asyncio.run(drive())
+    assert result is not None
+    assert longest_gap < 0.1, f"event loop stalled for {longest_gap * 1e3:.0f} ms"
+    assert _fingerprint(result) == _fingerprint(_solo(spec))
