@@ -15,13 +15,16 @@ One path per behaviour
 Every building block exists once, as a *sans-io* generator script
 (``_*_script``) that yields :class:`_Rpc`/:class:`_Fanout` descriptors
 instead of touching a site; a broadcast of k feedback tuples is one
-script for every k ≥ 1.  :meth:`Coordinator._lower` expands the
-descriptors through the one RPC funnel (:meth:`Coordinator._rpc_script`)
-into what a blocking and an event-loop caller must do differently, and
-two thin pumps do it: :meth:`Coordinator.steps` (``_drive(script)`` for
-a single building block) and :meth:`Coordinator.asteps`.  Neither pump
-contains any bookkeeping, so answers, message books, and FSM journals
-do not depend on which one ran the query.
+script for every k ≥ 1.  :meth:`Coordinator._lower` expands every
+descriptor into per-site *lanes* — each one site's calls, run in order
+through the one RPC funnel (:meth:`Coordinator._rpc_script`) — and two
+thin pumps differ only in how they drive them: :meth:`Coordinator.steps`
+(``_drive(script)`` for a single building block) drains the lanes one
+after another, :meth:`Coordinator.asteps` keeps every lane whose
+endpoint answers with an awaitable in flight at once.  Neither pump
+contains any bookkeeping, and a site sees the same calls in the same
+order under both, so answers, message books, and FSM journals do not
+depend on which one ran the query.
 
 Fault tolerance
 ---------------
@@ -54,9 +57,11 @@ from typing import (
     TYPE_CHECKING,
     Any,
     AsyncGenerator,
+    Awaitable,
     Callable,
     Dict,
     Generator,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -113,15 +118,19 @@ class _Rpc:
 
 @dataclass(frozen=True)
 class _Fanout:
-    """A one-round broadcast: one sequential RPC plan per target site.
+    """A one-round fan-out: one *lane* of sequential RPCs per target site.
 
-    Each inner tuple is one site's call plan (stop on the first failed
-    call).  Plans run one after another in site order, under either
-    pump — that keeps the per-endpoint call order deterministic under
-    chaos schedules, and it is what the simulated clock already assumes
-    (a broadcast is billed as one parallel round whatever the wall
-    clock did).  The reply is a list of per-plan ``(ok, value)`` result
-    lists, aligned with the input.
+    Each inner tuple is one site's lane: its calls run in order and
+    stop at the first failed one, so the per-endpoint call order — what
+    a chaos schedule counts and what a site's queue and pruning state
+    depend on — is fixed by the script alone.  Lanes address distinct
+    sites and are independent of one another.  The blocking pump drains
+    them one after another in the order given; the awaiting pump keeps
+    every lane whose endpoint answers with an awaitable in flight at
+    once, which is what the simulated clock always assumed (a fan-out
+    is billed as one parallel round whatever the wall clock did).  The
+    reply is a list of per-lane ``(ok, value)`` verdict lists, aligned
+    with the input.
     """
 
     plans: Tuple[Tuple[_Rpc, ...], ...] = ()
@@ -131,12 +140,136 @@ class _Fanout:
 #: scheduling point.
 _Request = Union[_Rpc, _Fanout]
 
-#: What :meth:`Coordinator._lower` asks of a pump.
-_Op = Union[None, Callable[[], Any], float]
+#: What the RPC funnel asks of whoever advances it: a callable is one
+#: attempt of one endpoint method (invoke it once, answer ``(value,
+#: None)``, or ``(None, fault)`` for a :data:`RETRYABLE_FAULTS`
+#: member); a number is a backoff to sleep.
+_Attempt = Union[Callable[[], Any], float]
+
+#: One site's calls of one request: asks for their attempts and
+#: backoffs, returns their ``(ok, value)`` verdicts.
+_Lane = Generator[_Attempt, Any, List[Tuple[bool, object]]]
+
+#: What :meth:`Coordinator._lower` asks of a pump: ``None`` is a
+#: scheduling point, a list is one request's lanes to run.
+_Op = Optional[List[_Lane]]
 
 #: ``retry_policy=None`` means exactly this: the first transport fault
 #: is terminal.
 _SINGLE_ATTEMPT = RetryPolicy(max_attempts=1)
+
+
+def _drain(lane: _Lane) -> List[Tuple[bool, object]]:
+    """The blocking way to run a lane: to completion, sleeping in place."""
+    reply: object = None
+    while True:
+        try:
+            op = lane.send(reply)
+        except StopIteration as stop:
+            return stop.value
+        if callable(op):
+            try:
+                reply = op(), None
+            except RETRYABLE_FAULTS as exc:
+                reply = None, exc
+        else:
+            time.sleep(op)
+            reply = None
+
+
+def _advance(
+    lane: _Lane, reply: object
+) -> Tuple[Optional[Awaitable[Any]], Optional[List[Tuple[bool, object]]]]:
+    """The awaiting way: run a lane inline until it is done or parked.
+
+    Returns ``(None, verdicts)`` when the lane ran to completion, or
+    ``(awaitable, None)`` when an endpoint call handed back something
+    to await, or a backoff is due; its outcome is the ``reply`` to
+    resume the lane with.  The choice is made per call, so a lane over
+    a sync endpoint never parks on a call.
+    """
+    while True:
+        try:
+            op = lane.send(reply)
+        except StopIteration as stop:
+            return None, stop.value
+        if not callable(op):
+            return asyncio.sleep(op), None
+        try:
+            value = op()
+        except RETRYABLE_FAULTS as exc:
+            reply = None, exc
+            continue
+        if inspect.isawaitable(value):
+            return value, None
+        reply = value, None
+
+
+async def _settle(awaitable: Awaitable[Any]) -> Tuple[Any, Optional[Exception]]:
+    """Await one parked call or backoff: the outcome its lane resumes with."""
+    try:
+        return await awaitable, None
+    except RETRYABLE_FAULTS as exc:
+        return None, exc
+
+
+async def _fail(failure: Exception) -> Any:
+    """What a lane that raised is parked on: its own failure."""
+    raise failure
+
+
+def _advance_all(
+    lanes: List[_Lane], ready: Iterable[Tuple[int, object]], results: List[Any]
+) -> List[Tuple[int, Awaitable[Any]]]:
+    """A wave's inline half: advance the ``ready`` lanes; who parked, on what.
+
+    Lanes over sync endpoints all finish here, in the first wave — no
+    coroutine, task or future is made for them.
+    """
+    parked: List[Tuple[int, Awaitable[Any]]] = []
+    for i, reply in ready:
+        try:
+            awaitable, results[i] = _advance(lanes[i], reply)
+        except Exception as exc:
+            # Anything but a transport fault ends the query — once the
+            # calls already collected beside it have been awaited.
+            awaitable = _fail(exc)
+        if awaitable is not None:
+            parked.append((i, awaitable))
+    return parked
+
+
+async def _waves(
+    lanes: List[_Lane], parked: List[Tuple[int, Awaitable[Any]]], results: List[Any]
+) -> None:
+    """A wave's awaiting half: await what parked together, advance, repeat.
+
+    One parked lane is awaited in place — a lane over a sync endpoint
+    parks on nothing but a backoff, and costs no task for it.  Siblings
+    run as tasks awaited with ``asyncio.wait``, which (unlike
+    ``gather``) leaves cancelling them to us: by the time a
+    cancellation reaches this coroutine every sibling has started, so
+    cancelling it unwinds a call in flight and never drops a coroutine
+    unawaited.  A failure surfaces only after the wave's other calls
+    have settled.
+    """
+    while parked:
+        if len(parked) == 1:
+            ((i, awaitable),) = parked
+            ready = [(i, await _settle(awaitable))]
+        else:
+            tasks = [asyncio.ensure_future(_settle(a)) for _, a in parked]
+            try:
+                await asyncio.wait(tasks)
+            except BaseException:
+                for task in tasks:
+                    task.cancel()
+                raise
+            for failure in [task.exception() for task in tasks]:
+                if failure is not None:
+                    raise failure
+            ready = [(i, task.result()) for (i, _), task in zip(parked, tasks)]
+        parked = _advance_all(lanes, ready, results)
 
 
 @dataclass
@@ -401,6 +534,11 @@ class Coordinator:
         self._delivered_keys: Dict[int, List[int]] = {
             s.site_id: [] for s in self.sites
         }
+        #: Verdicts of ``pop_representative`` calls that rode a fan-out,
+        #: by logical site, until :meth:`_fetch_representative_script`
+        #: settles them (a failed pop, an empty one, a delivery) at the
+        #: point the sequential protocol would have popped.
+        self._rode: Dict[int, Tuple[bool, object]] = {}
         #: Logical sites currently served by a promoted replica, mapped
         #: to their original primary endpoint (the failback probe
         #: target).
@@ -417,13 +555,13 @@ class Coordinator:
 
     def _rpc_script(
         self, request: _Rpc
-    ) -> Generator[_Op, Any, Tuple[bool, object]]:
+    ) -> Generator[_Attempt, Any, Tuple[bool, object]]:
         """Perform one site RPC; never raises transport faults.
 
         Returns ``(True, value)`` on success.  On a terminal transport
         fault the site is marked DOWN and ``(False, None)`` is returned
         — the caller degrades instead of unwinding.  Attempts and
-        backoffs are *yielded* (see :meth:`_lower`); retry accounting,
+        backoffs are *yielded* (see :data:`_Attempt`); retry accounting,
         the observed round-trip clock, and FSM transitions happen here,
         so a chaos schedule's transitions and retry books replay
         bit-for-bit under either pump.
@@ -461,24 +599,32 @@ class Coordinator:
             self.health.mark_up(site_id, reason=f"{method} succeeded")
         return True, value
 
+    def _lane(self, plan: Sequence[_Rpc]) -> _Lane:
+        """One site's calls in order, stopping at the first failed one."""
+        verdicts: List[Tuple[bool, object]] = []
+        for rpc in plan:
+            verdict = yield from self._rpc_script(rpc)
+            verdicts.append(verdict)
+            if not verdict[0]:
+                break
+        return verdicts
+
     def _lower(
         self, script: Generator[Optional[_Request], Any, Any]
     ) -> Generator[_Op, Any, Any]:
         """Expand a protocol script's requests into pump operations.
 
         Only what a blocking and an event-loop caller must do
-        differently is yielded: ``None`` is a scheduling point; a
-        callable is one attempt of one endpoint method (invoke it once,
-        answer ``(value, None)``, or ``(None, fault)`` for a
-        :data:`RETRYABLE_FAULTS` member); a number is a backoff to
-        sleep.  An :class:`_Rpc` lowers to the funnel's attempts and
-        backoffs, a :class:`_Fanout` to its plans run back to back in
-        site order, each stopping at its first failed call.  Closing
-        the lowered generator closes the protocol script, so an
-        abandoned query leaves sites and books at the last completed
-        request boundary.
+        differently is yielded: ``None`` is a scheduling point, a list
+        is one request's lanes (:meth:`_lane` — an :class:`_Rpc` is a
+        fan-out of one) for the pump to run in its own way and answer
+        with their verdict lists.  Closing the lowered generator closes
+        the lanes in flight and the protocol script, so an abandoned
+        query leaves sites and books at the last completed request
+        boundary.
         """
         reply: object = None
+        lanes: List[_Lane] = []
         try:
             while True:
                 try:
@@ -488,19 +634,14 @@ class Coordinator:
                 if request is None:
                     reply = yield None
                 elif isinstance(request, _Rpc):
-                    reply = yield from self._rpc_script(request)
+                    lanes = [self._lane((request,))]
+                    ((reply,),) = yield lanes
                 else:
-                    rounds: List[List[Tuple[bool, object]]] = []
-                    for plan in request.plans:
-                        verdicts: List[Tuple[bool, object]] = []
-                        for rpc in plan:
-                            verdict = yield from self._rpc_script(rpc)
-                            verdicts.append(verdict)
-                            if not verdict[0]:
-                                break
-                        rounds.append(verdicts)
-                    reply = rounds
+                    lanes = [self._lane(plan) for plan in request.plans]
+                    reply = yield lanes
         finally:
+            for lane in lanes:
+                lane.close()
             script.close()
 
     # ------------------------------------------------------------------
@@ -512,14 +653,19 @@ class Coordinator:
     ) -> Generator[Optional[_Request], Any, List[int]]:
         """Local computing phase on every site; returns |SKY(D_i)| sizes.
 
-        A site that fails its PREPARE (after retries) is marked DOWN
-        and simply contributes no size — the query proceeds over the
-        reachable partitions.
+        One fan-out: the sites prepare independently.  A site that
+        fails its PREPARE (after retries) is marked DOWN and simply
+        contributes no size — the query proceeds over the reachable
+        partitions.
         """
-        sizes = []
-        for site in self.sites:
+        sites = list(self.sites)  # a failover below swaps entries of self.sites
+        for site in sites:
             self._account(MessageKind.PREPARE, _SERVER, self._name(site))
-            ok, size = yield _Rpc(site, "prepare", (self.threshold,))
+        attempts = yield _Fanout(
+            tuple((_Rpc(site, "prepare", (self.threshold,)),) for site in sites)
+        )
+        sizes = []
+        for site, ((ok, size),) in zip(sites, attempts):
             if not ok:
                 # A buddy replica (if any) can take over from the very
                 # first round — its prepare is billed inside _promote.
@@ -534,29 +680,66 @@ class Coordinator:
         self.stats.record_round()
         return sizes
 
+    def _live_endpoint(self, site: SiteEndpoint) -> Optional[SiteEndpoint]:
+        """The endpoint serving a logical site now; ``None`` while it is DOWN.
+
+        Re-resolves through the live endpoint table: run loops hold
+        references from query start, which go stale after a failover or
+        failback swaps the logical site's serving endpoint.
+        """
+        site = self._site_by_id.get(site.site_id, site)
+        return None if self.health.is_down(site.site_id) else site
+
+    def _fan_out_pops_script(
+        self, sites: Sequence[SiteEndpoint], request: bool = True
+    ) -> Generator[Optional[_Request], Any, None]:
+        """To-Server phase against several sites: their pops in one wave.
+
+        Only the independent half: each NEXT_REQUEST is billed
+        (``request=False`` models the initial fill, where every site
+        pushes its head spontaneously and none is paid) and each pop
+        issued; the verdicts wait in ``_rode`` for the per-site
+        :meth:`_fetch_representative_script` calls that must follow, in
+        site order, which settle them one by one as if popped one by
+        one.  A site that is DOWN is left out: its pop is not a plain
+        call (a replica may have to be promoted first), so it takes
+        the ordinary path there.
+        """
+        live = [s for s in map(self._live_endpoint, sites) if s is not None]
+        if request:
+            for site in live:
+                self._account(MessageKind.NEXT_REQUEST, _SERVER, self._name(site))
+        attempts = yield _Fanout(
+            tuple((_Rpc(site, "pop_representative"),) for site in live)
+        )
+        for site, (verdict,) in zip(live, attempts):
+            self._rode[site.site_id] = verdict
+
     def _fetch_representative_script(
         self, site: SiteEndpoint, request: bool = True
     ) -> Generator[Optional[_Request], Any, Optional[Quaternion]]:
         """To-Server phase against one site.
 
-        ``request=False`` models the initial fill, where every site
-        pushes its head spontaneously and no NEXT_REQUEST is paid.
+        A pop that already rode a fan-out (a broadcast's ``refill``, or
+        :meth:`_fan_out_pops_script`) was billed and issued there; its
+        verdict is settled here.  Otherwise the NEXT_REQUEST is paid
+        (unless ``request=False``, see above) and the pop issued first.
         Returns ``None`` both for a genuinely exhausted site and for an
         unreachable one — in the latter case the FSM records the loss
         and :meth:`_poll_recoveries_script` can undo it later.
         """
-        # Re-resolve through the live endpoint table: run loops hold
-        # references from query start, which go stale after a failover
-        # or failback swaps the logical site's serving endpoint.
-        site = self._site_by_id.get(site.site_id, site)
-        if self.health.is_down(site.site_id):
-            promoted = yield from self._failover_script(site.site_id)
-            if promoted is None:
-                return None
-            site = promoted[0]
-        if request:
-            self._account(MessageKind.NEXT_REQUEST, _SERVER, self._name(site))
-        ok, quaternion = yield _Rpc(site, "pop_representative")
+        verdict = self._rode.pop(site.site_id, None)
+        if verdict is None:
+            live = self._live_endpoint(site)
+            if live is None:
+                promoted = yield from self._failover_script(site.site_id)
+                if promoted is None:
+                    return None
+                live = promoted[0]
+            if request:
+                self._account(MessageKind.NEXT_REQUEST, _SERVER, self._name(live))
+            verdict = yield _Rpc(live, "pop_representative")
+        ok, quaternion = verdict
         if not ok:
             # Died on the pop: promote a replica (which fast-forwards
             # past everything already delivered) and re-issue the pop
@@ -564,8 +747,7 @@ class Coordinator:
             promoted = yield from self._failover_script(site.site_id)
             if promoted is None:
                 return None
-            site = promoted[0]
-            ok, quaternion = yield _Rpc(site, "pop_representative")
+            ok, quaternion = yield _Rpc(promoted[0], "pop_representative")
             if not ok:
                 return None
         if quaternion is None:
@@ -583,8 +765,10 @@ class Coordinator:
         self,
     ) -> Generator[Optional[_Request], Any, List[Quaternion]]:
         """First To-Server round: every site's head, in parallel."""
+        sites = list(self.sites)
+        yield from self._fan_out_pops_script(sites, request=False)
         out = []
-        for site in self.sites:
+        for site in sites:
             quaternion = yield from self._fetch_representative_script(
                 site, request=False
             )
@@ -594,7 +778,7 @@ class Coordinator:
         return out
 
     def _broadcast_batch_script(
-        self, quaternions: Sequence[Quaternion]
+        self, quaternions: Sequence[Quaternion], refill: Sequence[SiteEndpoint] = ()
     ) -> Generator[Optional[_Request], Any, List[float]]:
         """Server-Delivery + Local-Pruning round for up to ``batch_size`` candidates.
 
@@ -606,16 +790,18 @@ class Coordinator:
         aligned with the input.  With full coverage the product is
         exact; with sites down it is the Corollary-1 upper bound (each
         missing factor ≤ 1), and the coverage tracker knows which.
+        ``refill`` is passed on to
+        :meth:`_broadcast_probes_batch_script`.
         """
         quaternions = list(quaternions)
         probabilities = [q.local_probability for q in quaternions]
-        triples = yield from self._broadcast_probes_batch_script(quaternions)
+        triples = yield from self._broadcast_probes_batch_script(quaternions, refill)
         for _site_id, index, factor in triples:
             probabilities[index] *= factor
         return probabilities
 
     def _broadcast_probes_batch_script(
-        self, quaternions: Sequence[Quaternion]
+        self, quaternions: Sequence[Quaternion], refill: Sequence[SiteEndpoint] = ()
     ) -> Generator[Optional[_Request], Any, List[Tuple[int, int, float]]]:
         """Deliver a batch of feedback tuples; return per-tuple factors.
 
@@ -630,6 +816,21 @@ class Coordinator:
         share is a single tuple, so the round is the paper's
         per-candidate protocol — one ``probe_and_prune`` RPC and one
         one-tuple FEEDBACK per target, never the batch RPC.
+
+        ``refill`` names the origin sites the caller will ask for their
+        next representative right after this round (DSUD and e-DSUD do
+        so unconditionally).  Those pops do not depend on any other
+        site's reply, so they *ride* this fan-out: an origin's lane is
+        its probe share, if it has one, followed by its
+        ``pop_representative`` — the calls each site sees, and their
+        order, are the sequential protocol's.  An origin that is DOWN
+        gets no riding pop, and one whose lane fails before the pop is
+        not billed for it: both take the ordinary path afterwards.  A
+        pop that was reached leaves its verdict for
+        :meth:`_fetch_representative_script` to settle after the caller
+        has reported this round's results; the refill keeps its own
+        ``record_round`` there, so the simulated clock still counts it
+        as a round of its own.
 
         Accounting is per-reply: FEEDBACK is billed when the probe is
         *sent* (DOWN sites are never sent to, so never billed), but
@@ -666,8 +867,14 @@ class Coordinator:
         # k = 1) and for endpoints without probe_and_prune_batch —
         # sequential per-tuple probes whose partial factors still
         # tighten coverage.
+        pops = {
+            site.site_id: _Rpc(site, "pop_representative")
+            for site in map(self._live_endpoint, refill)
+            if site is not None
+        }
         batched = []
-        fanout_plans = []
+        lanes: List[Tuple[_Rpc, ...]] = []
+        riders = []  # (lane index, the pop that closes that lane)
         for site, indices in plan:
             ts = [quaternions[i].tuple for i in indices]
             one_rpc = (
@@ -675,12 +882,26 @@ class Coordinator:
             )
             batched.append(one_rpc)
             if one_rpc:
-                fanout_plans.append((_Rpc(site, "probe_and_prune_batch", (ts,)),))
+                lane = [_Rpc(site, "probe_and_prune_batch", (ts,))]
             else:
-                fanout_plans.append(
-                    tuple(_Rpc(site, "probe_and_prune", (t,)) for t in ts)
-                )
-        attempts = yield _Fanout(tuple(fanout_plans))
+                lane = [_Rpc(site, "probe_and_prune", (t,)) for t in ts]
+            pop = pops.pop(site.site_id, None)
+            if pop is not None:
+                lane.append(pop)
+                riders.append((len(lanes), pop))
+            lanes.append(tuple(lane))
+        # An origin with no share of its own (every origin at k = 1)
+        # pops in a lane of its own, after the probe lanes.
+        for pop in pops.values():
+            riders.append((len(lanes), pop))
+            lanes.append((pop,))
+        attempts = yield _Fanout(tuple(lanes))
+        for index, pop in riders:
+            # A pop rode — and is billed — only if its lane got that
+            # far; its verdict leaves the probe results it followed.
+            if len(attempts[index]) == len(lanes[index]):
+                self._account(MessageKind.NEXT_REQUEST, _SERVER, self._name(pop.site))
+                self._rode[pop.site.site_id] = attempts[index].pop()
         out = []
         for (site, indices), one_rpc, results in zip(plan, batched, attempts):
             if one_rpc:
@@ -1070,31 +1291,27 @@ class Coordinator:
     def _pump(
         self, script: Generator[Optional[_Request], Any, Any]
     ) -> Generator[None, None, Any]:
-        """The blocking pump: execute a script's lowered operations.
+        """The blocking pump: run each request's lanes one after another.
 
         Yields at each scheduling point and returns the script's value.
-        Genuinely synchronous — plain calls and ``time.sleep`` — so it
-        may be drawn from inside a running event loop (a benchmark
-        draws :meth:`steps` within an ``async def``).
+        Lanes are drained in the order given — site order — each to
+        completion before the next starts.  Genuinely synchronous —
+        plain calls and ``time.sleep`` — so it may be drawn from inside
+        a running event loop (a benchmark draws :meth:`steps` within an
+        ``async def``).
         """
         ops = self._lower(script)
         reply: object = None
         try:
             while True:
                 try:
-                    op = ops.send(reply)
+                    lanes = ops.send(reply)
                 except StopIteration as stop:
                     return stop.value
-                reply = None
-                if op is None:
-                    yield
-                elif callable(op):
-                    try:
-                        reply = op(), None
-                    except RETRYABLE_FAULTS as exc:
-                        reply = None, exc
+                if lanes is None:
+                    reply = yield
                 else:
-                    time.sleep(op)
+                    reply = [_drain(lane) for lane in lanes]
         finally:
             ops.close()
 
@@ -1137,12 +1354,20 @@ class Coordinator:
         coordinator can mix both — and backs off with
         ``asyncio.sleep``, so a session awaiting a socket reply hands
         the event loop to other sessions instead of blocking the
-        scheduler thread.  Scheduling points surface as async-iterator
-        items, exactly one per sync ``steps()`` item — drive with
-        ``async for`` and read :meth:`afinish` afterwards.  A cancelled
-        or abandoned iteration still closes the script, leaving sites
-        and accounting books consistent at the last completed request
-        boundary.
+        scheduler thread.  A request's lanes run *overlapped*: every
+        lane is advanced inline until it is parked on an awaitable
+        (:func:`_advance_all`) and the parked ones are awaited together
+        (:func:`_waves`), wave after wave, so a fan-out over m
+        awaitable endpoints costs one round trip per wave, not m —
+        while a lane over a sync endpoint runs inline, call for call as
+        under :meth:`steps`.  There is no switch: the choice is made
+        per call from what the endpoint returned.
+        Scheduling points surface as async-iterator items, exactly one
+        per sync ``steps()`` item — drive with ``async for`` and read
+        :meth:`afinish` afterwards.  A cancelled or abandoned iteration
+        cancels the calls in flight and closes every lane and the
+        script, leaving sites and accounting books consistent at the
+        last completed request boundary.
         """
         self.progress.restart_clock()
         ops = self._lower(self._steps())
@@ -1150,22 +1375,18 @@ class Coordinator:
         try:
             while True:
                 try:
-                    op = ops.send(reply)
+                    lanes = ops.send(reply)
                 except StopIteration:
                     return
-                reply = None
-                if op is None:
-                    yield
-                elif callable(op):
-                    try:
-                        value = op()
-                        if inspect.isawaitable(value):
-                            value = await value
-                        reply = value, None
-                    except RETRYABLE_FAULTS as exc:
-                        reply = None, exc
-                else:
-                    await asyncio.sleep(op)
+                if lanes is None:
+                    reply = yield
+                    continue
+                results: List[Any] = [None] * len(lanes)
+                everyone = zip(range(len(lanes)), itertools.repeat(None))
+                parked = _advance_all(lanes, everyone, results)
+                if parked:
+                    await _waves(lanes, parked, results)
+                reply = results
         finally:
             ops.close()
 

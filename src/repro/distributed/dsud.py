@@ -87,7 +87,16 @@ class DSUD(Coordinator):
                 self.iterations += 1
                 heapq.heappop(heap)
                 break
-            global_probabilities = yield from self._broadcast_batch_script(batch)
+            # The refills below are unconditional, so their pops ride
+            # the broadcast's fan-out instead of trailing it.
+            global_probabilities = yield from self._broadcast_batch_script(
+                batch,
+                refill=[
+                    site_by_id[head.site]
+                    for head in batch
+                    if head.site not in exhausted
+                ],
+            )
             for head, global_probability in zip(batch, global_probabilities):
                 # The coverage-aware funnel: reports directly without a
                 # limit, otherwise buffers with the live TupleCoverage.

@@ -199,8 +199,15 @@ class EDSUD(Coordinator):
             quaternions = [resident.quaternion for resident in heads]
             for quaternion in quaternions:
                 del self._residents[quaternion.site]
+            # The refills below are unconditional, so their pops ride
+            # the broadcast's fan-out instead of trailing it.
             global_probabilities = yield from self._broadcast_batch_tracking_script(
-                quaternions
+                quaternions,
+                refill=[
+                    site_by_id[quaternion.site]
+                    for quaternion in quaternions
+                    if quaternion.site not in self._exhausted
+                ],
             )
             for quaternion, global_probability in zip(
                 quaternions, global_probabilities
@@ -231,13 +238,13 @@ class EDSUD(Coordinator):
         self.finish_topk()
 
     def _broadcast_batch_tracking_script(
-        self, quaternions: Sequence[Quaternion]
+        self, quaternions: Sequence[Quaternion], refill: Sequence[SiteEndpoint] = ()
     ) -> Generator[Optional[_Request], Any, List[float]]:
         """Broadcast like the base class, but remember each tuple's exact factors."""
         quaternions = list(quaternions)
         global_probabilities = [q.local_probability for q in quaternions]
         exacts: List[Dict[int, float]] = [{} for _ in quaternions]
-        triples = yield from self._broadcast_probes_batch_script(quaternions)
+        triples = yield from self._broadcast_probes_batch_script(quaternions, refill)
         for site_id, index, factor in triples:
             global_probabilities[index] *= factor
             exacts[index][site_id] = factor
@@ -287,6 +294,12 @@ class EDSUD(Coordinator):
             for site_id in dead:
                 del self._residents[site_id]
                 self.expunged_total += 1
+            # The freed sites pop in one wave; each refill is then
+            # settled and admitted in turn, as if popped one by one.
+            yield from self._fan_out_pops_script(
+                [site_by_id[s] for s in dead if s not in self._exhausted]
+            )
+            for site_id in dead:
                 yield from self._refill_script(site_by_id, site_id)
 
     def _max_bound_resident(self) -> Optional[_Resident]:

@@ -277,8 +277,13 @@ class SiteProxy:
             body: Optional[bytes] = None
             fault = (yield from self._dial_script()) if self._needs_redial else None
             if fault is None:
+                # Until a whole reply is read the stream position is
+                # unknown — also when the pump never answers (an await
+                # cancelled mid-exchange): a late reply may be in flight.
+                self._needs_redial = True
                 body, fault = yield frame
             if body is not None:
+                self._needs_redial = False
                 response = decode_body(body)
                 if not response["ok"]:
                     # An application error is authoritative — no retry.
@@ -286,7 +291,5 @@ class SiteProxy:
                         f"site {self.site_id} RPC failed: {response['error']}"
                     )
                 return row.decode_reply(response["result"])
-            # Whatever broke, the stream position is unknown now.
-            self._needs_redial = True
             self._escalate(fault, f"answer to {method!r}")
         raise fault or ConnectionError(f"site {self.site_id} closed the connection")

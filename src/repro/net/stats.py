@@ -56,7 +56,9 @@ class NetworkStats:
     #: Fault-tolerance books (all zero on a healthy run): RPC attempts
     #: that failed, retries issued (with their cumulative backoff),
     #: sites declared DOWN / reintegrated, and the observed
-    #: coordinator→site round-trip wall clock.
+    #: coordinator→site round-trip wall clock (``rpc_seconds`` is a
+    #: sum of per-call waits: when the awaiting pump overlaps a
+    #: fan-out's calls it exceeds the time that actually elapsed).
     rpc_failures: int = 0
     rpc_retries: int = 0
     backoff_seconds: float = 0.0
@@ -86,7 +88,10 @@ class NetworkStats:
         self.simulated_time += self.latency_model.round_cost(tuples_in_round)
 
     def record_rpc_time(self, seconds: float) -> None:
-        """One coordinator→site round trip's observed wall clock."""
+        """One coordinator→site round trip's observed wall clock.
+
+        Summed per call, so overlapped calls each count in full.
+        """
         self.rpc_calls += 1
         self.rpc_seconds += seconds
 

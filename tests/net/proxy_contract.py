@@ -275,6 +275,25 @@ class ProxyContract:
 
         self.drive(c.servers[0].address, scenario, retries=5)
 
+    def test_an_abandoned_exchange_forces_a_redial(self, cluster):
+        """Whatever ends an exchange before its reply is read — here the
+        pump simply never answers, as when its await is cancelled —
+        leaves the stream position unknown: the next call re-dials."""
+        c, _ = cluster
+
+        async def scenario(proxy):
+            assert await settle(proxy.ping())
+            script = proxy._call_script("prepare", (0.3,))
+            assert next(script) is not None  # the request frame is out
+            script.close()
+            assert proxy._needs_redial
+            assert await settle(proxy.ping()) is True
+            assert proxy.reconnects == 1
+            assert await settle(proxy.queue_size()) == 0
+            assert not proxy._needs_redial
+
+        self.drive(c.servers[0].address, scenario)
+
     def test_closed_proxy_never_silently_redials(self, cluster):
         c, _ = cluster
 

@@ -1,6 +1,7 @@
 """Asyncio transport: RPC semantics, overlap, and sync-adapter fidelity."""
 
 import asyncio
+import threading
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.net.aio import (
     AsyncRemoteSiteProxy,
     connect_async_sites,
 )
+from repro.net.sockets import SiteServer
 
 from ..conftest import make_random_database
 from .proxy_contract import ASYNC, ProxyContract
@@ -105,6 +107,35 @@ class TestAsyncRemoteProxy(ProxyContract):
             AsyncRemoteSiteProxy.close = original_close
         # Site 0's close raised, yet 1 and 2 were still released.
         assert sorted(closed) == [1, 2]
+
+    def test_a_cancelled_exchange_does_not_desynchronise_the_stream(self):
+        """Cancel a call after its request went out: the reply it never
+        read must not be taken for the next call's.  Overlapped waves
+        make cancelled in-flight siblings routine."""
+        db = make_random_database(60, 2, seed=1, grid=10)
+        server = SiteServer(LocalSite(0, db), rpc_delay=0.05)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+
+        async def scenario():
+            proxy = await AsyncRemoteSiteProxy.connect(0, server.address)
+            try:
+                task = asyncio.ensure_future(proxy.prepare(0.3))
+                await asyncio.sleep(0.01)  # the request is on the wire
+                task.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await task
+                assert proxy._needs_redial
+                assert await proxy.ping() is True
+                assert isinstance(await proxy.queue_size(), int)
+                assert proxy.reconnects == 1
+            finally:
+                await proxy.close()
+
+        try:
+            run(scenario())
+        finally:
+            server.shutdown()
+            server.server_close()
 
     def test_rpcs_to_distinct_sites_overlap(self, cluster):
         """The whole point of the async transport: concurrent in-flight
