@@ -6,7 +6,7 @@ design has two failure modes generic linters miss:
 
 * a *blocking* call inside an ``async def`` (``time.sleep``, a raw
   ``socket`` dial, a bare ``select``) stalls the whole service: every
-  in-flight session's latency inherits the stall, and the load-test
+  in-flight session's latency inherits the stall, and the benchmark's
   percentiles silently measure the bug instead of the protocol;
 * a *fire-and-forget* task — ``asyncio.create_task(...)`` /
   ``ensure_future(...)`` as a bare expression statement — drops the

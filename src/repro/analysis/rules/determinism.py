@@ -1,6 +1,6 @@
 """SKY201/SKY202 — determinism: seeded randomness, no wall clocks.
 
-Chaos tests, synthetic workloads, and ``BENCH_kernels.json`` are
+Chaos tests, synthetic workloads, and the benchmark's counts are
 reproducible only because every random draw is a pure function of an
 explicit seed (``FaultSchedule``'s jitter, ``Workload``'s generators)
 and no decision reads the wall clock.  These rules keep that property

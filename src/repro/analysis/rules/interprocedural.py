@@ -46,8 +46,8 @@ class TransitiveBlockingRule(ProgramRule):
 
     Paper hook: the serving layer multiplexes every concurrent
     progressive query over one event loop; a single blocked frame
-    stalls every in-flight session, so the latency trajectories in
-    ``BENCH_service.json`` would measure the bug, not the §6
+    stalls every in-flight session, so the benchmark's latency
+    percentiles (``perf/run.py``) would measure the bug, not the §6
     progressiveness of the protocol.
     """
 

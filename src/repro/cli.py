@@ -425,12 +425,20 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
+def _percentile(values: Sequence[float], fraction: float) -> float:
+    """Nearest-rank percentile; 0.0 on an empty series."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    index = min(len(ordered) - 1, max(0, round(fraction * (len(ordered) - 1))))
+    return ordered[index]
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import time
     from collections import deque
 
-    from .bench.service import _percentile
     from .data.workload import sample_query_mix
     from .serve import (
         AdmissionPolicy,

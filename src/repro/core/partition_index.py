@@ -24,10 +24,10 @@ adapted to the uniform-grid machinery the repo already trusts in
 
 Per-point work therefore tracks the dominance *boundary* instead of the
 dominance *volume*: the dense refinement touches O(surface) rows where
-the flat kernel touches all n.  The ``BENCH_kernels.json`` trajectory
-(``python -m repro.bench.kernels --large``) prices the crossover — at
-n=100k the table builds an order of magnitude faster than the flat
-kernels can fill it, and n=10⁶ becomes feasible on one site.
+the flat kernel touches all n.  ``benchmarks/test_kernels_regression.py``
+prices the crossover — at n=100k the table builds an order of magnitude
+faster than the flat kernels can fill it, and n=10⁶ becomes feasible on
+one site.
 
 Exactness contract: every product is a deterministic sequence of the
 same IEEE-754 ``×(1 − P)`` multiplications the scalar reference

@@ -8,7 +8,7 @@ wire.  Both formats round-trip exactly (values are written with
 ``repr`` precision).
 
 For partitions too large to pass through per-tuple Python objects
-(the n=10⁶ scales in ``repro.bench.kernels``), a third format stores a
+(n=10⁵ and beyond), a third format stores a
 relation as a *column directory*: raw row-major binary files for
 values / probabilities / keys plus a ``meta.json`` sidecar.  It is
 written chunk by chunk (:class:`ColumnWriter` / :func:`write_columns`)

@@ -5,7 +5,7 @@ stack into a server: many concurrent progressive skyline queries
 multiplexed over shared standing sites on one asyncio event loop, with
 admission control, per-tenant bandwidth budgets, and amortized
 ``prepare``/replica provisioning.  See ``docs/serving.md`` for the
-architecture and :mod:`repro.bench.service` for the load-test harness.
+architecture and ``perf/README.md`` for the workloads that measure it.
 
 * :mod:`~repro.serve.sites` — shared partitions (:class:`SharedSiteHost`)
   and pre-provisioned replicas (:class:`StandingReplicaBook`).

@@ -77,7 +77,7 @@ class QuerySession:
         self.error: Optional[BaseException] = None
         self.abort_reason: Optional[str] = None
         #: Wall-clock marks (``perf_counter`` seconds) for the latency
-        #: percentiles the bench reports.
+        #: percentiles ``repro serve`` and ``perf/run.py`` report.
         self.submitted_at = time.perf_counter()
         self.started_at: Optional[float] = None
         self.first_result_at: Optional[float] = None

@@ -114,7 +114,7 @@ class TestSampleQueryMix:
         # A golden pin: random.Random's algorithm is stable across
         # Python versions by language guarantee, so this exact mix is
         # what every machine derives from seed 0.  If it ever changes,
-        # every BENCH_service.json trajectory silently re-bases.
+        # every ``repro serve`` run silently re-bases.
         draws = sample_query_mix(3, 3, seed=0)
         assert [d.threshold for d in draws] == [0.6, 0.6, 0.5]
         assert [d.algorithm for d in draws] == ["edsud", "edsud", "dsud"]

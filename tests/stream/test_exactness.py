@@ -100,6 +100,9 @@ def test_every_epoch_matches_a_fresh_run_bitwise(kind: str):
                 del queries[subspace_id]
     assert epochs >= 10
     assert nonempty > epochs  # the checks were not vacuous
+    # The edge pre-filter never ships as much as naive forwarding,
+    # which would uplink every arrival.
+    assert 0 < hub.candidates_shipped < hub.arrivals_total
 
 
 def test_table_engine_matches_to_tolerance():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _percentile, main
 from repro.data.io import load_tuples
 
 
@@ -164,3 +164,14 @@ class TestServe:
         path.write_text("key,p,v0\n")
         assert main(["serve", str(path)]) == 0
         assert "nothing to serve" in capsys.readouterr().out
+
+
+class TestPercentile:
+    def test_empty_series(self):
+        assert _percentile([], 0.5) == 0.0
+
+    def test_nearest_rank(self):
+        values = [4.0, 1.0, 3.0, 2.0]
+        assert _percentile(values, 0.0) == 1.0
+        assert _percentile(values, 1.0) == 4.0
+        assert _percentile(values, 0.5) == 3.0  # round(0.5 * 3) = 2 -> 3.0
