@@ -378,9 +378,3 @@ def analyze_paths(
         ModuleContext.from_file(path, root) for path in iter_source_files(paths)
     ]
     return run_rules(modules, rules)
-
-
-def iter_rule_findings(
-    findings: Iterable[Finding], severity: str
-) -> List[Finding]:
-    return [f for f in findings if f.severity == severity]

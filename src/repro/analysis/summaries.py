@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .framework import ModuleContext, dotted_name
 
@@ -929,12 +929,3 @@ class _SummaryBuilder:
 def build_summary(module: ModuleContext) -> ModuleSummary:
     """Distill one parsed module into its phase-1 summary."""
     return _SummaryBuilder(module).build()
-
-
-def collect_rpc_set(summary: FunctionSummary) -> Set[str]:
-    """RPC methods lexically present in a function (non-self receivers)."""
-    return {
-        r.method
-        for r in summary.rpcs
-        if r.receiver != "self" and not r.receiver.startswith("self.")
-    }

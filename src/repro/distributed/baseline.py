@@ -14,8 +14,9 @@ from typing import Any, Generator, List, Optional
 
 from ..core.prob_skyline import prob_skyline_sfs
 from ..core.tuples import UncertainTuple
-from ..net.message import Message, MessageKind
-from .coordinator import Coordinator, _Request, _Rpc
+from ..net.message import MessageKind
+from .coordinator import _SERVER, Coordinator
+from .engine import _Request, _Rpc
 
 __all__ = ["ShipAllBaseline"]
 
@@ -35,11 +36,7 @@ class ShipAllBaseline(Coordinator):
             if not ok:
                 continue
             for _ in shipped:
-                self.stats.record(
-                    Message.bearing(
-                        MessageKind.DATA, self._name(site), "server", payload=None
-                    )
-                )
+                self._account(MessageKind.DATA, self._name(site), _SERVER)
             self.stats.record_round(tuples_in_round=len(shipped))
             union.extend(shipped)
         self.iterations = 1

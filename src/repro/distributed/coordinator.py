@@ -5,36 +5,20 @@ common — preparing sites, fetching representatives (To-Server phase),
 broadcasting feedback and combining the returned factors into exact
 global probabilities (Server-Delivery phase, Lemma 1), reporting
 qualified tuples progressively, and accounting every protocol message
-against the paper's bandwidth metric.  The concrete algorithms
-(:mod:`~repro.distributed.baseline`, :mod:`~repro.distributed.naive`,
-:mod:`~repro.distributed.dsud`, :mod:`~repro.distributed.edsud`)
-subclass it and supply only their iteration policy.
-
-One path per behaviour
-----------------------
-Every building block exists once, as a *sans-io* generator script
-(``_*_script``) that yields :class:`_Rpc`/:class:`_Fanout` descriptors
-instead of touching a site; a broadcast of k feedback tuples is one
-script for every k ≥ 1.  :meth:`Coordinator._lower` expands every
-descriptor into per-site *lanes* — each one site's calls, run in order
-through the one RPC funnel (:meth:`Coordinator._rpc_script`) — and two
-thin pumps differ only in how they drive them: :meth:`Coordinator.steps`
-(``_drive(script)`` for a single building block) drains the lanes one
-after another, :meth:`Coordinator.asteps` keeps every lane whose
-endpoint answers with an awaitable in flight at once.  Neither pump
-contains any bookkeeping, and a site sees the same calls in the same
-order under both, so answers, message books, and FSM journals do not
-depend on which one ran the query.
+against the paper's bandwidth metric.  Every building block is a
+*sans-io* script (``_*_script``) run by the
+:class:`~repro.distributed.engine.ScriptEngine` this class extends —
+the RPC funnel and both pumps live there; the ``limit=`` buffer is
+:mod:`~repro.distributed.topk`.  The strawmen
+(:mod:`~repro.distributed.baseline`, :mod:`~repro.distributed.naive`)
+subclass it directly; DSUD and e-DSUD are ordering policies of the one
+progressive loop in :mod:`~repro.distributed.progressive`.
 
 Fault tolerance
 ---------------
-Every coordinator→site RPC goes through :meth:`Coordinator._rpc_script`,
-which retries transport faults under an optional
-:class:`~repro.fault.retry.RetryPolicy` and, when retries are
-exhausted, escalates to the per-site lifecycle FSM
-(:class:`~repro.fault.fsm.ClusterHealth`) instead of raising.  A
-DOWN site is excluded from subsequent rounds; the factors it can no
-longer contribute are tracked by a
+When the engine's funnel gives up on a site it marks it DOWN instead
+of raising.  A DOWN site is excluded from subsequent rounds; the
+factors it can no longer contribute are tracked by a
 :class:`~repro.fault.coverage.CoverageTracker`, so every affected
 result carries its Corollary-1 upper bound and the set of sites that
 did contribute.  Run loops run :meth:`_poll_recoveries_script` once per
@@ -48,413 +32,42 @@ fault-oblivious protocol.
 
 from __future__ import annotations
 
-import asyncio
-import inspect
-import itertools
-import time
-from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
     AsyncGenerator,
-    Awaitable,
-    Callable,
     Dict,
     Generator,
-    Iterable,
     Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from ..core.dominance import Preference
 from ..core.prob_skyline import ProbabilisticSkyline, SkylineMember
 from ..core.tuples import UncertainTuple
-from ..fault.coverage import CoverageTracker, TupleCoverage
-from ..fault.errors import RETRYABLE_FAULTS
+from ..fault.coverage import CoverageTracker
 from ..fault.fsm import ClusterHealth
 from ..fault.liveness import LivenessBook
-from ..fault.retry import RetryPolicy, attempt_loop
+from ..fault.retry import RetryPolicy
 from ..net.message import Message, MessageKind, Quaternion
 from ..net.stats import LatencyModel, NetworkStats, ProgressLog
 from ..net.transport import SiteEndpoint
+from .engine import ScriptEngine, _Fanout, _Request, _Rpc
 from .runner import RunResult
+from .topk import TopKBuffer
 
 if TYPE_CHECKING:  # imported lazily — replica builds on distributed.site
     from ..replica.manager import ReplicaManager
 
-__all__ = ["Coordinator", "TopKBuffer", "BufferedResult"]
+__all__ = ["Coordinator"]
 
 _SERVER = "server"
 
-#: The emission callback drains hand results to (Coordinator.report).
-ReportFn = Callable[[UncertainTuple, float], object]
 
-
-@dataclass(frozen=True)
-class _Rpc:
-    """One site RPC a protocol script asks to have performed.
-
-    The protocol building blocks are *sans-io* generators: instead of
-    calling sites directly they yield ``_Rpc`` descriptors and receive
-    the ``(ok, value)`` verdict back through ``send()``.  Every
-    descriptor is expanded by :meth:`Coordinator._rpc_script` — retry,
-    FSM, and accounting live there, in the script, so the verdict does
-    not depend on which pump carried the call.
-
-    ``raw=True`` requests a single unretried attempt with no stats or
-    FSM side effects (the liveness-probe shape): the verdict is
-    ``(alive, value)`` where a transport fault means ``(False, None)``.
-    """
-
-    site: SiteEndpoint
-    method: str
-    args: Tuple[Any, ...] = ()
-    raw: bool = False
-
-
-@dataclass(frozen=True)
-class _Fanout:
-    """A one-round fan-out: one *lane* of sequential RPCs per target site.
-
-    Each inner tuple is one site's lane: its calls run in order and
-    stop at the first failed one, so the per-endpoint call order — what
-    a chaos schedule counts and what a site's queue and pruning state
-    depend on — is fixed by the script alone.  Lanes address distinct
-    sites and are independent of one another.  The blocking pump drains
-    them one after another in the order given; the awaiting pump keeps
-    every lane whose endpoint answers with an awaitable in flight at
-    once, which is what the simulated clock always assumed (a fan-out
-    is billed as one parallel round whatever the wall clock did).  The
-    reply is a list of per-lane ``(ok, value)`` verdict lists, aligned
-    with the input.
-    """
-
-    plans: Tuple[Tuple[_Rpc, ...], ...] = ()
-
-
-#: What a protocol script may yield: a request, or ``None`` for a
-#: scheduling point.
-_Request = Union[_Rpc, _Fanout]
-
-#: What the RPC funnel asks of whoever advances it: a callable is one
-#: attempt of one endpoint method (invoke it once, answer ``(value,
-#: None)``, or ``(None, fault)`` for a :data:`RETRYABLE_FAULTS`
-#: member); a number is a backoff to sleep.
-_Attempt = Union[Callable[[], Any], float]
-
-#: One site's calls of one request: asks for their attempts and
-#: backoffs, returns their ``(ok, value)`` verdicts.
-_Lane = Generator[_Attempt, Any, List[Tuple[bool, object]]]
-
-#: What :meth:`Coordinator._lower` asks of a pump: ``None`` is a
-#: scheduling point, a list is one request's lanes to run.
-_Op = Optional[List[_Lane]]
-
-#: ``retry_policy=None`` means exactly this: the first transport fault
-#: is terminal.
-_SINGLE_ATTEMPT = RetryPolicy(max_attempts=1)
-
-
-def _drain(lane: _Lane) -> List[Tuple[bool, object]]:
-    """The blocking way to run a lane: to completion, sleeping in place."""
-    reply: object = None
-    while True:
-        try:
-            op = lane.send(reply)
-        except StopIteration as stop:
-            return stop.value
-        if callable(op):
-            try:
-                reply = op(), None
-            except RETRYABLE_FAULTS as exc:
-                reply = None, exc
-        else:
-            time.sleep(op)
-            reply = None
-
-
-def _advance(
-    lane: _Lane, reply: object
-) -> Tuple[Optional[Awaitable[Any]], Optional[List[Tuple[bool, object]]]]:
-    """The awaiting way: run a lane inline until it is done or parked.
-
-    Returns ``(None, verdicts)`` when the lane ran to completion, or
-    ``(awaitable, None)`` when an endpoint call handed back something
-    to await, or a backoff is due; its outcome is the ``reply`` to
-    resume the lane with.  The choice is made per call, so a lane over
-    a sync endpoint never parks on a call.
-    """
-    while True:
-        try:
-            op = lane.send(reply)
-        except StopIteration as stop:
-            return None, stop.value
-        if not callable(op):
-            return asyncio.sleep(op), None
-        try:
-            value = op()
-        except RETRYABLE_FAULTS as exc:
-            reply = None, exc
-            continue
-        if inspect.isawaitable(value):
-            return value, None
-        reply = value, None
-
-
-async def _settle(awaitable: Awaitable[Any]) -> Tuple[Any, Optional[Exception]]:
-    """Await one parked call or backoff: the outcome its lane resumes with."""
-    try:
-        return await awaitable, None
-    except RETRYABLE_FAULTS as exc:
-        return None, exc
-
-
-async def _fail(failure: Exception) -> Any:
-    """What a lane that raised is parked on: its own failure."""
-    raise failure
-
-
-def _advance_all(
-    lanes: List[_Lane], ready: Iterable[Tuple[int, object]], results: List[Any]
-) -> List[Tuple[int, Awaitable[Any]]]:
-    """A wave's inline half: advance the ``ready`` lanes; who parked, on what.
-
-    Lanes over sync endpoints all finish here, in the first wave — no
-    coroutine, task or future is made for them.
-    """
-    parked: List[Tuple[int, Awaitable[Any]]] = []
-    for i, reply in ready:
-        try:
-            awaitable, results[i] = _advance(lanes[i], reply)
-        except Exception as exc:
-            # Anything but a transport fault ends the query — once the
-            # calls already collected beside it have been awaited.
-            awaitable = _fail(exc)
-        if awaitable is not None:
-            parked.append((i, awaitable))
-    return parked
-
-
-async def _waves(
-    lanes: List[_Lane], parked: List[Tuple[int, Awaitable[Any]]], results: List[Any]
-) -> None:
-    """A wave's awaiting half: await what parked together, advance, repeat.
-
-    One parked lane is awaited in place — a lane over a sync endpoint
-    parks on nothing but a backoff, and costs no task for it.  Siblings
-    run as tasks awaited with ``asyncio.wait``, which (unlike
-    ``gather``) leaves cancelling them to us: by the time a
-    cancellation reaches this coroutine every sibling has started, so
-    cancelling it unwinds a call in flight and never drops a coroutine
-    unawaited.  A failure surfaces only after the wave's other calls
-    have settled.
-    """
-    while parked:
-        if len(parked) == 1:
-            ((i, awaitable),) = parked
-            ready = [(i, await _settle(awaitable))]
-        else:
-            tasks = [asyncio.ensure_future(_settle(a)) for _, a in parked]
-            try:
-                await asyncio.wait(tasks)
-            except BaseException:
-                for task in tasks:
-                    task.cancel()
-                raise
-            for failure in [task.exception() for task in tasks]:
-                if failure is not None:
-                    raise failure
-            ready = [(i, task.result()) for (i, _), task in zip(parked, tasks)]
-        parked = _advance_all(lanes, ready, results)
-
-
-@dataclass
-class BufferedResult:
-    """One resolved, qualified tuple waiting inside a :class:`TopKBuffer`.
-
-    ``coverage`` is the *live* :class:`TupleCoverage` the broadcast
-    opened — shared with the coordinator's tracker, so a recovered
-    site's re-probe tightens :attr:`effective` in place instead of the
-    entry staying frozen at its offer-time probability.  ``origin`` and
-    ``seq`` namespace the ordering tiebreak: two tuples that share a
-    key across sites never fall through to comparing
-    :class:`UncertainTuple` objects.
-    """
-
-    tuple: UncertainTuple
-    probability: float                        # offer-time global probability
-    coverage: Optional[TupleCoverage] = None  # live Corollary-1 books
-    origin: int = -1
-    seq: int = 0
-
-    @property
-    def effective(self) -> float:
-        """The current probability: exact, or the live Corollary-1 bound."""
-        if self.coverage is not None:
-            return self.coverage.upper_bound
-        return self.probability
-
-    @property
-    def exact(self) -> bool:
-        """True when every site's Eq.-9 factor is folded in (Lemma 1)."""
-        return self.coverage is None or self.coverage.exact
-
-    def sort_key(self) -> Tuple[float, int, int, int]:
-        """Deterministic total order: probability desc, then (key, origin)."""
-        return (-self.effective, self.tuple.key, self.origin, self.seq)
-
-
-class TopKBuffer:
-    """Order-correct top-k emission for progressive coordinators.
-
-    The iteration policies resolve candidates in *bound* order, not in
-    exact-probability order, so under a result limit a resolved tuple
-    may only be emitted once nothing still unresolved could beat it.
-    The buffer holds resolved qualified tuples and releases one only
-    when its probability is **exact** (all Eq.-9 factors present) and
-    **strictly** greater than both the caller-supplied cap on
-    everything unresolved and every other buffered entry's Corollary-1
-    bound; k emitted results end the query — that early stop is the
-    whole bandwidth win of ``limit=``.
-
-    Emission rules, deterministic by construction:
-
-    * **Tie rule** — a probability merely *equal* to the cap is held:
-      an unresolved candidate could still tie, and with equal exact
-      probabilities the ``(key, origin)`` order must decide.  Once the
-      tied candidates are all buffered, ties emit in ascending
-      ``(key, origin)`` order.
-    * **Degraded entries** — an entry whose probability is a mere
-      Corollary-1 upper bound (a site was DOWN during its broadcast)
-      is never released by :meth:`drain`; it re-scores in place as
-      recovered sites are re-probed, and is retracted silently if its
-      bound sinks below ``threshold``.  Only :meth:`flush` (natural
-      termination, nothing left to resolve or recover) emits inexact
-      entries, in bound order — the coordinator then surfaces them via
-      ``CoverageReport.degraded``.
-    * **Bounded memory** — at most ``limit`` pending entries whenever
-      everything buffered is exact; an entry is dropped only when
-      ``limit - emitted`` *exact* entries provably outrank it forever
-      (exact values are final and a bound only ever decreases, so the
-      order cannot invert).
-    """
-
-    def __init__(self, limit: int, threshold: float = 0.0) -> None:
-        if limit < 1:
-            raise ValueError(f"limit must be positive, got {limit!r}")
-        self.limit = limit
-        self.threshold = threshold
-        self.emitted = 0
-        self._entries: List[BufferedResult] = []
-        self._seq = itertools.count()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def capacity(self) -> int:
-        """Pending entries that could still be emitted."""
-        return self.limit - self.emitted
-
-    def offer(
-        self,
-        t: UncertainTuple,
-        probability: float,
-        coverage: Optional[TupleCoverage] = None,
-    ) -> None:
-        """Buffer one resolved qualified tuple (with its live coverage)."""
-        self._entries.append(
-            BufferedResult(
-                tuple=t,
-                probability=probability,
-                coverage=coverage,
-                origin=coverage.origin if coverage is not None else -1,
-                seq=next(self._seq),
-            )
-        )
-        self._entries.sort(key=BufferedResult.sort_key)
-        self._trim()
-
-    def _trim(self) -> None:
-        """Drop tail entries provably outside the remaining capacity.
-
-        Sound only when the ``capacity`` best entries are all exact:
-        their values are final, and the tail's bound can only decrease,
-        so the tail can never climb back in.  While any leading entry
-        is inexact everything is kept — its bound may tighten below the
-        tail.
-        """
-        while len(self._entries) > self.capacity and all(
-            entry.exact for entry in self._entries[: self.capacity]
-        ):
-            self._entries.pop()
-
-    def _prune_retracted(self) -> None:
-        """Drop entries a re-probe has pushed below the threshold.
-
-        They were never emitted, so the progressive guarantee holds:
-        tightening retracts *buffered* state, never a reported tuple.
-        """
-        if self.threshold > 0.0:
-            self._entries = [
-                e for e in self._entries if e.effective >= self.threshold
-            ]
-
-    def inexact_entries(self) -> List[BufferedResult]:
-        """Pending entries whose probability is still a mere upper bound."""
-        return [e for e in self._entries if not e.exact]
-
-    def inexact_cap(self) -> float:
-        """The largest Corollary-1 bound among pending inexact entries."""
-        return max(
-            (e.effective for e in self._entries if not e.exact), default=0.0
-        )
-
-    def drain(self, remaining_cap: float, report: ReportFn) -> bool:
-        """Emit everything provably next-best; True once the limit is hit.
-
-        An entry is emittable only when it is exact and its probability
-        strictly beats ``remaining_cap`` *and* every other pending
-        entry's bound — see the class docstring for the tie and
-        degraded-entry rules.
-        """
-        self._prune_retracted()
-        self._entries.sort(key=BufferedResult.sort_key)
-        while self._entries and self.emitted < self.limit:
-            head = self._entries[0]
-            if not head.exact:
-                break
-            if head.effective <= max(remaining_cap, self.inexact_cap()):
-                break
-            self._entries.pop(0)
-            report(head.tuple, head.effective)
-            self.emitted += 1
-        self._trim()
-        return self.emitted >= self.limit
-
-    def flush(self, report: ReportFn) -> bool:
-        """Natural termination: nothing unresolved (or recoverable) remains.
-
-        Exact entries emit at their exact probability; entries still
-        inexact — their sites stayed DOWN to the end — emit at their
-        Corollary-1 upper bound, in bound order, and the coordinator
-        annotates them through ``CoverageReport.degraded``.  Entries
-        beyond the limit stay pending for that same disclosure.
-        """
-        self._prune_retracted()
-        self._entries.sort(key=BufferedResult.sort_key)
-        while self._entries and self.emitted < self.limit:
-            head = self._entries.pop(0)
-            report(head.tuple, head.effective)
-            self.emitted += 1
-        return self.emitted >= self.limit
-
-
-class Coordinator:
+class Coordinator(ScriptEngine):
     """Base class for the central server of a distributed skyline query."""
 
     algorithm = "abstract"
@@ -480,21 +93,20 @@ class Coordinator:
         self.sites = list(sites)
         self.threshold = threshold
         self.preference = preference
-        self.stats = NetworkStats(latency_model=latency_model or LatencyModel())
+        super().__init__(
+            NetworkStats(latency_model=latency_model or LatencyModel()),
+            ClusterHealth(s.site_id for s in self.sites),
+            retry_policy,
+        )
         self.progress = ProgressLog()
         self.results: List[SkylineMember] = []
         self.iterations = 0
-        #: ``None`` keeps single-attempt semantics: the first transport
-        #: fault marks the site DOWN.  A policy inserts retries (with
-        #: backoff) between the fault and that escalation.
-        self.retry_policy = retry_policy
         #: Feedback quaternions shipped per FEEDBACK message.  1 keeps
         #: every message, round, and floating-point product bit-identical
         #: to the paper's per-candidate protocol; k > 1 trades strictly
         #: fewer coordination rounds for slightly staler Local-Pruning
         #: feedback within a round (see docs/performance.md).
         self.batch_size = batch_size
-        self.health = ClusterHealth(s.site_id for s in self.sites)
         self.coverage = CoverageTracker(s.site_id for s in self.sites)
         self.coverage.add_tighten_hook(self._tighten_result)
         self._site_by_id = {s.site_id: s for s in self.sites}
@@ -548,101 +160,6 @@ class Coordinator:
         #: is probed once per epoch, not once per query).  ``None`` —
         #: the solo default — probes in-band exactly as before.
         self.liveness_book = liveness_book
-
-    # ------------------------------------------------------------------
-    # the fault-tolerant RPC funnel (sans-io: shared by both pumps)
-    # ------------------------------------------------------------------
-
-    def _rpc_script(
-        self, request: _Rpc
-    ) -> Generator[_Attempt, Any, Tuple[bool, object]]:
-        """Perform one site RPC; never raises transport faults.
-
-        Returns ``(True, value)`` on success.  On a terminal transport
-        fault the site is marked DOWN and ``(False, None)`` is returned
-        — the caller degrades instead of unwinding.  Attempts and
-        backoffs are *yielded* (see :data:`_Attempt`); retry accounting,
-        the observed round-trip clock, and FSM transitions happen here,
-        so a chaos schedule's transitions and retry books replay
-        bit-for-bit under either pump.
-        """
-        site, method, args = request.site, request.method, request.args
-        site_id = site.site_id
-
-        def call() -> object:
-            return getattr(site, method)(*args)
-
-        if request.raw:
-            value, error = yield call
-            return error is None, value
-        lifecycle = self.health.lifecycle(site_id)
-
-        def on_retry(attempt: int, delay: float, exc: Exception) -> None:
-            self.stats.record_retry(delay)
-            lifecycle.record_failure()
-
-        start = time.perf_counter()
-        value, error = yield from attempt_loop(
-            call, self.retry_policy or _SINGLE_ATTEMPT, site_id, on_retry
-        )
-        self.stats.record_rpc_time(time.perf_counter() - start)
-        if error is not None:
-            self.stats.record_failure()
-            if not lifecycle.is_down:
-                lifecycle.record_failure()
-                self.health.mark_down(site_id, reason=f"{method}: {error!r}")
-                self.stats.sites_lost += 1
-            return False, None
-        if not lifecycle.is_up:
-            # A retry succeeded while SUSPECT, or a reintegration call
-            # succeeded while RECOVERING: either way the site is back.
-            self.health.mark_up(site_id, reason=f"{method} succeeded")
-        return True, value
-
-    def _lane(self, plan: Sequence[_Rpc]) -> _Lane:
-        """One site's calls in order, stopping at the first failed one."""
-        verdicts: List[Tuple[bool, object]] = []
-        for rpc in plan:
-            verdict = yield from self._rpc_script(rpc)
-            verdicts.append(verdict)
-            if not verdict[0]:
-                break
-        return verdicts
-
-    def _lower(
-        self, script: Generator[Optional[_Request], Any, Any]
-    ) -> Generator[_Op, Any, Any]:
-        """Expand a protocol script's requests into pump operations.
-
-        Only what a blocking and an event-loop caller must do
-        differently is yielded: ``None`` is a scheduling point, a list
-        is one request's lanes (:meth:`_lane` — an :class:`_Rpc` is a
-        fan-out of one) for the pump to run in its own way and answer
-        with their verdict lists.  Closing the lowered generator closes
-        the lanes in flight and the protocol script, so an abandoned
-        query leaves sites and books at the last completed request
-        boundary.
-        """
-        reply: object = None
-        lanes: List[_Lane] = []
-        try:
-            while True:
-                try:
-                    request = script.send(reply)
-                except StopIteration as stop:
-                    return stop.value
-                if request is None:
-                    reply = yield None
-                elif isinstance(request, _Rpc):
-                    lanes = [self._lane((request,))]
-                    ((reply,),) = yield lanes
-                else:
-                    lanes = [self._lane(plan) for plan in request.plans]
-                    reply = yield lanes
-        finally:
-            for lane in lanes:
-                lane.close()
-            script.close()
 
     # ------------------------------------------------------------------
     # protocol building blocks
@@ -777,37 +294,36 @@ class Coordinator:
         self.stats.record_round(tuples_in_round=len(out))
         return out
 
-    def _broadcast_batch_script(
-        self, quaternions: Sequence[Quaternion], refill: Sequence[SiteEndpoint] = ()
-    ) -> Generator[Optional[_Request], Any, List[float]]:
-        """Server-Delivery + Local-Pruning round for up to ``batch_size`` candidates.
+    @staticmethod
+    def _fold(
+        quaternions: Sequence[Quaternion], triples: List[Tuple[int, int, float]]
+    ) -> Tuple[List[float], List[Dict[int, float]]]:
+        """Lemma 1 over one broadcast's ``(site_id, batch_index, factor)`` triples.
 
-        Sends each tuple to every reachable site except its origin,
-        folds the returned Eq.-9 factors into the global probabilities
-        via Lemma 1 (in site order — the multiplication order is part
-        of the bit-identity contract), and advances the simulated clock
-        by one parallel round.  Returns one probability per quaternion,
-        aligned with the input.  With full coverage the product is
-        exact; with sites down it is the Corollary-1 upper bound (each
-        missing factor ≤ 1), and the coverage tracker knows which.
-        ``refill`` is passed on to
-        :meth:`_broadcast_probes_batch_script`.
+        Returns, aligned with ``quaternions``, each tuple's global
+        probability — its local probability times the Eq.-9 factors, in
+        the order the triples arrive (site order: the multiplication
+        order is part of the bit-identity contract) — and the factors
+        themselves by site.  With full coverage the product is exact;
+        with sites down it is the Corollary-1 upper bound (each missing
+        factor ≤ 1), and the coverage tracker knows which.
         """
-        quaternions = list(quaternions)
         probabilities = [q.local_probability for q in quaternions]
-        triples = yield from self._broadcast_probes_batch_script(quaternions, refill)
-        for _site_id, index, factor in triples:
+        factors: List[Dict[int, float]] = [{} for _ in quaternions]
+        for site_id, index, factor in triples:
             probabilities[index] *= factor
-        return probabilities
+            factors[index][site_id] = factor
+        return probabilities, factors
 
     def _broadcast_probes_batch_script(
         self, quaternions: Sequence[Quaternion], refill: Sequence[SiteEndpoint] = ()
     ) -> Generator[Optional[_Request], Any, List[Tuple[int, int, float]]]:
         """Deliver a batch of feedback tuples; return per-tuple factors.
 
-        Returns ``(site_id, batch_index, factor)`` triples and does all
-        the accounting; :meth:`_broadcast_batch_script` and e-DSUD's
-        factor-tracking variant both build on it.  Each live site
+        Server-Delivery + Local-Pruning round for up to ``batch_size``
+        candidates, advancing the simulated clock by one parallel
+        round.  Returns ``(site_id, batch_index, factor)`` triples for
+        :meth:`_fold` and does all the accounting.  Each live site
         receives *one* FEEDBACK message carrying every batch tuple it
         did not originate (billed at k tuples — the paper's metric
         counts tuples, not envelopes) and answers with one PROBE_REPLY
@@ -914,11 +430,11 @@ class Coordinator:
                 # whole batch's factors through the replay inside
                 # _promote (billed there as FAILOVER_PROBE/PROBE_REPLY
                 # and already contributed to the coverage books).
-                replayed = yield from self._failover_factors_script(site.site_id)
-                if replayed is None:
+                promoted = yield from self._failover_script(site.site_id)
+                if promoted is None:
                     continue  # factors stay missing in the coverage books
                 for index in indices:
-                    factor = replayed.get(quaternions[index].tuple.key)
+                    factor = promoted[2].get(quaternions[index].tuple.key)
                     if factor is not None:
                         out.append((site.site_id, index, factor))
                 continue
@@ -1151,15 +667,6 @@ class Coordinator:
         self.stats.failovers += 1
         return replica, size, factors
 
-    def _failover_factors_script(
-        self, site_id: int
-    ) -> Generator[Optional[_Request], Any, Optional[Dict[int, float]]]:
-        """Fail over and return every factor the promotion replayed."""
-        promoted = yield from self._failover_script(site_id)
-        if promoted is None:
-            return None
-        return promoted[2]
-
     def _promote_script(
         self, site_id: int, endpoint: SiteEndpoint
     ) -> Generator[Optional[_Request], Any, Optional[Tuple[int, Dict[int, float]]]]:
@@ -1288,47 +795,6 @@ class Coordinator:
             pass
         return self.finish()
 
-    def _pump(
-        self, script: Generator[Optional[_Request], Any, Any]
-    ) -> Generator[None, None, Any]:
-        """The blocking pump: run each request's lanes one after another.
-
-        Yields at each scheduling point and returns the script's value.
-        Lanes are drained in the order given — site order — each to
-        completion before the next starts.  Genuinely synchronous —
-        plain calls and ``time.sleep`` — so it may be drawn from inside
-        a running event loop (a benchmark draws :meth:`steps` within an
-        ``async def``).
-        """
-        ops = self._lower(script)
-        reply: object = None
-        try:
-            while True:
-                try:
-                    lanes = ops.send(reply)
-                except StopIteration as stop:
-                    return stop.value
-                if lanes is None:
-                    reply = yield
-                else:
-                    reply = [_drain(lane) for lane in lanes]
-        finally:
-            ops.close()
-
-    def _drive(self, script: Generator[Optional[_Request], Any, Any]) -> Any:
-        """Run one protocol script to completion synchronously.
-
-        The one blocking way to execute a building block outside a run
-        loop (scheduling points are passed over):
-        ``coordinator._drive(coordinator._prepare_sites_script())``.
-        """
-        pump = self._pump(script)
-        while True:
-            try:
-                next(pump)
-            except StopIteration as stop:
-                return stop.value
-
     def steps(self) -> Iterator[None]:
         """Drive the query one scheduling point at a time.
 
@@ -1344,51 +810,30 @@ class Coordinator:
         yield from self._pump(self._steps())
 
     async def asteps(self) -> AsyncGenerator[None, None]:
-        """The awaiting pump: :meth:`steps` for event-loop callers.
+        """:meth:`steps` for event-loop callers: the awaiting pump.
 
-        Executes the *same* lowered ``_steps`` script, but awaits what
-        an endpoint method returns when it is awaitable — endpoints may
-        be sync (in-process :class:`LocalSite` forks, chaos wrappers,
-        promoted replicas) or async
-        (:class:`~repro.net.aio.AsyncRemoteSiteProxy`), and one
-        coordinator can mix both — and backs off with
-        ``asyncio.sleep``, so a session awaiting a socket reply hands
-        the event loop to other sessions instead of blocking the
-        scheduler thread.  A request's lanes run *overlapped*: every
-        lane is advanced inline until it is parked on an awaitable
-        (:func:`_advance_all`) and the parked ones are awaited together
-        (:func:`_waves`), wave after wave, so a fan-out over m
-        awaitable endpoints costs one round trip per wave, not m —
-        while a lane over a sync endpoint runs inline, call for call as
-        under :meth:`steps`.  There is no switch: the choice is made
-        per call from what the endpoint returned.
-        Scheduling points surface as async-iterator items, exactly one
-        per sync ``steps()`` item — drive with ``async for`` and read
-        :meth:`afinish` afterwards.  A cancelled or abandoned iteration
-        cancels the calls in flight and closes every lane and the
-        script, leaving sites and accounting books consistent at the
-        last completed request boundary.
+        Runs the *same* ``_steps`` script through
+        :meth:`~repro.distributed.engine.ScriptEngine._apump`, which
+        awaits what an endpoint method returns when it is awaitable
+        and overlaps a fan-out's lanes; one coordinator can mix sync
+        and async endpoints.  Scheduling points surface as
+        async-iterator items, exactly one per sync ``steps()`` item —
+        drive with ``async for`` and read :meth:`afinish` afterwards.
+        A cancelled or abandoned iteration cancels the calls in flight
+        and closes every lane and the script, leaving sites and
+        accounting books consistent at the last completed request
+        boundary.
         """
         self.progress.restart_clock()
-        ops = self._lower(self._steps())
-        reply: object = None
+        pump = self._apump(self._steps())
         try:
-            while True:
-                try:
-                    lanes = ops.send(reply)
-                except StopIteration:
-                    return
-                if lanes is None:
-                    reply = yield
-                    continue
-                results: List[Any] = [None] * len(lanes)
-                everyone = zip(range(len(lanes)), itertools.repeat(None))
-                parked = _advance_all(lanes, everyone, results)
-                if parked:
-                    await _waves(lanes, parked, results)
-                reply = results
+            async for _ in pump:
+                yield
         finally:
-            ops.close()
+            # ``async for`` does not close what it iterates: without
+            # this an ``aclose()`` here would leave the script open
+            # until the pump is garbage-collected.
+            await pump.aclose()
 
     async def afinish(self) -> RunResult:
         """Assemble the RunResult once :meth:`asteps` is exhausted.

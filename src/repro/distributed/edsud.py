@@ -31,7 +31,7 @@ It defaults off to stay faithful; the ablation benchmark measures it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.dominance import Preference, dominates
 from ..core.probability import observation2_bound
@@ -40,7 +40,7 @@ from ..fault.retry import RetryPolicy
 from ..net.message import Quaternion
 from ..net.stats import LatencyModel
 from ..net.transport import SiteEndpoint
-from .coordinator import Coordinator, _Request
+from .progressive import ProgressiveCoordinator
 
 if TYPE_CHECKING:
     from ..replica.manager import ReplicaManager
@@ -92,7 +92,7 @@ class _SeenTuple:
     exact_factors: Dict[int, float] = field(default_factory=dict)
 
 
-class EDSUD(Coordinator):
+class EDSUD(ProgressiveCoordinator):
     """Enhanced DSUD with Corollary-2 feedback selection."""
 
     algorithm = "e-DSUD"
@@ -122,7 +122,6 @@ class EDSUD(Coordinator):
         self.expunged_total = 0
         self._seen: List[_SeenTuple] = []
         self._residents: Dict[int, _Resident] = {}
-        self._exhausted: set = set()
 
     # ------------------------------------------------------------------
     # bound bookkeeping
@@ -162,171 +161,68 @@ class EDSUD(Coordinator):
         self._residents[quaternion.site] = resident
 
     # ------------------------------------------------------------------
-    # the iteration policy
+    # the ordering policy
     # ------------------------------------------------------------------
 
-    def _steps(self) -> Generator[Optional[_Request], Any, None]:
-        yield from self._prepare_sites_script()
-        site_by_id = {site.site_id: site for site in self.sites}
-        for quaternion in (yield from self._initial_fill_script()):
-            self._admit(quaternion)
-        for site in self.sites:
-            if site.site_id not in self._residents:
-                self._exhausted.add(site.site_id)
+    def _select(self) -> List[Quaternion]:
+        return self._take(lambda resident: resident.bound)
 
-        while True:
-            # Reintegrate recovered sites: their missed factors were
-            # re-probed inside poll_recoveries; resume their queues.  A
-            # site that died *after* delivering its representative still
-            # has a live resident at the server — fetching another here
-            # would overwrite (and silently lose) it, so only sites
-            # whose resident was consumed are refilled.
-            for site in (yield from self._poll_recoveries_script()):
-                self._exhausted.discard(site.site_id)
-                if site.site_id not in self._residents:
-                    yield from self._refill_script(site_by_id, site.site_id)
-            if self.config.server_expunge:
-                yield from self._expunge_dead_script(site_by_id)
-            heads = self._top_residents()
-            if not heads:
-                if self._all_sites_drained():
-                    break
-                # Lazy mode: dead residents block non-exhausted sites;
-                # drop them so those sites can surface fresh candidates.
-                yield from self._expunge_dead_script(site_by_id)
-                continue
-            self.iterations += len(heads)
-            quaternions = [resident.quaternion for resident in heads]
-            for quaternion in quaternions:
-                del self._residents[quaternion.site]
-            # The refills below are unconditional, so their pops ride
-            # the broadcast's fan-out instead of trailing it.
-            global_probabilities = yield from self._broadcast_batch_tracking_script(
-                quaternions,
-                refill=[
-                    site_by_id[quaternion.site]
-                    for quaternion in quaternions
-                    if quaternion.site not in self._exhausted
-                ],
-            )
-            for quaternion, global_probability in zip(
-                quaternions, global_probabilities
-            ):
-                # The coverage-aware funnel: reports directly without a
-                # limit, otherwise buffers with the live TupleCoverage.
-                self.emit(quaternion.tuple, global_probability)
-            for quaternion in quaternions:
-                yield from self._refill_script(site_by_id, quaternion.site)
-            if self.limit is not None:
-                # Everything unresolved — residents and their sites'
-                # unfetched tails alike — is capped by the residents'
-                # local skyline probabilities (Corollary 1 plus the
-                # per-site descending queue order); drain_topk adds the
-                # cap on whatever a DOWN site might still surface.
-                remaining_cap = max(
-                    (
-                        r.quaternion.local_probability
-                        for r in self._residents.values()
-                    ),
-                    default=0.0,
-                )
-                if self.drain_topk(remaining_cap):
-                    return
-            # One iteration done — a scheduling point for the serving
-            # layer to interleave other sessions.
-            yield
-        self.finish_topk()
+    def _take(self, priority: Callable[[_Resident], Any]) -> List[Quaternion]:
+        """Consume up to ``batch_size`` qualified residents, best first.
 
-    def _broadcast_batch_tracking_script(
-        self, quaternions: Sequence[Quaternion], refill: Sequence[SiteEndpoint] = ()
-    ) -> Generator[Optional[_Request], Any, List[float]]:
-        """Broadcast like the base class, but remember each tuple's exact factors."""
-        quaternions = list(quaternions)
-        global_probabilities = [q.local_probability for q in quaternions]
-        exacts: List[Dict[int, float]] = [{} for _ in quaternions]
-        triples = yield from self._broadcast_probes_batch_script(quaternions, refill)
-        for site_id, index, factor in triples:
-            global_probabilities[index] *= factor
-            exacts[index][site_id] = factor
-        for quaternion, exact in zip(quaternions, exacts):
-            for seen in self._seen:
-                if seen.quaternion.tuple.key == quaternion.tuple.key:
-                    seen.exact_factors = exact
-                    break
-            if self.config.reuse_probe_factors and self.config.eager_bound_refresh:
-                entry = _SeenTuple(quaternion=quaternion, exact_factors=exact)
-                for other in self._residents.values():
-                    self._apply_seen_to(other, entry)
-        return global_probabilities
+        Empty exactly when no resident's bound reaches ``q`` — the
+        termination test.  The stable sort keeps first-admitted order
+        on ties, matching a single-head max scan.
+        """
+        live = [r for r in self._residents.values() if r.bound >= self.threshold]
+        live.sort(key=priority, reverse=True)
+        heads = [resident.quaternion for resident in live[: self.batch_size]]
+        for head in heads:
+            del self._residents[head.site]
+        return heads
 
-    def _refill_script(
-        self, site_by_id: Dict[int, SiteEndpoint], site_id: int
-    ) -> Generator[Optional[_Request], Any, None]:
-        """Ask a site whose resident was consumed for its next candidate."""
-        if site_id in self._exhausted:
-            return
-        quaternion = yield from self._fetch_representative_script(
-            site_by_id[site_id]
+    def _remaining_cap(self) -> float:
+        return max(
+            (r.quaternion.local_probability for r in self._residents.values()),
+            default=0.0,
         )
-        if quaternion is None:
-            self._exhausted.add(site_id)
-            return
-        self.stats.record_round(tuples_in_round=1)
-        self._admit(quaternion)
 
-    def _expunge_dead_script(
-        self, site_by_id: Dict[int, SiteEndpoint]
-    ) -> Generator[Optional[_Request], Any, None]:
+    def _holds(self, site_id: int) -> bool:
+        # A site that died *after* delivering its representative still
+        # has a live resident at the server — fetching another would
+        # overwrite (and silently lose) it.
+        return site_id in self._residents
+
+    def _expunge(self, stalled: bool) -> List[int]:
         """Drop every resident whose bound proves it unqualified.
 
-        Each drop frees its site, which is immediately asked for the
-        next candidate; the loop runs until every resident is live or
-        every queue is exhausted.
+        Eagerly (§5.2) under ``server_expunge``; otherwise only once
+        dead residents block sites that still have candidates (the
+        §5.3 example's behaviour).
         """
-        while True:
-            dead = [
-                site_id
-                for site_id, resident in self._residents.items()
-                if resident.bound < self.threshold
-            ]
-            if not dead:
-                return
-            for site_id in dead:
-                del self._residents[site_id]
-                self.expunged_total += 1
-            # The freed sites pop in one wave; each refill is then
-            # settled and admitted in turn, as if popped one by one.
-            yield from self._fan_out_pops_script(
-                [site_by_id[s] for s in dead if s not in self._exhausted]
-            )
-            for site_id in dead:
-                yield from self._refill_script(site_by_id, site_id)
-
-    def _max_bound_resident(self) -> Optional[_Resident]:
-        best = None
-        for resident in self._residents.values():
-            if best is None or resident.bound > best.bound:
-                best = resident
-        return best
-
-    def _top_residents(self) -> List[_Resident]:
-        """Up to ``batch_size`` qualified residents, best bound first.
-
-        Empty exactly when :meth:`_max_bound_resident` is ``None`` or
-        below ``q`` — the termination test.  The stable sort keeps
-        first-admitted order on ties, matching the single-head max
-        scan.
-        """
-        live = [
-            resident
-            for resident in self._residents.values()
-            if resident.bound >= self.threshold
+        if not (stalled or self.config.server_expunge):
+            return []
+        dead = [
+            site_id
+            for site_id, resident in self._residents.items()
+            if resident.bound < self.threshold
         ]
-        live.sort(key=lambda resident: resident.bound, reverse=True)
-        return live[: self.batch_size]
+        for site_id in dead:
+            del self._residents[site_id]
+        self.expunged_total += len(dead)
+        return dead
 
-    def _all_sites_drained(self) -> bool:
-        return len(self._exhausted) == len(self.sites)
+    def _learn(self, quaternion: Quaternion, factors: Dict[int, float]) -> None:
+        if not self.config.reuse_probe_factors:
+            return  # exact factors are only ever read back under this switch
+        for seen in self._seen:
+            if seen.quaternion.tuple.key == quaternion.tuple.key:
+                seen.exact_factors = factors
+                break
+        if self.config.eager_bound_refresh:
+            entry = _SeenTuple(quaternion=quaternion, exact_factors=factors)
+            for other in self._residents.values():
+                self._apply_seen_to(other, entry)
 
     def _extra(self) -> dict:
         return {"expunged": float(self.expunged_total)}

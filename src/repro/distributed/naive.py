@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from typing import Any, Generator, List, Optional
 
-from ..net.message import Message, MessageKind, Quaternion
-from .coordinator import Coordinator, _Request, _Rpc
+from ..net.message import MessageKind, Quaternion
+from .coordinator import _SERVER, Coordinator
+from .engine import _Request, _Rpc
 
 __all__ = ["NaiveLocalSkylines"]
 
@@ -37,19 +38,14 @@ class NaiveLocalSkylines(Coordinator):
             if not ok:
                 continue
             for _ in burst:
-                self.stats.record(
-                    Message.bearing(
-                        MessageKind.REPRESENTATIVE, self._name(site), "server", payload=None
-                    )
-                )
+                self._account(MessageKind.REPRESENTATIVE, self._name(site), _SERVER)
             self.stats.record_round(tuples_in_round=len(burst))
             gathered.extend(burst)
         gathered.sort(key=lambda q: -q.local_probability)
         for quaternion in gathered:
             self.iterations += 1
-            (global_probability,) = yield from self._broadcast_batch_script(
-                [quaternion]
-            )
+            triples = yield from self._broadcast_probes_batch_script([quaternion])
+            ((global_probability,), _factors) = self._fold([quaternion], triples)
             self.emit(quaternion.tuple, global_probability)
             # Each candidate costs one broadcast round — a scheduling
             # point, so served naive sessions interleave per round

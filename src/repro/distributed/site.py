@@ -97,8 +97,6 @@ class SiteConfig:
                            kernels to ~1e-12, not bit-for-bit, so the
                            historical paths stay byte-stable unless a
                            deployment opts in.
-    ``table_occupancy``  — target rows per grid cell for the table
-                           build (``None`` = kernel default).
     """
 
     use_index: bool = True
@@ -108,7 +106,6 @@ class SiteConfig:
     store_products: bool = True
     vectorized: bool = True
     all_probs_table: bool = False
-    table_occupancy: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -284,9 +281,7 @@ class LocalSite:
         """The shared partition index, building it inline if absent."""
         index = self._table_box.get("index")
         if index is None:
-            index = PartitionIndex.build(
-                self._partition_columns(), occupancy=self.config.table_occupancy
-            )
+            index = PartitionIndex.build(self._partition_columns())
             self._table_box["index"] = index
         return index
 
@@ -303,35 +298,14 @@ class LocalSite:
         if index is None:
             store = self._partition_columns()
             if pool is not None:
-                payload = pool.build_payload(
-                    store, occupancy=self.config.table_occupancy
-                )
+                payload = pool.build_payload(store)
                 index = PartitionIndex.from_payload(store, payload)
             else:
-                index = PartitionIndex.build(
-                    store, occupancy=self.config.table_occupancy
-                )
+                index = PartitionIndex.build(store)
                 index.refresh()
             self._table_box["index"] = index
         else:
             index.refresh()
-        return index
-
-    async def build_all_probs_table_async(self, pool: "TableWorkerPool") -> PartitionIndex:
-        """Worker-process table build that never blocks the event loop.
-
-        The serving layer's prewarm path: the asyncio loop stays free
-        to multiplex other sessions while a real core burns on the
-        product pass.
-        """
-        index = self._table_box.get("index")
-        if index is None:
-            store = self._partition_columns()
-            payload = await pool.build_payload_async(
-                store, occupancy=self.config.table_occupancy
-            )
-            index = PartitionIndex.from_payload(store, payload)
-            self._table_box["index"] = index
         return index
 
     def _table_skyline(self, threshold: float) -> ProbabilisticSkyline:

@@ -26,11 +26,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..core.dominance import Preference
-from ..net.message import Message, MessageKind
+from ..net.message import MessageKind, Quaternion
 from ..net.stats import LatencyModel
 from ..net.transport import SiteEndpoint
-from .coordinator import _Request
+from .coordinator import _SERVER
 from .edsud import EDSUD, EDSUDConfig, _Resident
+from .engine import _Request
 from .site import LocalSite
 
 __all__ = ["GridSynopsis", "build_site_synopsis", "SynopsisEDSUD"]
@@ -156,45 +157,33 @@ class SynopsisEDSUD(EDSUD):
             synopsis = build_site_synopsis(site, self.cells_per_dim)
             self.synopses[site.site_id] = synopsis
             for _ in range(synopsis.entry_count):
-                self.stats.record(
-                    Message.bearing(
-                        MessageKind.DATA, self._name(site), "server", None
-                    )
-                )
+                self._account(MessageKind.DATA, self._name(site), _SERVER)
             total += synopsis.entry_count
         self.synopsis_tuples = total
         self.stats.record_round(tuples_in_round=total)
         return sizes
 
-    def _max_bound_resident(self) -> Optional[_Resident]:
+    def _select(self) -> List[Quaternion]:
         """Pick by estimated prune count; break ties by the sound bound.
 
-        Residents whose bound is already below the threshold are left
-        for the expunge machinery — selecting them would be wasted
-        bandwidth regardless of their estimated reach.
+        Only qualified residents are ranked — those whose bound is
+        already below the threshold are left for the expunge machinery;
+        selecting them would be wasted bandwidth regardless of their
+        estimated reach.
         """
-        best = None
-        best_key = None
-        for resident in self._residents.values():
-            if resident.bound < self.threshold:
-                continue
-            point = resident.quaternion.tuple.values
-            if self.preference is not None:
-                point = self.preference.project(point)
-            reach = sum(
-                synopsis.estimated_dominated(tuple(point))
-                for site_id, synopsis in self.synopses.items()
-                if site_id != resident.quaternion.site
-            )
-            key = (reach, resident.bound)
-            if best_key is None or key > best_key:
-                best = resident
-                best_key = key
-        if best is not None:
-            return best
-        # Everyone is below the threshold: defer to the base behaviour
-        # so termination logic sees the true maximum bound.
-        return super()._max_bound_resident()
+        return self._take(lambda resident: (self._reach(resident), resident.bound))
+
+    def _reach(self, resident: _Resident) -> int:
+        """How many histogrammed candidates at other sites it would dominate."""
+        values = resident.quaternion.tuple.values
+        if self.preference is not None:
+            values = self.preference.project(values)
+        point = tuple(values)
+        return sum(
+            synopsis.estimated_dominated(point)
+            for site_id, synopsis in self.synopses.items()
+            if site_id != resident.quaternion.site
+        )
 
     def _extra(self) -> dict:
         extra = super()._extra()

@@ -61,7 +61,7 @@ class CoverageReport:
     unreachable participants at termination.
 
     ``buffered`` lists the keys of top-k entries that were still held
-    *inexact* in a :class:`~repro.distributed.coordinator.TopKBuffer`
+    *inexact* in a :class:`~repro.distributed.topk.TopKBuffer`
     when the query ended: qualified under their Corollary-1 bound but
     never provably orderable, so never emitted.  Each such key also
     appears in ``degraded`` with its ``(upper_bound,
@@ -173,9 +173,6 @@ class CoverageTracker:
     def missing_from(self, site_id: int) -> List[TupleCoverage]:
         """Candidates still owed a factor by ``site_id`` (the re-probe list)."""
         return [cov for cov in self._entries.values() if site_id in cov.missing]
-
-    def degraded_keys(self) -> List[int]:
-        return sorted(k for k, cov in self._entries.items() if not cov.exact)
 
     def report(
         self,

@@ -102,9 +102,6 @@ class NetworkStats:
     def record_failure(self) -> None:
         self.rpc_failures += 1
 
-    def mean_rpc_seconds(self) -> float:
-        return self.rpc_seconds / self.rpc_calls if self.rpc_calls else 0.0
-
     def snapshot(self) -> Dict[str, float]:
         return {
             "messages": self.messages,

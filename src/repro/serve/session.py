@@ -2,7 +2,7 @@
 
 A :class:`QuerySession` owns everything a single query mutates — its
 coordinator (heap / residents, :class:`~repro.fault.coverage.CoverageTracker`,
-:class:`~repro.distributed.coordinator.TopKBuffer`, per-query
+:class:`~repro.distributed.topk.TopKBuffer`, per-query
 :class:`~repro.net.stats.NetworkStats`) plus its per-session site forks
 or dialed remote proxies — and exposes the query as a sequence of
 awaitable :meth:`step` calls, one per coordinator iteration.  Steps

@@ -28,16 +28,13 @@ session fork.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.dominance import Preference
 from ..core.tuples import UncertainTuple
 from ..distributed.site import LocalSite, SiteConfig
 from ..net.transport import SiteEndpoint
 from ..replica.manager import ReplicaManager
-
-if TYPE_CHECKING:
-    from ..distributed.workers import TableWorkerPool
 
 __all__ = ["SharedSiteHost", "StandingReplicaBook"]
 
@@ -90,32 +87,6 @@ class SharedSiteHost:
         """A fresh per-session fork over the standing template."""
         self.forks_served += 1
         return self.template(preference).fork()
-
-    def prewarm_tables(
-        self,
-        preference: Optional[Preference] = None,
-        pool: Optional["TableWorkerPool"] = None,
-    ) -> None:
-        """Build the template's all-probabilities table ahead of traffic.
-
-        Meaningful only when the host's ``site_config`` opts into
-        ``all_probs_table``; a no-op otherwise.  With a ``pool`` the
-        product pass runs in a worker process (bit-identical result).
-        Every subsequent :meth:`view` fork shares the table zero-copy.
-        """
-        site = self.template(preference)
-        if site.config.all_probs_table:
-            site.build_all_probs_table(pool)
-
-    async def prewarm_tables_async(
-        self,
-        pool: "TableWorkerPool",
-        preference: Optional[Preference] = None,
-    ) -> None:
-        """Worker-process prewarm that never blocks the serving loop."""
-        site = self.template(preference)
-        if site.config.all_probs_table:
-            await site.build_all_probs_table_async(pool)
 
     def apply_insert(self, t: UncertainTuple) -> None:
         """§5.4 insert against every standing template (cache-clearing)."""

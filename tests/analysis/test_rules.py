@@ -7,6 +7,7 @@ clean (no false positives on the code style the fix commits introduced).
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import List
 
 from repro.analysis.framework import Finding, ModuleContext, Rule, run_rules
@@ -413,6 +414,31 @@ class Leaf(EagerCoordinator):
     findings = run_rules([base, leaf], [RpcDisciplineRule()])
     assert [f.rule for f in findings] == ["SKY401"]
     assert findings[0].path == "repro/distributed/leaf.py"
+
+
+def test_sky401_reaches_ordering_policies_through_the_progressive_loop():
+    # The real intermediate class, so the rule keeps its reach if the
+    # policy/loop seam moves: a policy hook that probes a site directly.
+    import repro.distributed.progressive as progressive
+
+    loop = ModuleContext(
+        "repro/distributed/progressive.py", Path(progressive.__file__).read_text()
+    )
+    policy = ModuleContext(
+        "repro/distributed/greedy.py",
+        """class Greedy(ProgressiveCoordinator):
+    def _select(self):
+        head = self.held.pop()
+        for site in self.sites:
+            site.probe_and_prune(head.tuple)
+        return [head]
+""",
+    )
+    findings = run_rules([loop, policy], [RpcDisciplineRule()])
+    assert [(f.rule, f.path) for f in findings] == [
+        ("SKY401", "repro/distributed/greedy.py")
+    ]
+    assert 'yield _Rpc(site, "probe_and_prune", args)' in findings[0].message
 
 
 # ----------------------------------------------------------------------

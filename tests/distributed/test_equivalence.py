@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from repro.core.dominance import Preference
 from repro.core.prob_skyline import prob_skyline_brute_force
 from repro.distributed.edsud import EDSUDConfig
-from repro.distributed.query import distributed_skyline
+from repro.distributed.progressive import ProgressiveCoordinator
+from repro.distributed.query import build_sites, distributed_skyline
 from repro.distributed.site import SiteConfig
 
 from ..conftest import make_random_database
@@ -87,6 +88,67 @@ class TestEquivalenceProperty:
             ),
         )
         assert result.answer.agrees_with(central, tol=1e-9)
+
+
+class DrawnOrder(ProgressiveCoordinator):
+    """An ordering policy with no opinion: qualified heads in a drawn order."""
+
+    algorithm = "drawn-order"
+
+    def __init__(self, sites, threshold, batch_size, rng):
+        super().__init__(sites, threshold, batch_size=batch_size)
+        self.rng = rng
+        self.held = []
+
+    def _admit(self, quaternion):
+        self.held.append(quaternion)
+
+    def _select(self):
+        live = [h for h in self.held if h.local_probability >= self.threshold]
+        self.rng.shuffle(live)
+        for head in live[: self.batch_size]:
+            self.held.remove(head)
+        return live[: self.batch_size]
+
+    def _remaining_cap(self):
+        return max((h.local_probability for h in self.held), default=0.0)
+
+    def _holds(self, site_id):
+        return any(h.site == site_id for h in self.held)
+
+
+class TestAnswersDoNotDependOnBroadcastOrder:
+    """Lemma 1, against ground truth: whatever the policy picks next, the
+    progressive loop returns the Eq.-3/Eq.-10 skyline of the union."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=100_000),
+        n=st.integers(min_value=0, max_value=40),
+        q=st.sampled_from([0.1, 0.3, 0.6]),
+        batch_size=st.sampled_from([1, 3]),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_order_returns_the_brute_force_answer(self, seed, n, q, batch_size, rng):
+        db = make_random_database(n, 2, seed=seed, grid=6)
+
+        def dominates(a, b):
+            return a.values != b.values and all(x <= y for x, y in zip(a.values, b.values))
+
+        truth = {}
+        for t in db:
+            p = t.probability
+            for other in db:
+                if dominates(other, t):
+                    p *= 1.0 - other.probability
+            if p >= q:
+                truth[t.key] = p
+
+        coordinator = DrawnOrder(build_sites([db[i::3] for i in range(3)]), q, batch_size, rng)
+        answer = {m.key: m.probability for m in coordinator.run().answer}
+        assert answer.keys() == truth.keys()
+        for key, p in truth.items():
+            assert abs(answer[key] - p) <= 1e-12
 
 
 class TestAdversarialInstances:

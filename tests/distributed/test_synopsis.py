@@ -97,6 +97,34 @@ class TestSynopsisEDSUD:
                 wins += 1
         assert wins <= 2
 
+    def test_the_synopsis_ordering_is_live(self, monkeypatch):
+        """The ablation measures a different broadcast *order*, not e-DSUD's.
+
+        The reach estimate must actually be consulted, and on these
+        seeds it must change which tuple goes out first — while Lemma 1
+        keeps the answers equal.
+        """
+        from repro.distributed.synopsis import GridSynopsis
+
+        consulted = []
+        estimate = GridSynopsis.estimated_dominated
+
+        def counting(synopsis, point):
+            consulted.append(point)
+            return estimate(synopsis, point)
+
+        monkeypatch.setattr(GridSynopsis, "estimated_dominated", counting)
+        reordered = 0
+        for seed in (13, 14, 19):
+            plain, synopsis, _ = self.run_pair(seed=seed)
+            plain_order = [e.key for e in plain.progress.events]
+            synopsis_order = [e.key for e in synopsis.progress.events]
+            assert sorted(plain_order) == sorted(synopsis_order)
+            assert synopsis.answer.agrees_with(plain.answer, tol=1e-9)
+            reordered += plain_order != synopsis_order
+        assert consulted, "selection never asked the synopses for a reach"
+        assert reordered == 3
+
     def test_algorithm_label(self):
         _, synopsis, _ = self.run_pair(seed=9)
         assert synopsis.algorithm == "synopsis-e-DSUD"

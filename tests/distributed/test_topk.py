@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.prob_skyline import prob_skyline_brute_force
 from repro.core.tuples import UncertainTuple
-from repro.distributed.coordinator import TopKBuffer
+from repro.distributed.topk import TopKBuffer
 from repro.distributed.query import distributed_skyline
 from repro.fault.coverage import TupleCoverage
 
