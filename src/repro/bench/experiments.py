@@ -466,7 +466,7 @@ def run_ablation_site(scale: Scale) -> FigureResult:
         "full": SiteConfig(),
         "no-feedback-pruning": SiteConfig(feedback_pruning=False),
         "no-product-aggregate": SiteConfig(store_products=False),
-        "no-index": SiteConfig(use_index=False),
+        "no-index": SiteConfig(kernel="columnar"),
     }
     bandwidth = Series("bandwidth", [], [])
     seconds = Series("seconds", [], [])

@@ -20,17 +20,16 @@ the DSUD/e-DSUD protocol:
   upper bound ``P_sky(s, D_i) × ∏_{f ≺ s}(1 − P(f))`` sinks below the
   threshold.  Pruned tuples stay in ``D_i`` (they still dominate) —
   only their candidacy dies.
-* **§5.4 maintenance** — apply inserts/deletes to the PR-tree, the
-  candidate queue, and the replicated copy of ``SKY(H)``.
+* **§5.4 maintenance** — apply inserts/deletes to the stored
+  partition, the candidate queue, and the replicated copy of ``SKY(H)``.
 
-Hot paths run on the columnar kernels of :mod:`repro.core.kernels` by
-default: the candidate queue is kept as a small column store (values
-matrix + bound vector + alive mask), so one feedback broadcast tightens
-*every* candidate's bound in a single masked multiply, and un-indexed
-probes and local skylines use the vectorized Eq. 9 / SFS kernels.
-``SiteConfig.vectorized=False`` selects the scalar reference path —
-same queue discipline, same accounting, pure-Python arithmetic — which
-the exactness tests diff against the kernels.
+The site is the *protocol*: queue, feedback history, accounting.  Its
+arithmetic — the local skyline, Eq. 9 factors, upkeep of the structure
+answering them, the dominance test behind Local-Pruning — belongs to
+one :class:`SiteKernel`, chosen once from ``SiteConfig.kernel`` and
+shared with every :meth:`LocalSite.fork`.  The candidate queue is a
+cursor plus an alive mask and a bound vector, so one feedback broadcast
+tightens *every* dominated candidate's bound in a single masked multiply.
 
 Sites never talk to each other; everything flows through the
 coordinator, exactly as in the paper.
@@ -40,7 +39,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,63 +48,46 @@ from ..core.kernels import ColumnStore, _project_matrix
 from ..core.kernels import prob_skyline_sfs as columnar_prob_skyline_sfs
 from ..core.partition_index import PartitionIndex
 from ..core.prob_skyline import ProbabilisticSkyline, SkylineMember, prob_skyline_sfs
-from ..core.probability import (
-    feedback_pruning_bound,
-    foreign_skyline_probability,
-    skyline_probability,
-)
+from ..core.probability import feedback_pruning_bound, non_occurrence_product
 from ..core.tuples import UncertainTuple, validate_database
 from ..index.bbs import bbs_prob_skyline
+from ..index.grid import GridIndex
 from ..index.prtree import PRTree
 from ..net.message import Quaternion
 
 if TYPE_CHECKING:
     from .workers import TableWorkerPool
 
-__all__ = ["SiteConfig", "ProbeReply", "BatchProbeReply", "LocalSite"]
+__all__ = ["SiteConfig", "KERNELS", "SiteKernel", "ProbeReply", "BatchProbeReply", "LocalSite"]
 
 
 @dataclass(frozen=True)
 class SiteConfig:
     """Per-site execution knobs.
 
-    ``use_index``        — build an index (§6) or fall back to scans.
-    ``index_kind``       — "prtree" (the paper's §6.1 structure) or
-                           "grid" (the uniform-grid rival; probes only,
-                           local skylines fall back to sorting).
+    ``kernel``           — which :class:`SiteKernel` does the site's
+                           arithmetic, one of :data:`KERNELS`:
+                           ``"prtree"`` (§6: BBS and window queries over
+                           the PR-tree), ``"grid"`` (the uniform-grid
+                           rival; probes only, local skylines sort),
+                           ``"columnar"`` (no index, flat numpy scans:
+                           streams, the no-index ablation), ``"table"``
+                           (the precomputed all-probabilities table,
+                           exact to ~1e-12 rather than bit for bit),
+                           ``"scalar"`` (the pure-Python reference the
+                           exactness suites diff the others against).
     ``feedback_pruning`` — enable the Local-Pruning phase (ablation
                            switch; disabling it never affects the
                            answer, only bandwidth).
     ``max_entries``      — PR-tree node capacity.
     ``store_products``   — keep non-occurrence products in the tree
-                           (the §6.3 probe optimization; ablation
-                           switch).
-    ``vectorized``       — run the un-indexed probe/skyline kernels and
-                           the Local-Pruning scan on the columnar numpy
-                           layer (:mod:`repro.core.kernels`).  False
-                           selects the scalar reference path, which the
-                           exactness suite diffs against the kernels.
-    ``all_probs_table``  — precompute the full P_sky table with the
-                           output-sensitive partition index
-                           (:mod:`repro.core.partition_index`).  Local
-                           skylines become a table filter, probes and
-                           §5.4 maintenance read/invalidate cells, and
-                           :meth:`LocalSite.fork` shares the table
-                           zero-copy.  Supersedes the PR-tree (no tree
-                           is built).  Off by default: the table's
-                           cell-aggregated products match the flat
-                           kernels to ~1e-12, not bit-for-bit, so the
-                           historical paths stay byte-stable unless a
-                           deployment opts in.
+                           (§6.3 probe optimization; ablation switch).
     """
 
-    use_index: bool = True
-    index_kind: str = "prtree"
+    kernel: str = "prtree"
     feedback_pruning: bool = True
     max_entries: int = 16
     store_products: bool = True
-    vectorized: bool = True
-    all_probs_table: bool = False
 
 
 @dataclass(frozen=True)
@@ -137,6 +119,230 @@ class _Candidate:
     bound: float  # local probability × accumulated feedback factors
 
 
+# ----------------------------------------------------------------------
+# the kernels: a site's arithmetic, behind one surface
+# ----------------------------------------------------------------------
+
+#: The values ``SiteConfig.kernel`` accepts.
+KERNELS = ("prtree", "grid", "columnar", "table", "scalar")
+
+Partition = Dict[int, UncertainTuple]
+
+
+class SiteKernel:
+    """The numeric duties the paper gives a site, over one partition ``D_i``.
+
+    The qualified local skyline (§6.2), the Eq. 9 factor of a tuple
+    (the §6.3 window query), their upkeep under §5.4 updates, and the
+    dominance test Local-Pruning runs over the candidate queue — and no
+    per-query state: a site and all its forks share one kernel, so an
+    update through the template is what every fork probes next.
+    ``database`` is the site's live ``key → tuple`` dict, held by
+    reference: the site mutates it, then reports the change through
+    :meth:`add` / :meth:`remove`.  The defaults are the columnar ones
+    every kernel but the scalar oracle shares.
+    """
+
+    def __init__(self, database: Partition, preference: Optional[Preference]) -> None:
+        self.database = database
+        self.preference = preference
+
+    def _point(self, t: UncertainTuple) -> np.ndarray:
+        """One tuple's canonical min-space coordinates."""
+        return _project_matrix(
+            np.asarray(t.values, dtype=np.float64).reshape(1, -1), self.preference
+        )[0]
+
+    def skyline(self, threshold: float) -> ProbabilisticSkyline:
+        """``SKY(D_i) = { t : P_sky(t, D_i) ≥ q }`` (sort-filter-skyline)."""
+        return columnar_prob_skyline_sfs(list(self.database.values()), threshold, self.preference)
+
+    def factor(self, t: UncertainTuple, floor: float = 0.0) -> float:
+        """Eq. 9: ``∏ (1 − P(t'))`` over stored ``t' ≺ t``, ``t`` itself excluded.
+
+        Exact whenever the result is ≥ ``floor``; otherwise merely
+        guaranteed below it (kernels may stop multiplying early).
+        """
+        raise NotImplementedError
+
+    def factors(self, ts: Sequence[UncertainTuple]) -> List[float]:
+        """Eq. 9 for a batch of tuples, in request order."""
+        return [self.factor(t) for t in ts]
+
+    def add(self, t: UncertainTuple) -> None:
+        """``t`` was just stored in ``database``."""
+
+    def remove(self, t: UncertainTuple) -> None:
+        """``t`` was just dropped from ``database``."""
+
+    def queue_view(self, candidates: List[UncertainTuple]) -> Any:
+        """What :meth:`dominated` tests feedback against: a coordinate matrix."""
+        return ColumnStore.from_tuples(candidates, self.preference).values
+
+    def dominated(self, t: UncertainTuple, view: Any, alive: np.ndarray) -> np.ndarray:
+        """Mask of the alive queue candidates ``t`` dominates (Local-Pruning)."""
+        point = self._point(t)
+        return alive & (view >= point).all(axis=1) & (view > point).any(axis=1)
+
+    def build_table(self, pool: Optional["TableWorkerPool"] = None) -> PartitionIndex:
+        raise ValueError("only the 'table' kernel keeps an all-probabilities table")
+
+
+class IndexKernel(SiteKernel):
+    """A spatial index answering the §6.3 window query (PR-tree or grid)."""
+
+    def __init__(
+        self, database: Partition, preference: Optional[Preference], index: Union[PRTree, GridIndex]
+    ) -> None:
+        super().__init__(database, preference)
+        self.index = index
+
+    def factor(self, t: UncertainTuple, floor: float = 0.0) -> float:
+        return self.index.dominators_product(t, floor=floor)
+
+    def factors(self, ts: Sequence[UncertainTuple]) -> List[float]:
+        return [float(f) for f in self.index.dominators_products(ts)]
+
+    def add(self, t: UncertainTuple) -> None:
+        self.index.add(t)
+
+    def remove(self, t: UncertainTuple) -> None:
+        self.index.remove(t)
+
+
+class PRTreeKernel(IndexKernel):
+    """The paper's configuration: BBS over the PR-tree (§6.2)."""
+
+    index: PRTree
+
+    def skyline(self, threshold: float) -> ProbabilisticSkyline:
+        return bbs_prob_skyline(self.index, threshold)
+
+
+class ColumnarKernel(SiteKernel):
+    """Flat scans of a column store, rebuilt lazily after an update."""
+
+    _store: Optional[ColumnStore] = None
+
+    def store(self) -> ColumnStore:
+        if self._store is None:
+            self._store = ColumnStore.from_tuples(list(self.database.values()), self.preference)
+        return self._store
+
+    def _flat(self) -> Union[ColumnStore, PartitionIndex]:
+        return self.store()  # its ``dominator_product(s)`` answer Eq. 9, always exactly
+
+    def factor(self, t: UncertainTuple, floor: float = 0.0) -> float:
+        return float(self._flat().dominator_product(self._point(t), exclude_key=t.key))
+
+    def factors(self, ts: Sequence[UncertainTuple]) -> List[float]:
+        if not ts:
+            return []
+        points, keys = np.stack([self._point(t) for t in ts]), [t.key for t in ts]
+        return [float(f) for f in self._flat().dominator_products(points, exclude_keys=keys)]
+
+    def add(self, t: UncertainTuple) -> None:
+        self._store = None  # any update: rebuild on next use
+
+    remove = add
+
+
+class TableKernel(ColumnarKernel):
+    """The all-probabilities table: a lazily built :class:`PartitionIndex`.
+
+    Local skylines are a table filter, probes read cells, §5.4 updates
+    invalidate cells in place.  Cell-aggregated products match the flat
+    scans to ~1e-12, not bit for bit.
+    """
+
+    _index: Optional[PartitionIndex] = None
+
+    def table(self) -> PartitionIndex:
+        """The partition index, building it inline if absent."""
+        if self._index is None:
+            self._index = PartitionIndex.build(self.store())
+        return self._index
+
+    def _flat(self) -> PartitionIndex:
+        return self.table()
+
+    def build_table(self, pool: Optional["TableWorkerPool"] = None) -> PartitionIndex:
+        """Precompute every cell (idempotent; returns the index).
+
+        With a :class:`~repro.distributed.workers.TableWorkerPool` the
+        product pass runs in a worker process and only the result arrays
+        come back — bit-identical to the inline build, verified by the
+        payload's grid-parameter check.
+        """
+        if self._index is None and pool is not None:
+            store = self.store()
+            self._index = PartitionIndex.from_payload(store, pool.build_payload(store))
+        else:
+            self.table().refresh()
+        return self.table()
+
+    def skyline(self, threshold: float) -> ProbabilisticSkyline:
+        """``SKY(D_i)`` as a table filter: one vector compare + gather."""
+        index = self.table()
+        psky = index.p_sky()
+        rows = np.nonzero(index.alive & (psky >= threshold))[0]
+        members = [SkylineMember(self.database[int(index.keys[r])], float(psky[r])) for r in rows]
+        return ProbabilisticSkyline(threshold, members)
+
+    def add(self, t: UncertainTuple) -> None:
+        super().add(t)
+        index = self._index
+        if index is None:
+            return
+        if len(index) == 0 or index.dimensionality != len(t.values):
+            # Degenerate geometry (table built over an empty or
+            # mismatched partition): drop it and rebuild lazily.
+            self._index = None
+        else:
+            index.apply_insert(self._point(t), t.probability, t.key)
+
+    def remove(self, t: UncertainTuple) -> None:
+        super().remove(t)
+        if self._index is not None:
+            self._index.apply_delete(t.key)
+
+
+class ScalarKernel(SiteKernel):
+    """The reference oracle: pure-Python arithmetic straight off the dict,
+    which the exactness suites diff every other kernel against."""
+
+    def skyline(self, threshold: float) -> ProbabilisticSkyline:
+        return prob_skyline_sfs(list(self.database.values()), threshold, self.preference)
+
+    def factor(self, t: UncertainTuple, floor: float = 0.0) -> float:
+        return non_occurrence_product(t, self.database.values(), self.preference, floor=floor)
+
+    def queue_view(self, candidates: List[UncertainTuple]) -> Any:
+        return candidates
+
+    def dominated(self, t: UncertainTuple, view: Any, alive: np.ndarray) -> np.ndarray:
+        walk = [bool(a) and dominates(t, s, self.preference) for a, s in zip(alive, view)]
+        return np.array(walk, dtype=bool)
+
+
+def make_kernel(
+    config: SiteConfig, database: Partition, preference: Optional[Preference]
+) -> SiteKernel:
+    """Build the kernel ``config.kernel`` names — the only reader of that field."""
+    name = config.kernel
+    if name == "prtree":
+        tree = PRTree.build(
+            database.values(), preference, config.max_entries, store_products=config.store_products
+        )
+        return PRTreeKernel(database, preference, tree)
+    if name == "grid":
+        return IndexKernel(database, preference, GridIndex.build(database.values(), preference))
+    flat = {"columnar": ColumnarKernel, "table": TableKernel, "scalar": ScalarKernel}
+    if name not in flat:
+        raise ValueError(f"unknown kernel {name!r}; expected one of {KERNELS}")
+    return flat[name](database, preference)
+
+
 class LocalSite:
     """One participant S_i holding partition D_i."""
 
@@ -152,61 +358,46 @@ class LocalSite:
         self.config = config or SiteConfig()
         validate_database(list(database))  # unique keys, consistent d
         self.database: Dict[int, UncertainTuple] = {t.key: t for t in database}
-        self.tree = None
-        #: Shared box holding the all-probabilities partition index.
-        #: A dict (not a bare attribute) for the same reason as
-        #: ``_skyline_cache``: :meth:`fork` shares it by reference, so
-        #: a template's lazily-built table — and every §5.4 cell
-        #: invalidation applied to it — is observed by all forks.
-        self._table_box: Dict[str, PartitionIndex] = {}
-        if self.config.use_index and not self.config.all_probs_table:
-            if self.config.index_kind == "prtree":
-                self.tree = PRTree.build(
-                    database,
-                    preference=preference,
-                    max_entries=self.config.max_entries,
-                    store_products=self.config.store_products,
-                )
-            elif self.config.index_kind == "grid":
-                from ..index.grid import GridIndex
-
-                self.tree = GridIndex.build(database, preference=preference)
-            else:
-                raise ValueError(
-                    f"unknown index kind {self.config.index_kind!r}; "
-                    f"expected 'prtree' or 'grid'"
-                )
-        self.threshold: Optional[float] = None
-        self._popped_keys: set = set()
-        self.pruned_total = 0
-        # The candidate queue: parallel to ``_cands`` run a cursor
-        # (``_q_head``), an alive mask, a bound vector, and — on the
-        # vectorized path — the candidates' min-space coordinate matrix.
-        # Front-pops advance the cursor in O(1); feedback pruning flips
-        # alive bits instead of rebuilding lists.
-        self._cands: List[_Candidate] = []
-        self._q_head = 0
-        self._q_alive = np.zeros(0, dtype=bool)
-        self._q_bounds = np.zeros(0, dtype=np.float64)
-        self._q_values: Optional[np.ndarray] = None
-        # Columnar view of the whole partition for un-indexed probes;
-        # rebuilt lazily after §5.4 updates.
-        self._columns: Optional[ColumnStore] = None
-        self._feedback: List[UncertainTuple] = []
+        self.kernel = make_kernel(self.config, self.database, preference)
         #: Replica of the global result set for §5.4 updates: key →
         #: (tuple, global skyline probability).  Replicating SKY(H) at
         #: every participant is what lets most updates resolve without
         #: touching the network.
         self.sky_h_replica: Dict[int, "tuple[UncertainTuple, float]"] = {}
         #: Optional shared ``threshold → ProbabilisticSkyline`` cache.
-        #: ``None`` (the solo default) recomputes on every ``prepare``
-        #: — bit-identical to the historical behaviour.  The serving
-        #: layer installs one dict on a template site and every
-        #: :meth:`fork` shares it, so repeated ``prepare(q)`` across
-        #: sessions costs one local-skyline computation per distinct
+        #: ``None`` (the solo default) recomputes on every ``prepare``.
+        #: The serving layer installs one dict on a template site and
+        #: every :meth:`fork` shares it, so repeated ``prepare(q)``
+        #: across sessions costs one local skyline per distinct
         #: threshold.  §5.4 updates clear it (in place, so every fork
         #: sees the invalidation).
         self._skyline_cache: Optional[Dict[float, ProbabilisticSkyline]] = None
+        self._reset()
+
+    def _reset(
+        self, threshold: Optional[float] = None, answer: Iterable[SkylineMember] = ()
+    ) -> int:
+        """Start a query: enqueue ``answer``, forget feedback and accounting.
+
+        Parallel to ``_cands`` run a cursor (``_q_head``), an alive mask,
+        a bound vector and the kernel's view of the candidates.
+        Front-pops advance the cursor in O(1); feedback pruning flips
+        alive bits instead of rebuilding lists.
+        """
+        self.threshold = threshold
+        self._cands: List[_Candidate] = [
+            _Candidate(tuple=m.tuple, local_probability=m.probability, bound=m.probability)
+            for m in answer  # ProbabilisticSkyline iterates descending
+        ]
+        self._q_head = 0
+        self._q_alive = np.ones(len(self._cands), dtype=bool)
+        self._q_bounds = np.array([c.local_probability for c in self._cands], dtype=np.float64)
+        tuples = [c.tuple for c in self._cands]
+        self._q_view: Any = self.kernel.queue_view(tuples) if tuples else None
+        self._feedback: List[UncertainTuple] = []
+        self._popped_keys: set = set()
+        self.pruned_total = 0
+        return len(self._cands)
 
     # ------------------------------------------------------------------
     # local computing phase
@@ -216,108 +407,23 @@ class LocalSite:
         """Compute and enqueue ``SKY(D_i)``; returns its size.
 
         Idempotent per threshold: calling again resets the queue and
-        clears accumulated feedback, which is what a fresh query run
-        needs.
+        clears accumulated feedback, as a fresh query run needs.
         """
         if not 0.0 < threshold <= 1.0:
             raise ValueError(f"threshold q must be in (0, 1], got {threshold!r}")
-        self.threshold = threshold
-        answer = self._local_skyline(threshold)
-        self._cands = [
-            _Candidate(tuple=m.tuple, local_probability=m.probability, bound=m.probability)
-            for m in answer  # ProbabilisticSkyline iterates descending
-        ]
-        k = len(self._cands)
-        self._q_head = 0
-        self._q_alive = np.ones(k, dtype=bool)
-        self._q_bounds = np.array(
-            [c.local_probability for c in self._cands], dtype=np.float64
-        )
-        if self.config.vectorized and k:
-            store = ColumnStore.from_tuples(
-                [c.tuple for c in self._cands], self.preference
-            )
-            self._q_values = store.values
-        else:
-            self._q_values = None
-        self._feedback = []
-        self._popped_keys = set()
-        self.pruned_total = 0
-        return k
+        return self._reset(threshold, self._local_skyline(threshold))
 
     def _local_skyline(self, threshold: float) -> ProbabilisticSkyline:
         cache = self._skyline_cache
-        if cache is not None:
-            hit = cache.get(threshold)
-            if hit is not None:
-                return hit
-        if self.config.all_probs_table:
-            answer = self._table_skyline(threshold)
-        elif isinstance(self.tree, PRTree):
-            answer = bbs_prob_skyline(self.tree, threshold)
-        elif self.config.vectorized:
-            answer = columnar_prob_skyline_sfs(
-                list(self.database.values()), threshold, self.preference
-            )
-        else:
-            answer = prob_skyline_sfs(
-                list(self.database.values()), threshold, self.preference
-            )
-        if cache is not None:
-            cache[threshold] = answer
-        return answer
-
-    # ------------------------------------------------------------------
-    # the all-probabilities table (output-sensitive kernel)
-    # ------------------------------------------------------------------
-
-    def _table_point(self, t: UncertainTuple) -> np.ndarray:
-        """One tuple's canonical min-space coordinates for table probes."""
-        return _project_matrix(
-            np.asarray(t.values, dtype=np.float64).reshape(1, -1), self.preference
-        )[0]
-
-    def _ensure_table(self) -> PartitionIndex:
-        """The shared partition index, building it inline if absent."""
-        index = self._table_box.get("index")
-        if index is None:
-            index = PartitionIndex.build(self._partition_columns())
-            self._table_box["index"] = index
-        return index
+        if cache is None:
+            return self.kernel.skyline(threshold)
+        if threshold not in cache:
+            cache[threshold] = self.kernel.skyline(threshold)
+        return cache[threshold]
 
     def build_all_probs_table(self, pool: Optional["TableWorkerPool"] = None) -> PartitionIndex:
-        """Precompute the full P_sky table (idempotent; returns the index).
-
-        Without a pool the build runs inline.  With a
-        :class:`~repro.distributed.workers.TableWorkerPool` the
-        expensive product pass runs in a worker process and only the
-        result arrays come back — bit-identical to the inline build,
-        verified by the payload's grid-parameter check.
-        """
-        index = self._table_box.get("index")
-        if index is None:
-            store = self._partition_columns()
-            if pool is not None:
-                payload = pool.build_payload(store)
-                index = PartitionIndex.from_payload(store, payload)
-            else:
-                index = PartitionIndex.build(store)
-                index.refresh()
-            self._table_box["index"] = index
-        else:
-            index.refresh()
-        return index
-
-    def _table_skyline(self, threshold: float) -> ProbabilisticSkyline:
-        """``SKY(D_i)`` as a table filter: one vector compare + gather."""
-        index = self._ensure_table()
-        psky = index.p_sky()
-        rows = np.nonzero(index.alive & (psky >= threshold))[0]
-        members = [
-            SkylineMember(self.database[int(index.keys[r])], float(psky[r]))
-            for r in rows
-        ]
-        return ProbabilisticSkyline(threshold, members)
+        """The ``"table"`` kernel's full P_sky table; see :meth:`TableKernel.build_table`."""
+        return self.kernel.build_table(pool)
 
     def enable_skyline_cache(self) -> None:
         """Memoize ``prepare``'s local skyline per threshold.
@@ -333,34 +439,19 @@ class LocalSite:
         """A per-session view over this site's partition.
 
         The fork shares everything a query only *reads* — the database
-        dict, the PR-tree/grid index, the columnar partition view, and
-        the skyline cache — and owns everything a query *mutates*: the
-        candidate queue (cursor, alive mask, bounds, values), feedback
-        history, and pop/prune accounting.  Two forks therefore run
-        concurrent queries over one stored partition without observing
-        each other, and each is bit-identical to a fresh
-        :class:`LocalSite` over the same data.  Forks are for serving
-        reads: §5.4 updates must go to the template site, never a fork.
+        dict, the kernel (with its index, column store or table) and the
+        skyline cache — and owns everything a query *mutates*: the
+        candidate queue, feedback history, pop/prune accounting, and an
+        empty ``SKY(H)`` replica.  Two forks therefore run concurrent
+        queries over one partition without observing each other, each
+        bit-identical to a fresh :class:`LocalSite` over the same data.
+        Forks serve reads: §5.4 updates go to the template, never a
+        fork, and every outstanding fork probes the updated partition.
         """
         clone = object.__new__(LocalSite)
-        clone.site_id = self.site_id
-        clone.preference = self.preference
-        clone.config = self.config
-        clone.database = self.database
-        clone.tree = self.tree
-        clone.threshold = None
-        clone._popped_keys = set()
-        clone.pruned_total = 0
-        clone._cands = []
-        clone._q_head = 0
-        clone._q_alive = np.zeros(0, dtype=bool)
-        clone._q_bounds = np.zeros(0, dtype=np.float64)
-        clone._q_values = None
-        clone._columns = self._columns
-        clone._table_box = self._table_box
-        clone._feedback = []
+        clone.__dict__.update(self.__dict__)
         clone.sky_h_replica = {}
-        clone._skyline_cache = self._skyline_cache
+        clone._reset()
         return clone
 
     # ------------------------------------------------------------------
@@ -467,66 +558,23 @@ class LocalSite:
     # server-delivery + local-pruning phases
     # ------------------------------------------------------------------
 
-    def _partition_columns(self) -> ColumnStore:
-        if self._columns is None:
-            self._columns = ColumnStore.from_tuples(
-                list(self.database.values()), self.preference
-            )
-        return self._columns
-
     def probe(self, t: UncertainTuple) -> float:
         """Eq. 9: the exact factor this site contributes for foreign ``t``."""
-        if self.config.all_probs_table:
-            return float(
-                self._ensure_table().dominator_product(
-                    self._table_point(t), exclude_key=t.key
-                )
-            )
-        if self.tree is not None:
-            return self.tree.dominators_product(t)
-        if self.config.vectorized:
-            store = self._partition_columns()
-            return store.dominator_product(
-                store.project_point(t, self.preference), exclude_key=t.key
-            )
-        return foreign_skyline_probability(t, self.database.values(), self.preference)
+        return self.kernel.factor(t)
 
     def probe_batch(self, ts: Sequence[UncertainTuple]) -> List[float]:
         """Eq. 9 for many foreign tuples at once (one kernel dispatch)."""
-        ts = list(ts)
-        if self.config.all_probs_table and ts:
-            index = self._ensure_table()
-            points = np.stack([self._table_point(t) for t in ts])
-            factors = index.dominator_products(
-                points, exclude_keys=[t.key for t in ts]
-            )
-            return [float(f) for f in factors]
-        if self.tree is not None:
-            batch = getattr(self.tree, "dominators_products", None)
-            if batch is not None:
-                return [float(f) for f in batch(ts)]
-            return [self.tree.dominators_product(t) for t in ts]
-        if self.config.vectorized and ts:
-            store = self._partition_columns()
-            points = np.stack(
-                [store.project_point(t, self.preference) for t in ts]
-            )
-            factors = store.dominator_products(
-                points, exclude_keys=[t.key for t in ts]
-            )
-            return [float(f) for f in factors]
-        return [self.probe(t) for t in ts]
+        return self.kernel.factors(list(ts))
 
     def apply_feedback(self, t: UncertainTuple) -> int:
         """Local-Pruning phase: expunge candidates the feedback disqualifies.
 
         Tightens every queued candidate dominated by ``t`` with the
         factor ``(1 − P(t))`` and drops those whose bound sinks below
-        ``q``.  Returns the number dropped.  On the vectorized path the
-        whole queue tightens in one masked multiply; the scalar path
-        walks it candidate by candidate.  With pruning disabled the
-        feedback is recorded (for update maintenance) but nothing is
-        dropped.
+        ``q``.  Returns the number dropped.  The kernel says which
+        candidates ``t`` dominates; the whole queue then tightens in
+        one masked multiply.  With pruning disabled the feedback is
+        recorded (for update maintenance) but nothing is dropped.
         """
         self._require_prepared()
         self._feedback.append(t)
@@ -534,34 +582,7 @@ class LocalSite:
             return 0
         if not self._q_alive.any():
             return 0
-        if self.config.vectorized and self._q_values is not None:
-            return self._apply_feedback_columnar(t)
-        pruned = 0
-        factor = 1.0 - t.probability
-        for idx in range(self._q_head, len(self._cands)):
-            if not self._q_alive[idx]:
-                continue
-            if dominates(t, self._cands[idx].tuple, self.preference):
-                self._q_bounds[idx] *= factor
-                if float(self._q_bounds[idx]) < self.threshold:
-                    self._q_alive[idx] = False
-                    pruned += 1
-        self.pruned_total += pruned
-        return pruned
-
-    def _apply_feedback_columnar(self, t: UncertainTuple) -> int:
-        """One broadcast → one masked multiply over the candidate columns."""
-        point = np.asarray(t.values, dtype=np.float64).reshape(1, -1)
-        if self.preference is not None:
-            from ..core.kernels import _project_matrix
-
-            point = _project_matrix(point, self.preference)
-        point = point[0]
-        dominated = (
-            self._q_alive
-            & (self._q_values >= point).all(axis=1)
-            & (self._q_values > point).any(axis=1)
-        )
+        dominated = self.kernel.dominated(t, self._q_view, self._q_alive)
         if not dominated.any():
             return 0
         self._q_bounds[dominated] *= 1.0 - t.probability
@@ -606,37 +627,27 @@ class LocalSite:
 
     def insert_tuple(self, t: UncertainTuple) -> None:
         """Add ``t`` to ``D_i`` (index included); candidacy is handled
-        by the maintenance protocol, not here."""
+        by the maintenance protocol, not here.  A duplicate key or a
+        dimensionality other than the stored tuples' is refused before
+        anything changes."""
         if t.key in self.database:
             raise ValueError(f"tuple {t.key} already stored at site {self.site_id}")
+        d = len(next(iter(self.database.values()), t).values)
+        if len(t.values) != d:
+            raise ValueError(f"tuple {t.key} has dimensionality {len(t.values)}, site stores {d}")
         self.database[t.key] = t
-        self._columns = None
+        self.kernel.add(t)
         if self._skyline_cache is not None:
             self._skyline_cache.clear()
-        index = self._table_box.get("index")
-        if index is not None:
-            if len(index) == 0 or index.dimensionality != len(t.values):
-                # Degenerate geometry (table built over an empty or
-                # mismatched partition): drop it and rebuild lazily.
-                self._table_box.pop("index", None)
-            else:
-                index.apply_insert(self._table_point(t), t.probability, t.key)
-        if self.tree is not None:
-            self.tree.add(t)
 
     def delete_tuple(self, key: int) -> UncertainTuple:
         """Remove the tuple with ``key`` from ``D_i`` (index included)."""
         t = self.database.pop(key, None)
         if t is None:
             raise KeyError(f"tuple {key} not stored at site {self.site_id}")
-        self._columns = None
+        self.kernel.remove(t)
         if self._skyline_cache is not None:
             self._skyline_cache.clear()
-        index = self._table_box.get("index")
-        if index is not None:
-            index.apply_delete(key)
-        if self.tree is not None:
-            self.tree.remove(t)
         for idx in range(self._q_head, len(self._cands)):
             if self._q_alive[idx] and self._cands[idx].tuple.key == key:
                 self._q_alive[idx] = False
@@ -652,24 +663,7 @@ class LocalSite:
         if t.probability <= 0.0:
             return 0.0
         inner_floor = floor / t.probability if floor > 0.0 else 0.0
-        if self.config.all_probs_table:
-            return t.probability * float(
-                self._ensure_table().dominator_product(
-                    self._table_point(t), exclude_key=t.key
-                )
-            )
-        if self.tree is not None:
-            return t.probability * self.tree.dominators_product(t, floor=inner_floor)
-        if self.config.vectorized:
-            store = self._partition_columns()
-            return t.probability * store.dominator_product(
-                store.project_point(t, self.preference),
-                exclude_key=t.key,
-                floor=inner_floor,
-            )
-        return skyline_probability(
-            t, self.database.values(), self.preference, floor=floor
-        )
+        return t.probability * self.kernel.factor(t, floor=inner_floor)
 
     def dominated_local_candidates(
         self,

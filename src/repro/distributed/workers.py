@@ -1,12 +1,11 @@
 """Per-site worker processes for all-probabilities table builds.
 
-A standing site that flips ``SiteConfig.all_probs_table`` on still has
-to *build* the table once per partition — seconds of pure numpy at
-n=10⁵..10⁶.  Doing that on the serving thread stalls the asyncio loop
-(every other session's RPCs wait); doing it on a thread shares the
-single GIL-free numpy window with the serving kernels.  This module
-runs the build in a separate **process** and ships only the result
-arrays back.
+A standing site on ``SiteConfig(kernel="table")`` still has to *build*
+the table once per partition — seconds of pure numpy at n=10⁵..10⁶.
+Doing that on the serving thread stalls the asyncio loop (every other
+session's RPCs wait); doing it on a thread shares the single GIL-free
+numpy window with the serving kernels.  This module runs the build in a
+separate **process** and ships only the result arrays back.
 
 Process discipline (enforced by skylint SKY501/SKY503):
 

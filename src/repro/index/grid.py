@@ -13,9 +13,9 @@ poor behaviour under skew, and cell bounds that must be tracked as
 :class:`GridIndex` implements the same probe/mutation surface as
 :class:`~repro.index.prtree.PRTree` (``add``/``remove``/
 ``dominators_product``/``items``/``node_accesses``), so
-:class:`~repro.distributed.site.LocalSite` accepts either via
-``SiteConfig.index_kind`` — and the ablation benchmark can price the
-difference.
+:class:`~repro.distributed.site.IndexKernel` adapts either —
+``SiteConfig(kernel="grid")`` selects this one — and the ablation
+benchmark can price the difference.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ of uncertain stream arrivals and, per registered *preference group*
 :class:`~repro.distributed.site.LocalSite` whose database always equals
 the live window contents in arrival order.  Inserts and expiries route
 through :meth:`LocalSite.insert_tuple` / :meth:`LocalSite.delete_tuple`,
-so on the ``all_probs_table`` configuration every update lands as a
-§5.4 :meth:`PartitionIndex.apply_insert` / ``apply_delete`` cell
+so on the ``"table"`` kernel every update lands as a §5.4
+:meth:`PartitionIndex.apply_insert` / ``apply_delete`` cell
 invalidation instead of a rebuild.
 
 At every epoch boundary the coordinator asks each site for a
@@ -51,11 +51,11 @@ def streaming_site_config() -> SiteConfig:
     Columnar and unindexed: every local skyline / probe is recomputed
     from the live window contents (lazily, cached until the next
     update), so digests are pure functions of the window — the
-    bit-identity contract needs nothing else.  Pass an
-    ``all_probs_table`` config instead to exercise the §5.4
+    bit-identity contract needs nothing else.  Pass
+    ``SiteConfig(kernel="table")`` instead to exercise the §5.4
     cell-invalidation path (exact to tolerance, not bitwise).
     """
-    return SiteConfig(use_index=False, vectorized=True)
+    return SiteConfig(kernel="columnar")
 
 
 @dataclass

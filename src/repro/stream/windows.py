@@ -58,7 +58,13 @@ class Window:
         self._clock = stamp
 
     def push(self, t: UncertainTuple, stamp: float) -> List[UncertainTuple]:
-        """Admit one arrival; returns the tuples it evicted (oldest first)."""
+        """Admit one arrival; returns the tuples it evicted (oldest first).
+
+        An arrival whose dimensionality differs from the live tuples' is
+        refused before anything changes — arrivals come from outside.
+        """
+        if self._live and len(t.values) != len(self._live[-1][1].values):
+            raise ValueError(f"arrival {t.key}: dimensionality differs from the live window's")
         self._check_stamp(stamp)
         evicted = self._evict(stamp)
         self._live.append((stamp, t))

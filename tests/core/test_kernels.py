@@ -19,7 +19,6 @@ from repro.core.prob_skyline import all_skyline_probabilities
 from repro.core.prob_skyline import prob_skyline_sfs as scalar_sfs
 from repro.core.probability import non_occurrence_product
 from repro.core.tuples import UncertainTuple
-from repro.distributed.site import LocalSite, SiteConfig
 
 from ..conftest import make_random_database
 
@@ -166,50 +165,3 @@ class TestColumnarSFS:
         b = prob_skyline_sfs(db, 0.3, block=10_000)
         assert a.agrees_with(b, tol=TOL)
         assert a.agrees_with(scalar_sfs(db, 0.3), tol=TOL)
-
-
-class TestSitePathsAgree:
-    """The vectorized and scalar LocalSite paths are interchangeable."""
-
-    @given(
-        database_and_preference(),
-        st.floats(min_value=0.05, max_value=0.9, allow_nan=False),
-    )
-    def test_probe_agrees_across_paths(self, case, threshold):
-        d, db, pref = case
-        vec = LocalSite(0, db, pref, SiteConfig(use_index=False, vectorized=True))
-        ref = LocalSite(0, db, pref, SiteConfig(use_index=False, vectorized=False))
-        foreign = UncertainTuple(99_999, tuple(3.0 for _ in range(d)), 0.7)
-        fv = vec.probe(foreign)
-        fr = ref.probe(foreign)
-        assert fv == pytest.approx(fr, abs=TOL)
-        batched = vec.probe_batch([foreign, foreign])
-        assert batched == pytest.approx([fr, fr], abs=TOL)
-
-    @given(
-        database_and_preference(),
-        st.floats(min_value=0.05, max_value=0.9, allow_nan=False),
-    )
-    def test_full_site_protocol_agrees_across_paths(self, case, threshold):
-        """prepare → feedback → pops match between the two paths."""
-        d, db, pref = case
-        vec = LocalSite(0, db, pref, SiteConfig(use_index=False, vectorized=True))
-        ref = LocalSite(0, db, pref, SiteConfig(use_index=False, vectorized=False))
-        assert vec.prepare(threshold) == ref.prepare(threshold)
-        feedback = UncertainTuple(88_888, tuple(2.0 for _ in range(d)), 0.9)
-        rv = vec.probe_and_prune(feedback)
-        rr = ref.probe_and_prune(feedback)
-        assert rv.factor == pytest.approx(rr.factor, abs=TOL)
-        assert rv.pruned == rr.pruned
-        assert rv.queue_remaining == rr.queue_remaining
-        while True:
-            qv = vec.pop_representative()
-            qr = ref.pop_representative()
-            assert (qv is None) == (qr is None)
-            if qv is None:
-                break
-            assert qv.tuple.key == qr.tuple.key
-            assert qv.local_probability == pytest.approx(
-                qr.local_probability, abs=TOL
-            )
-        assert vec.pruned_total == ref.pruned_total

@@ -64,7 +64,7 @@ class TestEquivalenceProperty:
     @settings(max_examples=15, deadline=None)
     def test_without_index(self, seed):
         db = make_random_database(60, 2, seed=seed, grid=6)
-        check_equivalence(db, 3, 0.3, site_config=SiteConfig(use_index=False))
+        check_equivalence(db, 3, 0.3, site_config=SiteConfig(kernel="columnar"))
 
     @given(
         seed=st.integers(min_value=0, max_value=100_000),

@@ -51,7 +51,7 @@ class TestPrepare:
 
     def test_unindexed_site_equivalent(self):
         indexed, db = make_site(seed=2)
-        plain = LocalSite(0, db, config=SiteConfig(use_index=False))
+        plain = LocalSite(0, db, config=SiteConfig(kernel="columnar"))
         assert indexed.prepare(0.3) == plain.prepare(0.3)
         while True:
             a = indexed.pop_representative()
@@ -93,7 +93,7 @@ class TestProbe:
 
     def test_probe_unindexed_matches_indexed(self):
         indexed, db = make_site(seed=4)
-        plain = LocalSite(0, db, config=SiteConfig(use_index=False))
+        plain = LocalSite(0, db, config=SiteConfig(kernel="columnar"))
         foreign = UncertainTuple(9999, (5.0, 3.0), 0.7)
         assert indexed.probe(foreign) == pytest.approx(plain.probe(foreign))
 

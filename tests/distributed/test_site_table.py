@@ -1,106 +1,23 @@
-"""The all-probabilities table is invisible to the site protocol.
+"""What only the ``"table"`` kernel has: one lazily built table, shared.
 
-``SiteConfig(all_probs_table=True)`` swaps the per-candidate Eq. 3
-evaluation for a precomputed :class:`~repro.core.partition_index.
-PartitionIndex` lookup.  Every observable — prepare counts, pop order
-and probabilities, probes, feedback pruning, §5.4 maintenance — must
-match a reference site without the table within 1e-9, and forks must
-share one table zero-copy while template updates invalidate it in
-place for every fork.
+Everything a coordinator can observe of ``SiteConfig(kernel="table")``
+is pinned by the kernel contract in ``test_site_kernels.py``; here are
+the two facts about the :class:`~repro.core.partition_index.
+PartitionIndex` itself — forks share one table zero-copy, and building
+it ahead of time or on first use gives the same answers.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.dominance import Preference
-from repro.core.tuples import UncertainTuple
 from repro.distributed.site import LocalSite, SiteConfig
 
 from ..conftest import make_random_database
-from ..core.test_kernels import database_and_preference
+from .test_site_kernels import TOL
+from .test_site_kernels import drain as _drain
 
-TOL = 1e-9
-
-TABLE = SiteConfig(use_index=False, all_probs_table=True)
-PLAIN = SiteConfig(use_index=False, vectorized=True)
-
-
-def _pair(db, pref=None):
-    return (
-        LocalSite(0, db, pref, TABLE),
-        LocalSite(0, db, pref, PLAIN),
-    )
-
-
-def _drain(site):
-    out = []
-    while True:
-        q = site.pop_representative()
-        if q is None:
-            return out
-        out.append((q.tuple.key, q.local_probability))
-
-
-def _assert_same_protocol(tab, ref, threshold, d):
-    assert tab.prepare(threshold) == ref.prepare(threshold)
-    feedback = UncertainTuple(88_888, tuple(2.0 for _ in range(d)), 0.9)
-    rt = tab.probe_and_prune(feedback)
-    rr = ref.probe_and_prune(feedback)
-    assert rt.factor == pytest.approx(rr.factor, abs=TOL)
-    assert rt.pruned == rr.pruned
-    assert rt.queue_remaining == rr.queue_remaining
-    pt, pr = _drain(tab), _drain(ref)
-    assert [k for k, _ in pt] == [k for k, _ in pr]
-    assert [p for _, p in pt] == pytest.approx([p for _, p in pr], abs=TOL)
-    assert tab.pruned_total == ref.pruned_total
-
-
-class TestProtocolAgreement:
-    @given(
-        database_and_preference(),
-        st.floats(min_value=0.05, max_value=0.9, allow_nan=False),
-    )
-    @settings(deadline=None)
-    def test_full_protocol_matches_reference_site(self, case, threshold):
-        d, db, pref = case
-        tab, ref = _pair(db, pref)
-        _assert_same_protocol(tab, ref, threshold, d)
-
-    @given(database_and_preference())
-    @settings(deadline=None)
-    def test_probes_match_reference_site(self, case):
-        d, db, pref = case
-        tab, ref = _pair(db, pref)
-        foreign = UncertainTuple(99_999, tuple(3.0 for _ in range(d)), 0.7)
-        assert tab.probe(foreign) == pytest.approx(ref.probe(foreign), abs=TOL)
-        assert tab.probe_batch([foreign, foreign]) == pytest.approx(
-            ref.probe_batch([foreign, foreign]), abs=TOL
-        )
-        for t in db[:8]:
-            assert tab.local_skyline_probability(t) == pytest.approx(
-                ref.local_skyline_probability(t), abs=TOL
-            )
-
-    def test_updates_keep_the_table_current(self):
-        db = make_random_database(120, 3, seed=31, grid=6)
-        tab, ref = _pair(db)
-        tab.prepare(0.3)
-        ref.prepare(0.3)
-        fresh = UncertainTuple(5_000, (1.0, 1.0, 1.0), 0.8)
-        tab.insert_tuple(fresh)
-        ref.insert_tuple(fresh)
-        tab.delete_tuple(db[7].key)
-        ref.delete_tuple(db[7].key)
-        _assert_same_protocol(tab, ref, 0.3, 3)
-
-    def test_subspace_preference_projects_before_binning(self):
-        db = make_random_database(80, 4, seed=32, grid=5)
-        pref = Preference(subspace=(0, 2))
-        tab, ref = _pair(db, pref)
-        _assert_same_protocol(tab, ref, 0.4, 4)
+TABLE = SiteConfig(kernel="table")
 
 
 class TestForkSharing:
@@ -109,35 +26,15 @@ class TestForkSharing:
         template = LocalSite(0, db, config=TABLE)
         template.build_all_probs_table()
         f1, f2 = template.fork(), template.fork()
-        assert f1._table_box is template._table_box
-        assert f2._table_box is template._table_box
-        assert f1._table_box["index"] is f2._table_box["index"]
+        assert f1.kernel is f2.kernel is template.kernel
+        assert f1.kernel.table() is template.kernel.table()
         assert f1.prepare(0.3) == f2.prepare(0.3)
-
-    def test_template_update_invalidates_in_place_for_forks(self):
-        db = make_random_database(100, 3, seed=34, grid=6)
-        template = LocalSite(0, db, config=TABLE)
-        template.build_all_probs_table()
-        fork = template.fork()
-        before = fork.prepare(0.3)
-        # Dominating insert + delete through the template must be seen
-        # by the already-issued fork (same table object, invalidated in
-        # place), matching a site built fresh over the updated data.
-        fresh = UncertainTuple(5_001, (0.0, 0.0, 0.0), 0.9)
-        template.insert_tuple(fresh)
-        template.delete_tuple(db[0].key)
-        updated = [t for t in db if t.key != db[0].key] + [fresh]
-        reference = LocalSite(0, updated, config=TABLE)
-        late_fork = template.fork()
-        assert late_fork.prepare(0.3) == reference.prepare(0.3)
-        assert _drain(late_fork) == pytest.approx(_drain(reference), abs=TOL)
-        assert before != late_fork.queue_size() or True  # queue rebuilt lazily
 
     def test_lazy_build_and_prebuild_agree(self):
         db = make_random_database(90, 3, seed=35, grid=6)
         lazy = LocalSite(0, db, config=TABLE)
         built = LocalSite(0, db, config=TABLE)
         built.build_all_probs_table()
-        assert built.build_all_probs_table() is built._table_box["index"]
+        assert built.build_all_probs_table() is built.kernel.table()
         assert lazy.prepare(0.3) == built.prepare(0.3)
         assert _drain(lazy) == pytest.approx(_drain(built), abs=TOL)

@@ -64,15 +64,15 @@ class TestPoolBuilds:
         )
 
     def test_site_build_through_pool_matches_inline_site(self):
-        config = SiteConfig(use_index=False, all_probs_table=True)
+        config = SiteConfig(kernel="table")
         inline_site = LocalSite(0, DB, config=config)
         inline_site.build_all_probs_table()
         pooled_site = LocalSite(0, DB, config=config)
         with TableWorkerPool(max_workers=1) as pool:
             pooled_site.build_all_probs_table(pool)
         np.testing.assert_array_equal(
-            pooled_site._table_box["index"].products,
-            inline_site._table_box["index"].products,
+            pooled_site.kernel.table().products,
+            inline_site.kernel.table().products,
         )
         assert pooled_site.prepare(0.3) == inline_site.prepare(0.3)
 

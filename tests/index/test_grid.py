@@ -130,13 +130,6 @@ class TestSiteIntegration:
         central = prob_skyline_sfs(db, 0.3)
         result = distributed_skyline(
             partitions, 0.3, algorithm="edsud",
-            site_config=SiteConfig(index_kind="grid"),
+            site_config=SiteConfig(kernel="grid"),
         )
         assert result.answer.agrees_with(central, tol=1e-9)
-
-    def test_unknown_index_kind_rejected(self):
-        from repro.distributed.site import LocalSite, SiteConfig
-
-        with pytest.raises(ValueError, match="index kind"):
-            LocalSite(0, make_random_database(5, 2, seed=10),
-                      config=SiteConfig(index_kind="btree"))

@@ -40,7 +40,7 @@ def test_views_share_the_standing_index_but_not_queue_state():
     assert host.forks_served == 2
     assert a is not b
     assert a.database is b.database
-    assert a.tree is b.tree
+    assert a.kernel is b.kernel
     a.prepare(0.3)
     b.prepare(0.3)
     first_from_a = a.pop_representative()

@@ -1,6 +1,6 @@
 """Serving with all-probabilities tables keeps the exactness contract.
 
-``SiteConfig(use_index=False, all_probs_table=True)`` swaps every
+``SiteConfig(kernel="table")`` swaps every
 site's per-candidate Eq. 3 arithmetic for the partitioned table, and
 the serving layer shares one table per host template across session
 forks.  The headline contract must survive unchanged: every served
@@ -27,7 +27,7 @@ from ..conftest import make_random_database
 SITES = 4
 DB = make_random_database(200, 3, seed=61)
 PARTITIONS = [DB[i::SITES] for i in range(SITES)]
-TABLE = SiteConfig(use_index=False, all_probs_table=True)
+TABLE = SiteConfig(kernel="table")
 
 
 def _solo(spec: QuerySpec, config: Optional[SiteConfig] = TABLE) -> RunResult:
@@ -88,7 +88,7 @@ def test_table_answers_match_plain_vectorized_answers():
     for threshold in (0.3, 0.6):
         spec = QuerySpec(threshold=threshold, algorithm="dsud")
         with_table = _solo(spec)
-        plain = _solo(spec, config=SiteConfig(use_index=False, vectorized=True))
+        plain = _solo(spec, config=SiteConfig(kernel="columnar"))
         got = {k: p for k, p in _fingerprint(with_table)["answer"]}
         want = {k: p for k, p in _fingerprint(plain)["answer"]}
         assert set(got) == set(want)

@@ -106,10 +106,10 @@ def test_every_epoch_matches_a_fresh_run_bitwise(kind: str):
 
 
 def test_table_engine_matches_to_tolerance():
-    """The §5.4 ``all_probs_table`` engine is exact to ~1e-12, not
+    """The §5.4 ``"table"`` kernel is exact to ~1e-12, not
     bitwise; the standing result must still track a fresh run on the
     *same* engine within tolerance."""
-    config = SiteConfig(use_index=False, vectorized=True, all_probs_table=True)
+    config = SiteConfig(kernel="table")
     hub = ContinuousCoordinator(
         [
             StreamSite(i, make_window("count", 20), site_config=config)
