@@ -152,8 +152,8 @@ def make_synthetic_workload(
 class QueryDraw:
     """One sampled query: the knobs a multi-query workload varies.
 
-    Transport-agnostic on purpose — the serving bench turns a draw
-    into a :class:`repro.serve.QuerySpec`, a future load test could
+    Transport-agnostic on purpose — ``repro serve`` turns a draw into
+    a :class:`repro.serve.QuerySpec`, a future load test could
     turn the same draw into CLI invocations — so the *mix* is pinned
     by seed independently of who consumes it.  ``subspace`` is a
     sorted dimension tuple for a §4 subspace preference, or ``None``
@@ -182,7 +182,7 @@ def sample_query_mix(
 ) -> List[QueryDraw]:
     """Draw a seed-deterministic stochastic mix of ``n`` queries.
 
-    The shared vocabulary of the service bench and future load tests:
+    The shared vocabulary of ``repro serve`` and future load tests:
     one seed, one mix — byte-identical on every machine (the draws use
     :class:`random.Random`, whose algorithm is pinned by the language).
     Each query independently draws a threshold, an algorithm, and a

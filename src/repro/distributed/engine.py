@@ -18,10 +18,10 @@ funnel (:meth:`ScriptEngine._rpc_script`) — and two thin pumps differ
 only in how they drive them: :meth:`ScriptEngine._pump`
 (``_drive(script)`` for a single building block) drains the lanes one
 after another, :meth:`ScriptEngine._apump` keeps every lane whose
-endpoint answers with an awaitable in flight at once.  Neither pump
-contains any bookkeeping, and a site sees the same calls in the same
-order under both, so answers, message books, and FSM journals do not
-depend on which one ran the script.
+endpoint answers with an awaitable in flight at once — one waiter per
+wave, no task per future.  Neither pump contains any bookkeeping, and a
+site sees the same calls in the same order under both, so answers,
+message books, and FSM journals do not depend on which one ran it.
 """
 
 from __future__ import annotations
@@ -207,29 +207,31 @@ async def _waves(
 
     One parked lane is awaited in place — a lane over a sync endpoint
     parks on nothing but a backoff, and costs no task for it.  Siblings
-    run as tasks awaited with ``asyncio.wait``, which (unlike
-    ``gather``) leaves cancelling them to us: by the time a
-    cancellation reaches this coroutine every sibling has started, so
-    cancelling it unwinds a call in flight and never drops a coroutine
-    unawaited.  A failure surfaces only after the wave's other calls
-    have settled.
+    are awaited as they are, with one ``asyncio.wait`` (a future passes
+    ``ensure_future`` as itself, only a coroutine gets a task), which
+    leaves cancelling them to us: by then every sibling task has started,
+    so cancelling unwinds a call in flight and never drops a coroutine
+    unawaited.  An outcome is a value, a :data:`RETRYABLE_FAULTS` member
+    for its lane, or a failure raised once the whole wave has settled.
     """
     while parked:
         if len(parked) == 1:
             ((i, awaitable),) = parked
             ready = [(i, await _settle(awaitable))]
         else:
-            tasks = [asyncio.ensure_future(_settle(a)) for _, a in parked]
+            waiting = [asyncio.ensure_future(a) for _, a in parked]
             try:
-                await asyncio.wait(tasks)
+                await asyncio.wait(waiting)
             except BaseException:
-                for task in tasks:
-                    task.cancel()
+                for future in waiting:
+                    future.cancel()
                 raise
-            for failure in [task.exception() for task in tasks]:
-                if failure is not None:
-                    raise failure
-            ready = [(i, task.result()) for (i, _), task in zip(parked, tasks)]
+            faults = [future.exception() for future in waiting]
+            for fault in faults:
+                if fault is not None and not isinstance(fault, RETRYABLE_FAULTS):
+                    raise fault
+            outcomes = [(None, e) if e else (f.result(), None) for f, e in zip(waiting, faults)]
+            ready = [(i, outcome) for (i, _), outcome in zip(parked, outcomes)]
         parked = _advance_all(lanes, ready, results)
 
 

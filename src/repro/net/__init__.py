@@ -1,6 +1,6 @@
 """Network substrate: protocol messages, bandwidth/latency accounting,
 the coordinator↔site endpoint contract, and real TCP transports
-(threaded sockets and asyncio streams over one wire format)."""
+(threaded sockets and an asyncio protocol over one wire format)."""
 
 from .aio import AsyncLocalEndpoint, AsyncRemoteSiteProxy
 from .message import Message, MessageKind, Quaternion, decode_tuple, encode_tuple

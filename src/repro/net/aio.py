@@ -9,12 +9,12 @@ that loop.  This module provides the awaitable endpoints:
   fault-injecting wrapper) by yielding to the event loop before each
   call, so co-scheduled sessions interleave at RPC granularity even
   when the work itself is in-process.
-* :class:`AsyncRemoteSiteProxy` — the awaiting pump of
-  :class:`~repro.net.rpc.SiteProxy`'s call script: the frames, the
-  timeout → SiteTimeout escalation and the never-retry rule for
-  ``pop_representative`` are the ones
-  :class:`~repro.net.sockets.RemoteSiteProxy` runs, moved over asyncio
-  streams — so RPCs to *distinct* sites genuinely overlap in one thread.
+* :class:`AsyncRemoteSiteProxy` — the callback pump of
+  :class:`~repro.net.rpc.SiteProxy`'s call script (the frames, timeouts
+  and retry rules :class:`~repro.net.sockets.RemoteSiteProxy` runs) over
+  one asyncio Protocol per connection: a call is a future, its request
+  on the wire when it returns, and no exchange costs a task — so RPCs
+  to *distinct* sites genuinely overlap in one thread.
 
 Servers are unchanged: an :class:`~repro.net.sockets.SiteServer` hosts
 both proxy flavours, because the wire format is identical.
@@ -23,7 +23,7 @@ both proxy flavours, because the wire format is identical.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, List, Optional, Sequence, Tuple
+from typing import Any, Awaitable, List, Optional, Sequence, Tuple, cast
 
 from .rpc import HEADER_BYTES, Outcome, Script, SiteProxy, _frame_length
 from .transport import EndpointInterceptor
@@ -50,17 +50,52 @@ class AsyncLocalEndpoint(EndpointInterceptor):
         return asyncio.sleep(0)
 
 
-class AsyncRemoteSiteProxy(SiteProxy):
-    """The awaiting pump of :class:`~repro.net.rpc.SiteProxy`.
+class _Wire(asyncio.Protocol):
+    """One connection: frames for the exchange ``waiting`` on it, if any."""
 
-    Wire-compatible with :class:`~repro.net.sockets.SiteServer`; every
-    method returns a coroutine.  The constructor does not dial — use
-    :meth:`connect`, or let the first RPC dial.
+    def __init__(self, proxy: "AsyncRemoteSiteProxy") -> None:
+        self.proxy, self.buffer = proxy, bytearray()
+        self.waiting: Optional[Tuple[asyncio.Future[Any], Script, asyncio.TimerHandle]] = None
+        self.lost = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = cast(asyncio.Transport, transport)
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        while len(self.buffer) >= HEADER_BYTES:
+            try:
+                end = HEADER_BYTES + _frame_length(self.buffer[:HEADER_BYTES])
+            except ConnectionError as exc:
+                self.transport.abort()  # the stream position is lost
+                return self.answer((None, exc))
+            if len(self.buffer) < end:
+                return
+            body, self.buffer = bytes(self.buffer[HEADER_BYTES:end]), self.buffer[end:]
+            self.answer((body, None))
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.lost.set_result(None)
+        self.answer((None, exc))  # EOF: (None, None)
+
+    def answer(self, outcome: Optional[Outcome]) -> None:
+        """Go on with the exchange waiting here (``None``: its deadline passed)."""
+        if self.waiting is not None:
+            (future, script, deadline), self.waiting = self.waiting, None
+            deadline.cancel()
+            self.proxy._step(future, script, outcome or (None, asyncio.TimeoutError()))
+
+
+class AsyncRemoteSiteProxy(SiteProxy):
+    """The callback pump of :class:`~repro.net.rpc.SiteProxy`.
+
+    Every method returns an :class:`asyncio.Future`; one call at a time.
+    The constructor does not dial — use :meth:`connect`, or let the
+    first RPC dial.
     """
 
     _TIMEOUT = asyncio.TimeoutError
-    _reader: Optional[asyncio.StreamReader] = None
-    _writer: Optional[asyncio.StreamWriter] = None
+    _wire: Optional[_Wire] = None
 
     @classmethod
     async def connect(
@@ -75,55 +110,58 @@ class AsyncRemoteSiteProxy(SiteProxy):
         await proxy._pump(proxy._connect_script())
         return proxy
 
-    async def _pump(self, script: Script) -> Any:
+    def _pump(self, script: Script) -> asyncio.Future[Any]:
+        future = asyncio.get_running_loop().create_future()
+        future.add_done_callback(lambda _: script.close())  # ended, or cancelled
+        self._step(future, script, None)
+        return future
+
+    def _step(self, future: asyncio.Future[Any], script: Script, outcome: Any) -> None:
+        """Run ``script`` inline from ``outcome`` (``None``: its start) until it ends or waits."""
+        if future.done():  # cancelled: its script is closed
+            return
         try:
-            request = next(script)
-            while True:
-                request = script.send(await self._io(request))
+            request, wire = script.send(outcome), self._wire
         except StopIteration as done:
-            return done.value
+            return future.set_result(done.value)
+        except Exception as exc:  # the caller's, at its await
+            return future.set_exception(exc)
+        if request is None:  # a dial: the one task, held as the loop holds it weakly
+            if wire is not None:
+                wire.transport.close()
+            self._dialing = asyncio.ensure_future(self._dial(future, script))
+        elif wire is None or wire.transport.is_closing():
+            self._step(future, script, (None, None))  # the site hung up: EOF, at once
+        else:
+            wire.transport.write(request)
+            loop = future.get_loop()
+            deadline = loop.call_at(loop.time() + self.timeout, wire.answer, None)
+            wire.waiting = future, script, deadline
 
-    async def _io(self, request: Optional[bytes]) -> Outcome:
-        step: Awaitable[Optional[bytes]] = (
-            self._dial() if request is None else self._exchange(request)
-        )
+    async def _dial(self, future: asyncio.Future[Any], script: Script) -> None:
+        connect = asyncio.get_running_loop().create_connection
         try:
-            return await asyncio.wait_for(step, timeout=self.timeout), None
-        except asyncio.IncompleteReadError:
-            return None, None  # the site hung up mid-frame
-        except (asyncio.TimeoutError, OSError) as exc:
-            return None, exc
-
-    async def _dial(self) -> None:
-        await self._close_stream()
-        self._reader, self._writer = await asyncio.open_connection(*self.address)
-
-    async def _exchange(self, frame: bytes) -> bytes:
-        assert self._reader is not None and self._writer is not None
-        self._writer.write(frame)
-        await self._writer.drain()
-        header = await self._reader.readexactly(HEADER_BYTES)
-        return await self._reader.readexactly(_frame_length(header))
-
-    async def _close_stream(self) -> None:
-        writer, self._reader, self._writer = self._writer, None, None
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            _, wire = await asyncio.wait_for(
+                connect(lambda: _Wire(self), *self.address), timeout=self.timeout
+            )
+        except Exception as exc:  # a fault, or the caller's error: the script judges
+            return self._step(future, script, (None, exc))
+        if future.done():  # its call was cancelled meanwhile
+            return wire.transport.close()
+        self._wire = wire
+        self._step(future, script, (None, None))
 
     async def close(self) -> None:
         """Release the connection; idempotent, and final.
 
-        Waits for the transport to actually close (``wait_closed``
-        inside :meth:`_close_stream`), so rapid session churn cannot
-        accumulate half-open sockets, and flags the proxy so a
-        straggling RPC cannot silently re-dial afterwards.
+        Waits for ``connection_lost``, so churn cannot pile up half-open
+        sockets, and flags the proxy so a straggling RPC cannot re-dial.
         """
         self._closed = True
-        await self._close_stream()
+        if self._wire is not None:
+            self._wire.transport.close()
+            await self._wire.lost
+            self._wire = None
 
 
 async def connect_async_sites(

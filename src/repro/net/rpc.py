@@ -12,7 +12,7 @@
   a fresh connection or a request frame to exchange, and is sent back
   ``(reply body, fault)``.  :class:`~repro.net.sockets.RemoteSiteProxy`
   pumps it over a blocking socket,
-  :class:`~repro.net.aio.AsyncRemoteSiteProxy` over asyncio streams.
+  :class:`~repro.net.aio.AsyncRemoteSiteProxy` from asyncio callbacks.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ _LENGTH = struct.Struct(">I")
 HEADER_BYTES = _LENGTH.size
 
 #: Upper bound on one frame's body.  The largest legitimate frame is a
-#: ``ship_all`` reply for the biggest benchmarked partition (the
-#: kernels bench's n = 10⁶, d = 3 site: ≈ 124 bytes of JSON per tuple,
-#: ≈ 124 MB); a length prefix announcing more is a corrupt or hostile
-#: stream and is refused before any of its body is read or buffered.
+#: ``ship_all`` reply for a million-tuple partition (at d = 3, ≈ 124
+#: bytes of JSON per tuple: ≈ 124 MB); a length prefix announcing more
+#: is a corrupt or hostile stream and is refused before any of its body
+#: is read or buffered.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 

@@ -49,13 +49,13 @@ __all__ = [
 
 
 def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
+    view = memoryview(bytearray(n))  # filled in place: linear in n
+    while view:
+        got = sock.recv_into(view)
+        if not got:
             return None
-        buf += chunk
-    return buf
+        view = view[got:]
+    return bytes(view.obj)
 
 
 def _recv_frame(sock: socket.socket) -> Optional[bytes]:
@@ -102,8 +102,8 @@ class SiteServer(socketserver.ThreadingTCPServer):
     remote twin of :class:`repro.serve.sites.SharedSiteHost`).  Enable
     the template's skyline cache first so forks amortise the local
     computing phase.  ``rpc_delay`` adds a per-RPC service-time sleep —
-    a deterministic stand-in for WAN latency, used by the serving
-    bench to make socket-wait overlap measurable on localhost.
+    a deterministic stand-in for WAN latency (``perf/``'s ``remote_wan``),
+    so socket-wait overlap is measurable on localhost.
     """
 
     allow_reuse_address = True

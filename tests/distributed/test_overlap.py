@@ -13,7 +13,9 @@ endpoint runs inline.  Pinned here:
   casualty's ``CoverageReport`` equal the blocking pump's;
 * it is tidy: a cancelled wave cancels its calls in flight, an error in
   one lane waits for its siblings, and no coroutine is ever dropped
-  unawaited.
+  unawaited;
+* it is cheap: over socket proxies a query creates no task after its
+  dials — a call is a future, and a wave awaits its lanes as they are.
 """
 
 from __future__ import annotations
@@ -34,7 +36,12 @@ from repro.fault.injection import FaultyEndpoint
 from repro.fault.retry import RetryPolicy
 from repro.fault.schedule import FaultSchedule
 from repro.net.aio import connect_async_sites
-from repro.net.sockets import RemoteSiteProxy, SiteServer, _SiteRequestHandler
+from repro.net.sockets import (
+    RemoteSiteProxy,
+    SiteServer,
+    _SiteRequestHandler,
+    host_sites_in_processes,
+)
 from repro.net.trace import ProtocolTracer, summarize_trace
 from repro.net.transport import EndpointInterceptor
 
@@ -363,6 +370,50 @@ class TestOverSockets:
         assert sync_result.coverage.degraded
         assert async_result.coverage == sync_result.coverage
         assert fingerprint(async_result) == fingerprint(sync_result)
+
+
+# ----------------------------------------------------------------------
+# (v) and cheap over sockets
+
+
+class TestNoTaskPerRpc:
+    @pytest.fixture(scope="class")
+    def addresses(self):
+        with host_sites_in_processes(PARTITIONS) as cluster:
+            yield cluster.addresses
+
+    @pytest.mark.parametrize("algorithm", [DSUD, EDSUD])
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_a_remote_query_creates_no_task_after_its_dials(
+        self, addresses, algorithm, batch_size
+    ):
+        created: List[Any] = []
+
+        def counting_factory(loop, coro, **kwargs):
+            created.append(coro)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        async def scenario():
+            proxies = await connect_async_sites(addresses, timeout=5.0)
+            loop = asyncio.get_running_loop()
+            loop.set_task_factory(counting_factory)
+            census = []
+            try:
+                coordinator = algorithm(proxies, Q, batch_size=batch_size)
+                async for _ in coordinator.asteps():
+                    census.append(asyncio.all_tasks())
+                result = await coordinator.afinish()
+            finally:
+                loop.set_task_factory(None)
+                for proxy in proxies:
+                    await proxy.close()
+            return result, census, asyncio.current_task()
+
+        result, census, main_task = asyncio.run(scenario())
+        assert created == []
+        assert census and all(tasks == {main_task} for tasks in census)
+        solo = algorithm(local_sites(), Q, batch_size=batch_size).run()
+        assert fingerprint(result) == fingerprint(solo)
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,11 @@ hands back and passes through what the sync one already computed.
 """
 
 import asyncio
+import contextlib
 import inspect
 import socket
+import socketserver
+import threading
 import time
 from typing import Any, Awaitable, Callable, NamedTuple
 
@@ -19,7 +22,8 @@ import pytest
 from repro.distributed.site import LocalSite
 from repro.fault.errors import SiteTimeout
 from repro.net.aio import AsyncRemoteSiteProxy
-from repro.net.sockets import RemoteSiteProxy
+from repro.net.rpc import _LENGTH, HEADER_BYTES
+from repro.net.sockets import RemoteSiteProxy, _recv_frame
 
 
 class Kit(NamedTuple):
@@ -35,11 +39,50 @@ async def _connect_sync(site_id, address, **kwargs):
 
 
 SYNC = Kit("sync", _connect_sync, lambda proxy: proxy._sock.close())
-ASYNC = Kit("async", AsyncRemoteSiteProxy.connect, lambda proxy: proxy._writer.close())
+ASYNC = Kit("async", AsyncRemoteSiteProxy.connect, lambda proxy: proxy._wire.transport.close())
 
 
 async def settle(value):
     return await value if inspect.isawaitable(value) else value
+
+
+#: Where a reply frame of ``n`` bytes is cut into separately sent pieces.
+CUTS = {
+    "byte by byte": lambda n: range(1, n),
+    "split header": lambda n: [HEADER_BYTES // 2],
+    "header and part of the body": lambda n: [HEADER_BYTES + 3],
+}
+
+
+@contextlib.contextmanager
+def cutting_relay(upstream, cuts):
+    """A relay to ``upstream`` that sends every reply in pieces.
+
+    Each piece is its own segment, a few milliseconds after the last,
+    so the proxy reads one frame over several receives.
+    """
+
+    class Handler(socketserver.BaseRequestHandler):
+        def handle(self):
+            self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with socket.create_connection(upstream, timeout=10.0) as site:
+                while (request := _recv_frame(self.request)) is not None:
+                    site.sendall(_LENGTH.pack(len(request)) + request)
+                    body = _recv_frame(site)
+                    reply = _LENGTH.pack(len(body)) + body
+                    edges = [0, *cuts(len(reply)), len(reply)]
+                    for start, end in zip(edges, edges[1:]):
+                        self.request.sendall(reply[start:end])
+                        time.sleep(0.002)
+
+    relay = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+    relay.daemon_threads = True
+    threading.Thread(target=relay.serve_forever, daemon=True).start()
+    try:
+        yield relay.server_address
+    finally:
+        relay.shutdown()
+        relay.server_close()
 
 
 class ProxyContract:
@@ -179,6 +222,20 @@ class ProxyContract:
 
         self.drive(c.servers[0].address, scenario)
 
+    @pytest.mark.parametrize("cuts", list(CUTS.values()), ids=list(CUTS))
+    def test_a_reply_in_pieces_parses_the_same(self, cluster, cuts):
+        c, db = cluster
+        local = LocalSite(0, db[0::3])
+
+        async def scenario(proxy):
+            assert await settle(proxy.ping()) is True
+            assert await settle(proxy.prepare(0.3)) == local.prepare(0.3)
+            assert await settle(proxy.queue_size()) == local.queue_size()
+            assert proxy.reconnects == 0
+
+        with cutting_relay(c.servers[0].address, cuts) as address:
+            self.drive(address, scenario)
+
     # ------------------------------------------------------------------
     # errors, timeouts, drops, teardown
 
@@ -237,6 +294,61 @@ class ProxyContract:
         finally:
             site.prepare = prompt_prepare
 
+    def late_reply(self, cluster, abandon):
+        """``abandon`` a slow ``prepare``; then its reply lands on the old
+        connection, and the next calls must each get their own answer —
+        with no timer or callback of the abandoned call going off."""
+        c, db = cluster
+        site = c.servers[0].site
+        prompt_prepare = site.prepare
+        prepared = LocalSite(0, db[0::3]).prepare(0.3)
+
+        def slow_prepare(threshold):
+            time.sleep(0.3)
+            return prompt_prepare(threshold)
+
+        async def scenario(proxy):
+            errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
+            await abandon(proxy)
+            await asyncio.sleep(0.4)  # the late reply has arrived
+            assert await settle(proxy.ping()) is True
+            assert proxy.reconnects == 1
+            # The abandoned prepare did run, on the shared site.
+            assert await settle(proxy.queue_size()) == prepared
+            assert errors == []
+
+        site.prepare = slow_prepare
+        try:
+            self.drive(c.servers[0].address, scenario, timeout=0.15)
+        finally:
+            site.prepare = prompt_prepare
+
+    def test_a_late_reply_after_a_timeout_answers_no_later_call(self, cluster):
+        async def time_out(proxy):
+            with pytest.raises(SiteTimeout):
+                await settle(proxy.prepare(0.3))
+
+        self.late_reply(cluster, time_out)
+
+    def test_a_cancelled_calls_late_reply_answers_no_later_call(self, cluster):
+        if self.kit is SYNC:
+            pytest.skip("a blocking call cannot be cancelled in flight")
+
+        async def cancel(proxy):
+            call = asyncio.ensure_future(proxy.prepare(0.3))
+            await asyncio.sleep(0.05)  # the request is on the wire
+            call.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await call
+            # The next call at once: the cancelled one's done-callback
+            # has not run yet, and its deadline must not take this one.
+            assert await proxy.ping() is True
+
+        self.late_reply(cluster, cancel)
+
     def test_a_listener_that_never_accepts_times_out(self):
         with socket.socket() as listener:
             listener.bind(("127.0.0.1", 0))
@@ -274,6 +386,21 @@ class ProxyContract:
             assert proxy.reconnects == 0
 
         self.drive(c.servers[0].address, scenario, retries=5)
+
+    def test_a_call_on_a_connection_already_lost_fails_at_once(self, cluster):
+        """No waiting out the deadline for a reply that cannot come."""
+        c, _ = cluster
+
+        async def scenario(proxy):
+            assert await settle(proxy.ping())
+            self.kit.sever(proxy)
+            await asyncio.sleep(0.05)  # the loss has been noticed
+            started = time.perf_counter()
+            with pytest.raises((ConnectionError, OSError)):
+                await settle(proxy.pop_representative())
+            assert time.perf_counter() - started < 1.0
+
+        self.drive(c.servers[0].address, scenario, timeout=5.0)
 
     def test_an_abandoned_exchange_forces_a_redial(self, cluster):
         """Whatever ends an exchange before its reply is read — here the

@@ -7,6 +7,7 @@ import pytest
 
 from repro.distributed.site import LocalSite
 from repro.fault.errors import SiteTimeout
+from repro.net import aio
 from repro.net.aio import (
     AsyncLocalEndpoint,
     AsyncRemoteSiteProxy,
@@ -50,36 +51,36 @@ class TestAsyncRemoteProxy(ProxyContract):
         async def scenario():
             proxy = await AsyncRemoteSiteProxy.connect(0, c.servers[0].address)
             assert await proxy.ping()
-            writer = proxy._writer
+            wire = proxy._wire
             await proxy.close()
-            # wait_closed ran: the transport is really gone, not merely
-            # scheduled to go — rapid churn cannot pile up half-open
-            # sockets behind the loop.
-            assert writer.is_closing()
-            assert proxy._writer is None and proxy._reader is None
+            # connection_lost ran: the transport is really gone, not
+            # merely scheduled to go — rapid churn cannot pile up
+            # half-open sockets behind the loop.
+            assert wire.transport.is_closing() and wire.lost.done()
+            assert proxy._wire is None
             await proxy.close()  # idempotent
 
         run(scenario())
 
     def test_rapid_session_churn_leaks_no_connections(self, cluster):
         """Session churn: dial the fan-out, use it, drop it — 15 times.
-        Every writer ever created must be closing by the end."""
+        Every transport ever created must be closing by the end."""
         c, _ = cluster
 
         async def scenario():
-            writers = []
+            transports = []
             for _ in range(15):
                 proxies = await connect_async_sites(_addresses(c))
                 for p in proxies:
                     assert await p.ping()
-                    writers.append(p._writer)
+                    transports.append(p._wire.transport)
                 for p in proxies:
                     await p.close()
-            return writers
+            return transports
 
-        writers = run(scenario())
-        assert len(writers) == 15 * 3
-        assert all(w.is_closing() for w in writers)
+        transports = run(scenario())
+        assert len(transports) == 15 * 3
+        assert all(t.is_closing() for t in transports)
 
     def test_partial_fanout_cleanup_survives_a_failing_close(self, cluster):
         """One endpoint refusing to close must not leak the rest."""
@@ -136,6 +137,58 @@ class TestAsyncRemoteProxy(ProxyContract):
         finally:
             server.shutdown()
             server.server_close()
+
+    def test_a_cancelled_call_closes_its_script(self, cluster, monkeypatch):
+        c, _ = cluster
+        scripts = []
+        call_script = AsyncRemoteSiteProxy._call_script
+
+        def recorded(proxy, method, args):
+            scripts.append(call_script(proxy, method, args))
+            return scripts[-1]
+
+        monkeypatch.setattr(AsyncRemoteSiteProxy, "_call_script", recorded)
+
+        async def scenario():
+            proxy = await AsyncRemoteSiteProxy.connect(0, c.servers[0].address)
+            try:
+                call = proxy.prepare(0.3)  # the request is on the wire
+                assert scripts[0].gi_frame is not None
+                call.cancel()
+                await asyncio.sleep(0)  # its done-callback has run
+                assert scripts[0].gi_frame is None
+            finally:
+                await proxy.close()
+
+        run(scenario())
+
+    def test_a_call_cancelled_while_dialing_closes_its_connection(
+        self, cluster, monkeypatch
+    ):
+        """Its dial still lands, but hands the proxy nothing: the next
+        call's connection is the only one left open."""
+        c, _ = cluster
+        wires = []
+
+        class Recorded(aio._Wire):
+            def __init__(self, proxy):
+                super().__init__(proxy)
+                wires.append(self)
+
+        monkeypatch.setattr(aio, "_Wire", Recorded)
+
+        async def scenario():
+            proxy = AsyncRemoteSiteProxy(0, c.servers[0].address)  # not dialed
+            try:
+                proxy.ping().cancel()
+                assert await proxy.ping() is True
+                await asyncio.sleep(0.05)  # the cancelled call's dial has landed
+                assert len(wires) == 2 and proxy._wire in wires
+                assert [w.lost.done() for w in wires if w is not proxy._wire] == [True]
+            finally:
+                await proxy.close()
+
+        run(scenario())
 
     def test_rpcs_to_distinct_sites_overlap(self, cluster):
         """The whole point of the async transport: concurrent in-flight

@@ -5,6 +5,7 @@ import contextlib
 import socket
 import socketserver
 import threading
+import time
 
 import pytest
 
@@ -219,6 +220,29 @@ class TestProcessHosting:
         assert all(p.is_alive() for p in cluster.processes)
         cluster.close()
         assert all(not p.is_alive() for p in cluster.processes)
+
+
+class TestFrameReader:
+    def test_a_64_mb_frame_reads_in_linear_time(self):
+        """The blocking reader fills one preallocated buffer, so a frame
+        the cap allows arrives well inside a proxy's deadline."""
+        body = bytes(range(256)) * (1 << 18)  # 64 MiB
+        left, right = socket.socketpair()
+        with left, right:
+
+            def feed():
+                left.sendall(_LENGTH.pack(len(body)))
+                left.sendall(body)
+
+            feeder = threading.Thread(target=feed, daemon=True)
+            started = time.perf_counter()
+            feeder.start()
+            received = _recv_frame(right)
+            elapsed = time.perf_counter() - started
+            feeder.join(timeout=10.0)
+        assert not feeder.is_alive()
+        assert received == body
+        assert elapsed < 2.0
 
 
 class TestFrameCap:
