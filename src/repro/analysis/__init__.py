@@ -6,7 +6,7 @@ The framework (:mod:`~repro.analysis.framework`) is plain-``ast`` and
 dependency-free; the rules (:mod:`~repro.analysis.rules`) encode the
 invariants ordinary linters cannot see — protocol accounting (Eq. 10),
 deterministic replay, Eq. 3/9 probability arithmetic, the fault-aware
-RPC funnel, and executor-shared state.  See ``docs/static-analysis.md``.
+RPC funnel, and process-shared state.  See ``docs/static-analysis.md``.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description="skylint: repo-specific whole-program static analysis "
         "(protocol accounting, determinism, probability safety, "
-        "RPC discipline, event-loop and lock discipline)",
+        "RPC discipline, event-loop discipline)",
     )
     parser.add_argument(
         "paths",
@@ -91,8 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--explain",
         metavar="SKY###",
         default=None,
-        help="print one rule's full description (and what supersedes "
-        "or is superseded by it) and exit",
+        help="print one rule's full description and exit",
     )
     parser.add_argument(
         "--cache",
@@ -125,18 +124,6 @@ def _explain(rule_id: str) -> int:
     print(f"{rule.id}  {rule.name}  [{rule.severity}]  ({kind})")
     print()
     print(rule.description.strip())
-    if rule.supersedes:
-        print()
-        print(
-            f"Supersedes {rule.supersedes}: when this rule runs, "
-            f"{rule.supersedes} steps back to avoid double-reporting."
-        )
-    if rule.superseded_by:
-        print()
-        print(
-            f"Superseded by {rule.superseded_by} in whole-program runs; "
-            "this rule remains the per-file fallback."
-        )
     return 0
 
 

@@ -9,9 +9,9 @@ file, the summary and that file's module-rule findings keyed by
 * an engine **signature** (engine version + the rule registry) — any
   change to the analyzer itself discards the whole cache;
 * a per-run **findings signature** covering the cross-file facts
-  module rules can see (the class hierarchy and the active
-  superseding set) — if another file's edit changes the project class
-  graph, cached findings are recomputed (the summaries stay valid).
+  module rules can see (the class hierarchy) — if another file's edit
+  changes the project class graph, cached findings are recomputed (the
+  summaries stay valid).
 
 The file lives at the repo root, is never committed (gitignored), and
 is safe to delete at any time.

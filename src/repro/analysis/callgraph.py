@@ -268,7 +268,7 @@ class Program:
         return None
 
     # ------------------------------------------------------------------
-    # lexical aggregation (outermost-function attribution, as SKY101 had)
+    # lexical aggregation (outermost-function attribution)
     # ------------------------------------------------------------------
 
     def toplevel(self, pf: ProgramFunction) -> ProgramFunction:

@@ -37,7 +37,7 @@ __all__ = ["ENGINE_VERSION", "RunStats", "analyze_project"]
 #: Bump on any change to summary extraction, linking, or rule logic —
 #: it keys the on-disk cache, so stale summaries can never leak across
 #: analyzer versions.
-ENGINE_VERSION = "2.1"
+ENGINE_VERSION = "3.0"
 
 
 @dataclass
@@ -135,19 +135,17 @@ def analyze_project(
 
     # ------------------------------------------------------------------
     # phase 1b: module rules (cached per file, keyed by the cross-file
-    # facts they can observe: class hierarchy + the superseding set)
+    # facts they can observe: the class hierarchy)
     # ------------------------------------------------------------------
-    superseding = {rule.id for rule in program_rules}
     class_bases: Dict[str, Set[str]] = {}
     for _relp, _sha, _text, _ctx, summary in loaded:
         for cls in summary.classes.values():
             class_bases.setdefault(cls.name, set()).update(cls.bases)
     findings_sig = engine_signature(
         signature,
-        sorted(superseding)
-        + [f"{name}<-{','.join(sorted(bases))}" for name, bases in sorted(class_bases.items())],
+        [f"{name}<-{','.join(sorted(bases))}" for name, bases in sorted(class_bases.items())],
     )
-    project = Project([], superseding=superseding, class_bases=class_bases)
+    project = Project([], class_bases=class_bases)
 
     findings: List[Finding] = []
     for relpath, sha, text, ctx, summary in loaded:

@@ -2,7 +2,7 @@
 
 Ordinary linters see syntax; this framework exists so rules can see the
 *repo's* invariants — protocol accounting, deterministic replay,
-probability arithmetic, RPC fault discipline, and executor-shared state.
+probability arithmetic, RPC fault discipline, and process-shared state.
 It is deliberately dependency-free (``ast`` + stdlib only) so the CI
 job needs nothing beyond the checkout.
 
@@ -32,7 +32,7 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "Severity",
@@ -216,12 +216,6 @@ class ModuleContext:
 class Project:
     """Cross-module facts shared by every rule in one run.
 
-    ``superseding`` names the whole-program rules active in this run:
-    a module rule whose approximation a program rule replaces (SKY101
-    under SKY602, SKY503's blocking checks under SKY601) consults it
-    and steps back, so per-file runs keep the fallback behaviour while
-    whole-program runs never double-report.
-
     ``class_bases`` may be injected pre-built (the incremental engine
     derives it from cached summaries without re-parsing files); classes
     found in ``modules`` are merged on top.
@@ -230,11 +224,9 @@ class Project:
     def __init__(
         self,
         modules: Sequence[ModuleContext],
-        superseding: Iterable[str] = (),
         class_bases: Optional[Dict[str, Set[str]]] = None,
     ) -> None:
         self.modules = list(modules)
-        self.superseding: Set[str] = set(superseding)
         #: class name -> set of textual base-class names, across all files.
         self.class_bases: Dict[str, Set[str]] = {
             name: set(bases) for name, bases in (class_bases or {}).items()
@@ -272,11 +264,6 @@ class Rule:
     name: str = "abstract"
     severity: str = Severity.WARNING
     description: str = ""
-    #: id of the whole-program rule that replaces this one when active
-    #: (the module rule then acts as a per-file fallback only).
-    superseded_by: Optional[str] = None
-    #: id of the module rule this (program) rule replaces, if any.
-    supersedes: Optional[str] = None
 
     def check(self, module: ModuleContext, project: Project) -> Iterator[Finding]:
         raise NotImplementedError
@@ -354,12 +341,10 @@ def module_findings(
 
 
 def run_rules(
-    modules: Sequence[ModuleContext],
-    rules: Sequence[Rule],
-    superseding: Iterable[str] = (),
+    modules: Sequence[ModuleContext], rules: Sequence[Rule]
 ) -> List[Finding]:
     """Run every rule over every module (the non-incremental driver)."""
-    project = Project(modules, superseding=superseding)
+    project = Project(modules)
     findings: List[Finding] = []
     for module in modules:
         findings.extend(module_findings(module, rules, project))

@@ -3,10 +3,8 @@
 Every rule family lives in its own module; :data:`ALL_RULES` is the
 canonical ordered registry of per-module rules and
 :data:`PROGRAM_RULES` the whole-program (SKY6xx) family.  The CLI and
-the self-check tests run both; per-file callers (editor integrations,
-unit fixtures) may run :data:`ALL_RULES` alone, in which case the
-superseded module rules (SKY101, SKY503's blocking checks) act as
-single-function fallbacks.
+the self-check tests run both; each invariant is checked by exactly
+one rule.
 """
 
 from __future__ import annotations
@@ -16,32 +14,28 @@ from typing import Dict, List
 from ..callgraph import ProgramRule
 from ..framework import Rule
 from .asyncio_discipline import AsyncioDisciplineRule
-from .concurrency import ThreadSharedStateRule
+from .concurrency import ProcessSharedStateRule
 from .determinism import UnseededRandomRule, WallClockRule
 from .interprocedural import (
     InterproceduralBillingRule,
     LedgerSymmetryRule,
-    LockDisciplineRule,
     SeedProvenanceRule,
     TransitiveBlockingRule,
 )
 from .probability import FloatEqualityRule, RawNonOccurrenceProductRule
-from .protocol import EmissionDisciplineRule, ProtocolAccountingRule
-from .replica import ReplicaAccountingRule
+from .protocol import EmissionDisciplineRule
 from .rpc import RpcDisciplineRule
 
 __all__ = ["ALL_RULES", "PROGRAM_RULES", "rules_by_id"]
 
 ALL_RULES: List[Rule] = [
-    ProtocolAccountingRule(),
     EmissionDisciplineRule(),
-    ReplicaAccountingRule(),
     UnseededRandomRule(),
     WallClockRule(),
     FloatEqualityRule(),
     RawNonOccurrenceProductRule(),
     RpcDisciplineRule(),
-    ThreadSharedStateRule(),
+    ProcessSharedStateRule(),
     AsyncioDisciplineRule(),
 ]
 
@@ -50,7 +44,6 @@ PROGRAM_RULES: List[ProgramRule] = [
     InterproceduralBillingRule(),
     LedgerSymmetryRule(),
     SeedProvenanceRule(),
-    LockDisciplineRule(),
 ]
 
 

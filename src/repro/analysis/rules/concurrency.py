@@ -1,39 +1,24 @@
-"""SKY501 — thread-shared-state: attribute writes reachable from pool workers.
+"""SKY501 — process-shared-state: ``self`` writes inside process-pool callables.
 
-PR 2 gave the coordinator a lifetime :class:`ThreadPoolExecutor`; every
-parallel broadcast runs its probe thunks on worker threads.  Any
-``self``-rooted attribute those thunks write — directly or through
-methods they call — is shared mutable state, and an unlocked
-read-modify-write (``self.stats.sites_lost += 1``) is a lost-update
-race: two sites failing in the same broadcast can be booked as one.
+The table builds of :mod:`repro.distributed.workers` run in *process*
+pools.  A ``self`` attribute written inside a callable submitted to a
+``ProcessPoolExecutor`` does not race — it mutates a **pickled copy**
+in the child and is silently discarded, and no lock helps, because
+locks do not cross process boundaries either.
 
 The heuristic:
 
-1. Find executor dispatches — ``X.map(fn, …)`` / ``X.submit(fn, …)``
-   where ``X``'s dotted form mentions ``pool`` or ``executor`` (the
-   lazily-built ``self._broadcast_pool()`` renders as
-   ``self._broadcast_pool().map``).
-2. Resolve ``fn`` to a local ``lambda``/``def`` in the same scope.
+1. Find process-pool dispatches — ``X.map(fn, …)`` / ``X.submit(fn, …)``
+   where ``X``'s dotted form mentions ``pool`` or ``executor`` *and*
+   either mentions ``process`` or is a name bound to
+   ``ProcessPoolExecutor(...)``.
+2. Resolve ``fn`` to a ``self`` method or a local ``lambda``/``def`` in
+   the same scope.
 3. Collect attribute writes in its body, following ``self.method()``
    calls transitively through the same class (visited-set bounded).
-4. Report ``+=``-style augmented writes not under a ``with …lock…:``
-   block as errors; plain assignments written both inside and outside
-   the thread-reachable region (excluding ``__init__``) as warnings.
-
-It is deliberately a *heuristic* — cross-class flows (e.g. methods of
-``NetworkStats`` called from workers) are out of reach; the rule's job
-is the pattern that actually bit this codebase.
-
-PR 7 added *process* pools (:mod:`repro.distributed.workers`), which
-sharpen the failure mode: a ``self`` attribute written inside a
-callable submitted to a ``ProcessPoolExecutor`` does not race — it
-mutates a **pickled copy** in the child and is silently discarded, and
-no lock helps, because locks do not cross process boundaries either.
-Dispatches whose receiver mentions ``process`` (or is a name bound to
-``ProcessPoolExecutor(...)``) therefore flag *every* reachable
-``self`` write, locked or not: state must cross a process boundary via
-explicit serialization — ship arrays in, return a payload out — never
-through shared mutation.
+4. Report every one, locked or not: state must cross a process
+   boundary via explicit serialization — ship arrays in, return a
+   payload out — never through shared mutation.
 """
 
 from __future__ import annotations
@@ -43,7 +28,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from ..framework import Finding, ModuleContext, Project, Rule, Severity, dotted_name
 
-__all__ = ["ThreadSharedStateRule"]
+__all__ = ["ProcessSharedStateRule"]
 
 _FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda]
 
@@ -59,53 +44,36 @@ def _attribute_target(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _under_lock(module: ModuleContext, node: ast.AST) -> bool:
-    for anc in module.ancestors(node):
-        if isinstance(anc, ast.With):
-            for item in anc.items:
-                if "lock" in dotted_name(item.context_expr).lower():
-                    return True
-    return False
-
-
-class ThreadSharedStateRule(Rule):
+class ProcessSharedStateRule(Rule):
     id = "SKY501"
-    name = "thread-shared-state"
+    name = "process-shared-state"
     severity = Severity.ERROR
     description = (
-        "self attribute written from executor-submitted callables without a "
-        "lock: broadcast workers run concurrently, so unlocked += on shared "
-        "counters (NetworkStats, FSM state) loses updates.  In process-pool "
-        "callables any self write is flagged — it mutates a pickled copy, "
-        "and locks do not cross process boundaries."
+        "self attribute written from a process-pool callable: the worker "
+        "mutates a pickled copy and the write is silently lost — locks "
+        "do not cross process boundaries, so pass state in as arguments "
+        "and return a serialized payload."
     )
 
     def check(self, module: ModuleContext, project: Project) -> Iterator[Finding]:
+        aliases = self._process_pool_aliases(module)
         for cls in ast.walk(module.tree):
             if isinstance(cls, ast.ClassDef):
-                yield from self._check_class(module, cls)
+                yield from self._check_class(module, cls, aliases)
 
-    # ------------------------------------------------------------------
-
-    def _check_class(self, module: ModuleContext, cls: ast.ClassDef) -> Iterator[Finding]:
+    def _check_class(
+        self, module: ModuleContext, cls: ast.ClassDef, aliases: Set[str]
+    ) -> Iterator[Finding]:
         methods: Dict[str, _FunctionNode] = {
             item.name: item
             for item in cls.body
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
-        process_aliases = self._process_pool_aliases(module)
-        dispatches = self._executor_callables(module, cls, methods, process_aliases)
-        if not dispatches:
-            return
-        # Process-pool callables first: any reachable self write is a
-        # lost update by construction (it mutates the child's pickled
-        # copy), so locks are no defence and there is no warning tier.
-        process_entry = [fn for fn, is_process in dispatches if is_process]
-        process_writes: List[Tuple[ast.AST, str, bool]] = []
-        visited_p: Set[str] = set()
-        for fn in process_entry:
-            self._collect_writes(module, fn, methods, visited_p, process_writes)
-        for node, target, _augmented in process_writes:
+        writes: List[Tuple[ast.AST, str]] = []
+        visited: Set[str] = set()
+        for fn in self._process_callables(module, cls, methods, aliases):
+            self._collect_writes(fn, methods, visited, writes)
+        for node, target in writes:
             yield module.finding(
                 self,
                 node,
@@ -114,50 +82,6 @@ class ThreadSharedStateRule(Rule):
                 "lost (locks do not cross processes) — pass state in as "
                 "arguments and return a serialized payload instead",
             )
-        entry_points = [fn for fn, is_process in dispatches if not is_process]
-        if not entry_points:
-            return
-        # Every self-attribute write reachable from a worker thread.
-        threaded_writes: List[Tuple[ast.AST, str, bool]] = []
-        visited: Set[str] = set()
-        for fn in entry_points:
-            self._collect_writes(module, fn, methods, visited, threaded_writes)
-        if not threaded_writes:
-            return
-        threaded_targets = {target for _n, target, _aug in threaded_writes}
-        for node, target, augmented in threaded_writes:
-            if _under_lock(module, node):
-                continue
-            if augmented:
-                yield module.finding(
-                    self,
-                    node,
-                    f"`{target} +=` runs on broadcast-pool worker threads; "
-                    "the read-modify-write needs a lock (two concurrent "
-                    "failures would be booked as one)",
-                )
-        # Plain assigns: racy only if the same attribute is also written
-        # outside the thread-reachable region (construction aside).
-        for fn_name, fn in methods.items():
-            if fn_name == "__init__" or fn in entry_points:
-                continue
-            for node, target, augmented in self._direct_writes(fn):
-                if augmented or target not in threaded_targets:
-                    continue
-                if any(n is node for n, _t, _a in threaded_writes):
-                    continue
-                if _under_lock(module, node):
-                    continue
-                yield module.finding(
-                    self,
-                    node,
-                    f"`{target}` is written both on worker threads and in "
-                    f"`{fn_name}` without a lock; reads may interleave "
-                    "with broadcast workers",
-                    severity=Severity.WARNING,
-                )
-
-    # ------------------------------------------------------------------
 
     @staticmethod
     def _process_pool_aliases(module: ModuleContext) -> Set[str]:
@@ -185,17 +109,17 @@ class ThreadSharedStateRule(Rule):
                         aliases.add(dotted_name(item.optional_vars).lower())
         return aliases
 
-    def _executor_callables(
+    def _process_callables(
         self,
         module: ModuleContext,
         cls: ast.ClassDef,
         methods: Dict[str, _FunctionNode],
-        process_aliases: Set[str],
-    ) -> List[Tuple[_FunctionNode, bool]]:
-        """``(callable, is_process_pool)`` for ``pool.map``/``pool.submit``."""
-        out: List[Tuple[_FunctionNode, bool]] = []
+        aliases: Set[str],
+    ) -> List[_FunctionNode]:
+        """The callables handed to a process pool's ``map``/``submit``."""
+        out: List[_FunctionNode] = []
         for node in ast.walk(cls):
-            if not isinstance(node, ast.Call):
+            if not isinstance(node, ast.Call) or not node.args:
                 continue
             func = node.func
             if not isinstance(func, ast.Attribute) or func.attr not in ("map", "submit"):
@@ -203,16 +127,15 @@ class ThreadSharedStateRule(Rule):
             receiver = dotted_name(func.value).lower()
             if "pool" not in receiver and "executor" not in receiver:
                 continue
-            if not node.args:
+            if "process" not in receiver and receiver not in aliases:
                 continue
             resolved = self._resolve_callable(module, node.args[0], methods)
             if resolved is not None:
-                is_process = "process" in receiver or receiver in process_aliases
-                out.append((resolved, is_process))
+                out.append(resolved)
         return out
 
+    @staticmethod
     def _resolve_callable(
-        self,
         module: ModuleContext,
         arg: ast.expr,
         methods: Dict[str, _FunctionNode],
@@ -228,7 +151,7 @@ class ThreadSharedStateRule(Rule):
             return None
         if arg.id in methods:
             return methods[arg.id]
-        # A local `probe = lambda …` / `def probe(…)` in the dispatching scope.
+        # A local `worker = lambda …` / `def worker(…)` in the dispatching scope.
         scope = module.enclosing_function(arg)
         if scope is None:
             return None
@@ -243,14 +166,21 @@ class ThreadSharedStateRule(Rule):
 
     def _collect_writes(
         self,
-        module: ModuleContext,
         fn: _FunctionNode,
         methods: Dict[str, _FunctionNode],
         visited: Set[str],
-        out: List[Tuple[ast.AST, str, bool]],
+        out: List[Tuple[ast.AST, str]],
     ) -> None:
-        out.extend(self._direct_writes(fn))
         for node in ast.walk(fn):
+            targets: List[ast.expr] = []
+            if isinstance(node, ast.AugAssign):
+                targets = [node.target]
+            elif isinstance(node, ast.Assign):
+                targets = list(node.targets)
+            for tgt in targets:
+                target = _attribute_target(tgt)
+                if target:
+                    out.append((node, target))
             if not isinstance(node, ast.Call):
                 continue
             name = dotted_name(node.func)
@@ -263,19 +193,4 @@ class ThreadSharedStateRule(Rule):
             if callee is None:
                 continue
             visited.add(method_name)
-            self._collect_writes(module, callee, methods, visited, out)
-
-    @staticmethod
-    def _direct_writes(fn: _FunctionNode) -> List[Tuple[ast.AST, str, bool]]:
-        writes: List[Tuple[ast.AST, str, bool]] = []
-        for node in ast.walk(fn):
-            if isinstance(node, ast.AugAssign):
-                target = _attribute_target(node.target)
-                if target:
-                    writes.append((node, target, True))
-            elif isinstance(node, ast.Assign):
-                for tgt in node.targets:
-                    target = _attribute_target(tgt)
-                    if target:
-                        writes.append((node, target, False))
-        return writes
+            self._collect_writes(callee, methods, visited, out)

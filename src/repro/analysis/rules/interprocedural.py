@@ -1,13 +1,10 @@
-"""SKY601–SKY605 — the whole-program (interprocedural) rule family.
+"""SKY601–SKY604 — the whole-program (interprocedural) rule family.
 
 These rules run in phase 2 over the linked
 :class:`~repro.analysis.callgraph.Program` rather than one file at a
 time, so they see properties that are *global* to the protocol: a
 blocking call three frames below an ``async def``, an RPC billed by a
-wrapper two calls up, a MessageKind member nothing ever bills.  They
-supersede the single-function approximations SKY101 (same-function
-billing) and SKY503's blocking checks, which remain available as
-fallbacks for per-file runs.
+wrapper two calls up, a MessageKind member nothing ever bills.
 """
 
 from __future__ import annotations
@@ -16,21 +13,13 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..callgraph import Program, ProgramFunction, ProgramRule
 from ..framework import Finding, Severity
-from ..summaries import (
-    MESSAGE_MARKERS,
-    BlockFact,
-    ModuleSummary,
-    RngFact,
-    Site,
-    WriteFact,
-)
+from ..summaries import MESSAGE_MARKERS, BlockFact, ModuleSummary, RngFact, Site
 
 __all__ = [
     "TransitiveBlockingRule",
     "InterproceduralBillingRule",
     "LedgerSymmetryRule",
     "SeedProvenanceRule",
-    "LockDisciplineRule",
 ]
 
 #: One step of a blocking chain: the function entered and (for the last
@@ -58,10 +47,8 @@ class TransitiveBlockingRule(ProgramRule):
         "Blocking call reachable from an `async def` through the project "
         "call graph: sleeps, raw sockets, pool joins, and sync "
         "SiteEndpoint RPCs stall the event loop for every in-flight "
-        "session, no matter how many sync helpers deep they hide. "
-        "Supersedes SKY503's two-module blocking scope."
+        "session, no matter how many sync helpers deep they hide."
     )
-    supersedes = "SKY503"
 
     def check_program(self, program: Program) -> Iterator[Finding]:
         memo: Dict[str, Optional[_Chain]] = {}
@@ -158,10 +145,8 @@ class InterproceduralBillingRule(ProgramRule):
         "Interprocedural RPC billing: every path from an entry point to "
         "a site RPC must cross exactly one NetworkStats billing site. "
         "Catches RPCs billed nowhere on some path (helpers) and RPCs "
-        "billed twice (local bill plus a billing wrapper above). "
-        "Supersedes SKY101's same-function approximation."
+        "billed twice (local bill plus a billing wrapper above)."
     )
-    supersedes = "SKY101"
 
     def check_program(self, program: Program) -> Iterator[Finding]:
         tops = [
@@ -278,7 +263,7 @@ class InterproceduralBillingRule(ProgramRule):
             # These modules *are* the endpoints: their calls onto the
             # local engine are compute, not protocol messages.
             return False
-        return "distributed/" in relpath or "stream/" in relpath
+        return any(part in relpath for part in ("distributed/", "replica/", "stream/"))
 
 
 #: MessageKind member -> the RPC methods whose send it prices.  ``None``
@@ -384,10 +369,10 @@ class LedgerSymmetryRule(ProgramRule):
         def effective_rpcs(pf: ProgramFunction) -> Set[str]:
             """RPC methods at the bill's real send site.
 
-            A bill inside a pure billing helper (``_tuple_message``)
-            prices a message its *caller* sends, so when the billing
-            function issues no RPC itself, walk up the caller graph to
-            the nearest RPC-issuing ancestors and use their methods.
+            A bill inside a pure billing helper prices a message its
+            *caller* sends, so when the billing function issues no RPC
+            itself, walk up the caller graph to the nearest RPC-issuing
+            ancestors and use their methods.
             """
             own = rpc_methods(pf)
             if own:
@@ -553,60 +538,3 @@ class SeedProvenanceRule(ProgramRule):
                     continue
                 follow(pf, list(fact.flows), (pf, fact))
         yield from findings
-
-
-class LockDisciplineRule(ProgramRule):
-    """Invariant: an attribute written under a lock anywhere in a class
-    is written under that lock at *every* write site (``__init__``
-    excepted — construction happens-before sharing).
-
-    Paper hook: the coordinator's broadcast pool mutates shared
-    bookkeeping (`NetworkStats` counters, lifecycle state) from worker
-    threads; a single unguarded write to state the rest of the class
-    protects with ``_state_lock`` reintroduces the lost-update races
-    the ledger's exactness contract forbids.
-    """
-
-    id = "SKY605"
-    name = "lock-discipline"
-    severity = Severity.ERROR
-    description = (
-        "Lock discipline: if any write to `self.x.y` in a class happens "
-        "inside `with <lock>:`, every write to that attribute path in "
-        "the class must be guarded too (except in __init__). "
-        "Generalizes SKY501 beyond pool-dispatch call sites."
-    )
-
-    def check_program(self, program: Program) -> Iterator[Finding]:
-        for module in program.modules.values():
-            by_class: Dict[str, List[Tuple[ProgramFunction, WriteFact]]] = {}
-            for pf in program.functions.values():
-                if pf.module is not module or pf.summary.class_name is None:
-                    continue
-                for write in pf.summary.writes:
-                    by_class.setdefault(pf.summary.class_name, []).append(
-                        (pf, write)
-                    )
-            for class_name, writes in sorted(by_class.items()):
-                guarded_at: Dict[str, int] = {}
-                for _pf, write in writes:
-                    if write.guarded:
-                        guarded_at.setdefault(write.target, write.site.lineno)
-                if not guarded_at:
-                    continue
-                for _pf, write in writes:
-                    if (
-                        write.guarded
-                        or write.method == "__init__"
-                        or write.target not in guarded_at
-                    ):
-                        continue
-                    yield self.finding_at(
-                        module,
-                        write.site,
-                        f"`{write.target}` is written under a lock at "
-                        f"{module.relpath}:{guarded_at[write.target]} "
-                        f"but unguarded here in `{class_name}."
-                        f"{write.method}`; hold the same lock at every "
-                        "write site or the guarded sites protect nothing",
-                    )

@@ -1,25 +1,4 @@
-"""SKY101/SKY102 — protocol-accounting and emission discipline.
-
-SKY101 — protocol-accounting: every site RPC is billed.
-
-The paper's contribution *is* the bandwidth ledger: Eq. 10 prices a
-DSUD run in transmitted tuples, Corollary 1 bounds a degraded one, and
-every experiment figure is a read of :class:`~repro.net.stats.NetworkStats`.
-A coordinator-side call onto a site endpoint that is not paired with
-accounting silently falsifies all of that — the protocol still answers
-correctly, but the books no longer match the messages.
-
-The rule therefore walks every top-level function in ``distributed/``
-(excluding ``site.py``, which *is* the endpoint, so its self-calls are
-not messages): if the function invokes a :class:`SiteEndpoint` method
-on a non-``self`` receiver, the same function must also contain an
-accounting call — ``stats.record(...)`` or one of the repo's billing
-helpers (``_account`` / ``_lan`` / ``_tuple_message`` /
-``_control_message`` / ``record_round``).  Calls inside nested defs and
-lambdas count toward their outermost enclosing function, matching how
-the coordinator wraps RPC thunks.
-
-SKY102 — emission-discipline: results leave through the coverage-aware
+"""SKY102 — emission-discipline: results leave through the coverage-aware
 funnel.
 
 Under ``limit=`` a resolved tuple's probability may be a mere
@@ -37,136 +16,11 @@ outside ``emit`` are flagged.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator
 
 from ..framework import Finding, ModuleContext, Project, Rule, Severity, dotted_name
 
-__all__ = [
-    "ProtocolAccountingRule",
-    "EmissionDisciplineRule",
-    "RPC_METHODS",
-    "ACCOUNTING_MARKERS",
-]
-
-#: The SiteEndpoint surface (plus the strawman bulk-ship calls and the
-#: continuous-query stream-site surface): invoking any of these on
-#: another object is a protocol message.
-RPC_METHODS = frozenset(
-    {
-        "prepare",
-        "pop_representative",
-        "probe_and_prune",
-        "probe_and_prune_batch",
-        "queue_size",
-        "fast_forward",
-        "partition_digest",
-        "ship_all",
-        "ship_local_skyline",
-        "probe",
-        "probe_batch",
-        "dominated_local_candidates",
-        "set_replica",
-        "register_group",
-        "drop_group",
-        "close_epoch",
-        "sync_candidates",
-    }
-)
-
-#: A call whose dotted name ends in one of these counts as accounting.
-ACCOUNTING_MARKERS = (
-    "record",
-    "record_round",
-    "record_rpc_time",
-    "_account",
-    "_lan",
-    "_tuple_message",
-    "_control_message",
-)
-
-
-def _is_rpc_call(node: ast.Call) -> Optional[str]:
-    """The RPC method name if this call hits a site endpoint, else None."""
-    func = node.func
-    if not isinstance(func, ast.Attribute) or func.attr not in RPC_METHODS:
-        return None
-    receiver = dotted_name(func.value)
-    if receiver == "self" or receiver.startswith("self."):
-        return None
-    return func.attr
-
-
-def _is_accounting_call(node: ast.Call) -> bool:
-    name = dotted_name(node.func)
-    tail = name.split(".")[-1]
-    return tail in ACCOUNTING_MARKERS
-
-
-class ProtocolAccountingRule(Rule):
-    id = "SKY101"
-    name = "protocol-accounting"
-    severity = Severity.ERROR
-    description = (
-        "Site RPC without NetworkStats accounting in the same function: "
-        "every message must hit the Eq. 10 / Corollary 1 bandwidth books, "
-        "or the paper's central metric under-counts. Fallback for "
-        "per-file runs; whole-program runs use SKY602's path-sensitive "
-        "version instead."
-    )
-    superseded_by = "SKY602"
-
-    def applies_to(self, module: ModuleContext) -> bool:
-        if module.relpath.endswith(("distributed/site.py", "stream/site.py")):
-            # These modules *are* the endpoints: their calls onto the
-            # local engine are compute, not messages.
-            return False
-        return "distributed/" in module.relpath or "stream/" in module.relpath
-
-    def check(self, module: ModuleContext, project: Project) -> Iterator[Finding]:
-        if "SKY602" in project.superseding:
-            # The interprocedural billing rule subsumes this
-            # same-function approximation (and legalises the
-            # billed-in-a-wrapper pattern it cannot see).
-            return
-        # Group every call by its outermost enclosing function so that
-        # RPC thunks defined inline (lambdas, nested `probe` helpers)
-        # are judged against the function that actually runs them.
-        buckets: Dict[ast.AST, Tuple[List[Tuple[ast.Call, str]], List[ast.Call]]] = {}
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            scope = self._outermost_function(module, node)
-            if scope is None:
-                continue
-            rpcs, bills = buckets.setdefault(scope, ([], []))
-            method = _is_rpc_call(node)
-            if method is not None:
-                rpcs.append((node, method))
-            elif _is_accounting_call(node):
-                bills.append(node)
-        for scope, (rpcs, bills) in buckets.items():
-            if not rpcs or bills:
-                continue
-            for call, method in rpcs:
-                yield module.finding(
-                    self,
-                    call,
-                    f"site RPC `{dotted_name(call.func)}(...)` "
-                    f"({method}) has no NetworkStats accounting anywhere in "
-                    f"`{scope.name}`; bill it (stats.record / _account / "  # type: ignore[attr-defined]
-                    "_lan / _tuple_message) or the bandwidth metric lies",
-                )
-
-    @staticmethod
-    def _outermost_function(
-        module: ModuleContext, node: ast.AST
-    ) -> Optional[ast.AST]:
-        outermost = None
-        for anc in module.ancestors(node):
-            if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                outermost = anc
-        return outermost
-
+__all__ = ["EmissionDisciplineRule"]
 
 #: The only Coordinator method allowed to invoke report/offer directly —
 #: it is the coverage-aware funnel itself.

@@ -26,13 +26,24 @@ import ast
 from typing import Iterator, Optional
 
 from ..framework import Finding, ModuleContext, Project, Rule, Severity, dotted_name
-from .protocol import RPC_METHODS, _is_rpc_call
+from ..summaries import RPC_METHODS
 
 __all__ = ["RpcDisciplineRule"]
 
 #: Function names whose call arguments are the fault-aware path: a
 #: thunk handed to the shared retry loop or its blocking driver.
 _FUNNELS = ("attempt_loop", "call_with_retry")
+
+
+def _is_rpc_call(node: ast.Call) -> Optional[str]:
+    """The RPC method name if this call hits a site endpoint, else None."""
+    func = node.func
+    if not isinstance(func, ast.Attribute) or func.attr not in RPC_METHODS:
+        return None
+    receiver = dotted_name(func.value)
+    if receiver == "self" or receiver.startswith("self."):
+        return None
+    return func.attr
 
 
 class RpcDisciplineRule(Rule):

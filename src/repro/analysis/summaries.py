@@ -7,7 +7,7 @@ rule saw exactly one file.  v2 splits the work:
   the interprocedural rules need into a :class:`ModuleSummary` — the
   defined functions and classes, raw call edges, and per-function
   protocol facts (endpoint RPCs, `NetworkStats` billing, blocking
-  calls, awaits, RNG constructions, lock-guarded attribute writes).
+  calls, awaits, RNG constructions).
   Summaries are plain data with a JSON round-trip, so
   :mod:`repro.analysis.cache` can persist them keyed by content hash
   and unchanged files are never re-parsed.
@@ -35,7 +35,6 @@ __all__ = [
     "BillFact",
     "BlockFact",
     "RngFact",
-    "WriteFact",
     "FunctionSummary",
     "ClassSummary",
     "ModuleSummary",
@@ -74,24 +73,15 @@ RPC_METHODS = frozenset(
     }
 )
 
-#: A call whose dotted name ends in one of these counts as accounting.
-ACCOUNTING_MARKERS = (
-    "record",
-    "record_round",
-    "record_rpc_time",
-    "_account",
-    "_lan",
-    "_tuple_message",
-    "_control_message",
-)
+#: A call whose dotted name ends in one of these counts as accounting:
+#: ``NetworkStats.bill`` prices one message, ``record_round`` /
+#: ``record_rpc_time`` price a round and its time.
+ACCOUNTING_MARKERS = ("bill", "record_round", "record_rpc_time")
 
 #: The subset of :data:`ACCOUNTING_MARKERS` that bills an individual
-#: *message* (``record_round`` / ``record_rpc_time`` price rounds and
-#: time, not messages — a run loop calling them is not a wrapper that
+#: *message* (a run loop calling ``record_round`` is not a wrapper that
 #: bills its callees' RPCs).
-MESSAGE_MARKERS = frozenset(
-    {"record", "_account", "_lan", "_tuple_message", "_control_message"}
-)
+MESSAGE_MARKERS = frozenset({"bill"})
 
 #: Dotted call forms that block the calling thread outright.
 BLOCKING_CALLS = frozenset(
@@ -254,33 +244,6 @@ class RngFact:
         )
 
 
-@dataclass(frozen=True)
-class WriteFact:
-    """An attribute write on ``self`` (full dotted target path)."""
-
-    target: str  # e.g. "self.stats.sites_lost"
-    guarded: bool  # lexically inside a `with …lock…:` block
-    method: str
-    site: Site
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "target": self.target,
-            "guarded": self.guarded,
-            "method": self.method,
-            "site": self.site.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "WriteFact":
-        return cls(
-            str(data["target"]),
-            bool(data["guarded"]),
-            str(data["method"]),
-            Site.from_dict(data["site"]),  # type: ignore[arg-type]
-        )
-
-
 @dataclass
 class FunctionSummary:
     """Everything phase 2 needs to know about one function."""
@@ -298,7 +261,6 @@ class FunctionSummary:
     bills: List[BillFact] = field(default_factory=list)
     blocking: List[BlockFact] = field(default_factory=list)
     rng: List[RngFact] = field(default_factory=list)
-    writes: List[WriteFact] = field(default_factory=list)
     #: parameter name -> flow descriptors (same alphabet as RngFact.flows)
     param_flows: Dict[str, List[str]] = field(default_factory=dict)
     #: raw callee -> flows of values produced by calling it
@@ -320,7 +282,6 @@ class FunctionSummary:
             "bills": [b.to_dict() for b in self.bills],
             "blocking": [b.to_dict() for b in self.blocking],
             "rng": [r.to_dict() for r in self.rng],
-            "writes": [w.to_dict() for w in self.writes],
             "param_flows": {k: list(v) for k, v in self.param_flows.items()},
             "result_flows": {k: list(v) for k, v in self.result_flows.items()},
             "has_await": self.has_await,
@@ -344,7 +305,6 @@ class FunctionSummary:
             bills=[BillFact.from_dict(d) for d in data["bills"]],  # type: ignore[union-attr]
             blocking=[BlockFact.from_dict(d) for d in data["blocking"]],  # type: ignore[union-attr]
             rng=[RngFact.from_dict(d) for d in data["rng"]],  # type: ignore[union-attr]
-            writes=[WriteFact.from_dict(d) for d in data["writes"]],  # type: ignore[union-attr]
             param_flows={
                 str(k): [str(f) for f in v]
                 for k, v in data["param_flows"].items()  # type: ignore[union-attr]
@@ -490,17 +450,6 @@ def _self_attr_path(node: ast.AST) -> Optional[str]:
     if name == "self" or name.startswith("self."):
         return name
     return None
-
-
-def _under_lock(module: ModuleContext, node: ast.AST) -> bool:
-    for anc in module.ancestors(node):
-        if isinstance(anc, (ast.With, ast.AsyncWith)):
-            for item in anc.items:
-                if "lock" in dotted_name(item.context_expr).lower():
-                    return True
-        if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            break
-    return False
 
 
 def _is_pool_receiver(func: ast.Attribute) -> bool:
@@ -708,7 +657,6 @@ class _SummaryBuilder:
             self._collect_attr_types(self.summary.classes[class_name], fn)
         own = list(_own_nodes(fn))
         self._collect_calls(summary, own)
-        self._collect_writes(summary, own, class_name)
         self._collect_flows(summary, fn, own)
         summary.has_await = any(isinstance(n, ast.Await) for n in own)
         self.summary.functions[qualname] = summary
@@ -795,33 +743,6 @@ class _SummaryBuilder:
             ):
                 summary.blocking.append(
                     BlockFact(name=raw, kind="pool-join", site=self._site(node))
-                )
-
-    def _collect_writes(
-        self,
-        summary: FunctionSummary,
-        own: List[ast.AST],
-        class_name: Optional[str],
-    ) -> None:
-        if class_name is None:
-            return
-        for node in own:
-            targets: List[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            for target in targets:
-                path = _self_attr_path(target)
-                if path is None or path == "self":
-                    continue
-                summary.writes.append(
-                    WriteFact(
-                        target=path,
-                        guarded=_under_lock(self.module, node),
-                        method=summary.name,
-                        site=self._site(node),
-                    )
                 )
 
     # -- dataflow facts ------------------------------------------------

@@ -36,7 +36,7 @@ class ShipAllBaseline(Coordinator):
             if not ok:
                 continue
             for _ in shipped:
-                self._account(MessageKind.DATA, self._name(site), _SERVER)
+                self.stats.bill(MessageKind.DATA, self._name(site), _SERVER)
             self.stats.record_round(tuples_in_round=len(shipped))
             union.extend(shipped)
         self.iterations = 1

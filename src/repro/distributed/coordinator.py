@@ -52,7 +52,7 @@ from ..fault.coverage import CoverageTracker
 from ..fault.fsm import ClusterHealth
 from ..fault.liveness import LivenessBook
 from ..fault.retry import RetryPolicy
-from ..net.message import Message, MessageKind, Quaternion
+from ..net.message import MessageKind, Quaternion
 from ..net.stats import LatencyModel, NetworkStats, ProgressLog
 from ..net.transport import SiteEndpoint
 from .engine import ScriptEngine, _Fanout, _Request, _Rpc
@@ -177,7 +177,7 @@ class Coordinator(ScriptEngine):
         """
         sites = list(self.sites)  # a failover below swaps entries of self.sites
         for site in sites:
-            self._account(MessageKind.PREPARE, _SERVER, self._name(site))
+            self.stats.bill(MessageKind.PREPARE, _SERVER, self._name(site))
         attempts = yield _Fanout(
             tuple((_Rpc(site, "prepare", (self.threshold,)),) for site in sites)
         )
@@ -192,7 +192,7 @@ class Coordinator(ScriptEngine):
                 _endpoint, size, _factors = promoted
             else:
                 self._prepared.add(site.site_id)
-                self._account(MessageKind.PREPARE_REPLY, self._name(site), _SERVER)
+                self.stats.bill(MessageKind.PREPARE_REPLY, self._name(site), _SERVER)
             sizes.append(size)
         self.stats.record_round()
         return sizes
@@ -225,7 +225,7 @@ class Coordinator(ScriptEngine):
         live = [s for s in map(self._live_endpoint, sites) if s is not None]
         if request:
             for site in live:
-                self._account(MessageKind.NEXT_REQUEST, _SERVER, self._name(site))
+                self.stats.bill(MessageKind.NEXT_REQUEST, _SERVER, self._name(site))
         attempts = yield _Fanout(
             tuple((_Rpc(site, "pop_representative"),) for site in live)
         )
@@ -254,7 +254,7 @@ class Coordinator(ScriptEngine):
                     return None
                 live = promoted[0]
             if request:
-                self._account(MessageKind.NEXT_REQUEST, _SERVER, self._name(live))
+                self.stats.bill(MessageKind.NEXT_REQUEST, _SERVER, self._name(live))
             verdict = yield _Rpc(live, "pop_representative")
         ok, quaternion = verdict
         if not ok:
@@ -269,12 +269,12 @@ class Coordinator(ScriptEngine):
                 return None
         if quaternion is None:
             self._site_tail_cap[site.site_id] = 0.0
-            self._account(MessageKind.EXHAUSTED, self._name(site), _SERVER)
+            self.stats.bill(MessageKind.EXHAUSTED, self._name(site), _SERVER)
             return None
         # The queue pops in descending order: whatever the site still
         # holds is bounded by what it just delivered.
         self._site_tail_cap[site.site_id] = quaternion.local_probability
-        self._account(MessageKind.REPRESENTATIVE, self._name(site), _SERVER)
+        self.stats.bill(MessageKind.REPRESENTATIVE, self._name(site), _SERVER)
         self._delivered_keys[site.site_id].append(quaternion.key)
         return quaternion
 
@@ -373,7 +373,7 @@ class Coordinator(ScriptEngine):
             if not indices:
                 continue
             plan.append((site, indices))
-            self._account(
+            self.stats.bill(
                 MessageKind.FEEDBACK, _SERVER, self._name(site), tuples=len(indices)
             )
             total_tuples += len(indices)
@@ -416,7 +416,7 @@ class Coordinator(ScriptEngine):
             # A pop rode — and is billed — only if its lane got that
             # far; its verdict leaves the probe results it followed.
             if len(attempts[index]) == len(lanes[index]):
-                self._account(MessageKind.NEXT_REQUEST, _SERVER, self._name(pop.site))
+                self.stats.bill(MessageKind.NEXT_REQUEST, _SERVER, self._name(pop.site))
                 self._rode[pop.site.site_id] = attempts[index].pop()
         out = []
         for (site, indices), one_rpc, results in zip(plan, batched, attempts):
@@ -438,7 +438,7 @@ class Coordinator(ScriptEngine):
                     if factor is not None:
                         out.append((site.site_id, index, factor))
                 continue
-            self._account(MessageKind.PROBE_REPLY, self._name(site), _SERVER)
+            self.stats.bill(MessageKind.PROBE_REPLY, self._name(site), _SERVER)
             for index, factor in zip(indices, factors):
                 self.coverage.contribute(
                     quaternions[index].tuple.key, site.site_id, factor
@@ -460,7 +460,7 @@ class Coordinator(ScriptEngine):
         self.coverage.watch(t.key)
         self.results.append(SkylineMember(t, global_probability))
         self.progress.report(t.key, global_probability, self.stats)
-        self._account(MessageKind.RESULT, _SERVER, "client")
+        self.stats.bill(MessageKind.RESULT, _SERVER, "client")
         return True
 
     # ------------------------------------------------------------------
@@ -589,7 +589,7 @@ class Coordinator(ScriptEngine):
             cached = book.lookup(key)
             if cached is not None:
                 return cached
-        self._account(MessageKind.CONTROL, _SERVER, self._name(endpoint))
+        self.stats.bill(MessageKind.CONTROL, _SERVER, self._name(endpoint))
         alive, _size = yield _Rpc(endpoint, "queue_size", raw=True)
         if book is not None:
             book.record(key, alive)
@@ -607,19 +607,19 @@ class Coordinator(ScriptEngine):
         """
         site_id = site.site_id
         if site_id not in self._prepared:
-            self._account(MessageKind.PREPARE, _SERVER, self._name(site))
+            self.stats.bill(MessageKind.PREPARE, _SERVER, self._name(site))
             ok, _size = yield _Rpc(site, "prepare", (self.threshold,))
             if not ok:
                 return False
             self._prepared.add(site_id)
-            self._account(MessageKind.PREPARE_REPLY, self._name(site), _SERVER)
+            self.stats.bill(MessageKind.PREPARE_REPLY, self._name(site), _SERVER)
         owed = self.coverage.missing_from(site_id)
         for cov in owed:
-            self._account(MessageKind.FEEDBACK, _SERVER, self._name(site))
+            self.stats.bill(MessageKind.FEEDBACK, _SERVER, self._name(site))
             ok, reply = yield _Rpc(site, "probe_and_prune", (cov.tuple,))
             if not ok:
                 return False
-            self._account(MessageKind.PROBE_REPLY, self._name(site), _SERVER)
+            self.stats.bill(MessageKind.PROBE_REPLY, self._name(site), _SERVER)
             # contribute() notifies the tighten hooks for watched keys:
             # reported results re-score (possibly retract) and buffered
             # top-k entries re-score through their shared TupleCoverage.
@@ -696,27 +696,27 @@ class Coordinator(ScriptEngine):
         the replacement itself faulted (the site is then DOWN again).
         """
         name = self._name(endpoint)
-        self._account(MessageKind.PREPARE, _SERVER, name)
+        self.stats.bill(MessageKind.PREPARE, _SERVER, name)
         ok, size = yield _Rpc(endpoint, "prepare", (self.threshold,))
         if not ok:
             return None
         self._prepared.add(site_id)
-        self._account(MessageKind.PREPARE_REPLY, name, _SERVER)
+        self.stats.bill(MessageKind.PREPARE_REPLY, name, _SERVER)
         factors: Dict[int, float] = {}
         replayed = [cov for cov in self.coverage.entries() if cov.origin != site_id]
         for cov in replayed:
-            self._account(MessageKind.FAILOVER_PROBE, _SERVER, name)
+            self.stats.bill(MessageKind.FAILOVER_PROBE, _SERVER, name)
             ok, reply = yield _Rpc(endpoint, "probe_and_prune", (cov.tuple,))
             if not ok:
                 return None
-            self._account(MessageKind.PROBE_REPLY, name, _SERVER)
+            self.stats.bill(MessageKind.PROBE_REPLY, name, _SERVER)
             factors[cov.key] = reply.factor
             # contribute() is a no-op for factors the dead twin already
             # supplied, and restores exactness for the owed ones.
             self.coverage.contribute(cov.key, site_id, reply.factor)
         delivered = self._delivered_keys[site_id]
         if delivered:
-            self._account(MessageKind.CONTROL, _SERVER, name)
+            self.stats.bill(MessageKind.CONTROL, _SERVER, name)
             ok, _skipped = yield _Rpc(endpoint, "fast_forward", (delivered,))
             if not ok:
                 return None
@@ -892,21 +892,6 @@ class Coordinator(ScriptEngine):
 
     def _extra(self) -> dict:
         return {}
-
-    # ------------------------------------------------------------------
-    # accounting helpers
-    # ------------------------------------------------------------------
-
-    def _account(
-        self,
-        kind: MessageKind,
-        sender: str,
-        receiver: str,
-        tuples: Optional[int] = None,
-    ) -> None:
-        self.stats.record(
-            Message.bearing(kind, sender, receiver, payload=None, tuple_count=tuples)
-        )
 
     @staticmethod
     def _name(site: SiteEndpoint) -> str:

@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence
 from ..core.dominance import Preference, dominates
 from ..core.probability import feedback_pruning_bound
 from ..core.tuples import UncertainTuple
-from ..net.message import Message, MessageKind, Quaternion
+from ..net.message import MessageKind, Quaternion
 from ..net.stats import NetworkStats
 from ..net.transport import SiteEndpoint
 from .site import ProbeReply
@@ -52,6 +52,7 @@ class RegionCoordinator:
         self.sites = list(sites)
         #: Intra-region (LAN) traffic, kept apart from the root's WAN books.
         self.local_stats = NetworkStats()
+        self._region = f"region-{region_id}"
         self.threshold: Optional[float] = None
         self._heap: List = []  # (-bound, tick, quaternion, resolved, origin)
         self._counter = itertools.count()
@@ -70,9 +71,9 @@ class RegionCoordinator:
         self._feedback = []
         total = 0
         for site in self.sites:
-            self._lan(MessageKind.PREPARE, to_site=site)
+            self.local_stats.bill(MessageKind.PREPARE, self._region, f"site-{site.site_id}")
             total += site.prepare(threshold)
-            self._lan(MessageKind.PREPARE_REPLY, from_site=site)
+            self.local_stats.bill(MessageKind.PREPARE_REPLY, f"site-{site.site_id}", self._region)
             self._pull_from(site)
         return total
 
@@ -119,9 +120,9 @@ class RegionCoordinator:
         pruned = 0
         remaining = 0
         for site in self.sites:
-            self._lan(MessageKind.FEEDBACK, to_site=site)
+            self.local_stats.bill(MessageKind.FEEDBACK, self._region, f"site-{site.site_id}")
             reply = site.probe_and_prune(t)
-            self._lan(MessageKind.PROBE_REPLY, from_site=site)
+            self.local_stats.bill(MessageKind.PROBE_REPLY, f"site-{site.site_id}", self._region)
             factor *= reply.factor
             pruned += reply.pruned
             remaining += reply.queue_remaining
@@ -133,7 +134,7 @@ class RegionCoordinator:
     def queue_size(self) -> int:
         total = len(self._heap)
         for site in self.sites:
-            self._lan(MessageKind.CONTROL, to_site=site)
+            self.local_stats.bill(MessageKind.CONTROL, self._region, f"site-{site.site_id}")
             total += site.queue_size()
         return total
 
@@ -152,7 +153,7 @@ class RegionCoordinator:
         if site.site_id in self._exhausted:
             return
         quaternion = site.pop_representative()
-        self._lan(MessageKind.REPRESENTATIVE, from_site=site)
+        self.local_stats.bill(MessageKind.REPRESENTATIVE, f"site-{site.site_id}", self._region)
         if quaternion is None:
             self._exhausted.add(site.site_id)
             return
@@ -184,9 +185,9 @@ class RegionCoordinator:
         for site in self.sites:
             if site.site_id == quaternion.site:
                 continue
-            self._lan(MessageKind.FEEDBACK, to_site=site)
+            self.local_stats.bill(MessageKind.FEEDBACK, self._region, f"site-{site.site_id}")
             reply = site.probe_and_prune(quaternion.tuple)
-            self._lan(MessageKind.PROBE_REPLY, from_site=site)
+            self.local_stats.bill(MessageKind.PROBE_REPLY, f"site-{site.site_id}", self._region)
             regional *= reply.factor
             probed += 1
         self.local_stats.record_round(tuples_in_round=probed)
@@ -213,23 +214,6 @@ class RegionCoordinator:
         for origin in pending:
             self._pull_from(self._site_by_id(origin))
         return pruned
-
-    def _lan(
-        self,
-        kind: MessageKind,
-        to_site: Optional[SiteEndpoint] = None,
-        from_site: Optional[SiteEndpoint] = None,
-    ) -> None:
-        if to_site is not None:
-            self.local_stats.record(
-                Message.bearing(kind, f"region-{self.site_id}",
-                                f"site-{to_site.site_id}", None)
-            )
-        else:
-            self.local_stats.record(
-                Message.bearing(kind, f"site-{from_site.site_id}",
-                                f"region-{self.site_id}", None)
-            )
 
 
 def build_regions(

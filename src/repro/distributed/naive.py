@@ -38,7 +38,7 @@ class NaiveLocalSkylines(Coordinator):
             if not ok:
                 continue
             for _ in burst:
-                self._account(MessageKind.REPRESENTATIVE, self._name(site), _SERVER)
+                self.stats.bill(MessageKind.REPRESENTATIVE, self._name(site), _SERVER)
             self.stats.record_round(tuples_in_round=len(burst))
             gathered.extend(burst)
         gathered.sort(key=lambda q: -q.local_probability)

@@ -157,7 +157,7 @@ class SynopsisEDSUD(EDSUD):
             synopsis = build_site_synopsis(site, self.cells_per_dim)
             self.synopses[site.site_id] = synopsis
             for _ in range(synopsis.entry_count):
-                self._account(MessageKind.DATA, self._name(site), _SERVER)
+                self.stats.bill(MessageKind.DATA, self._name(site), _SERVER)
             total += synopsis.entry_count
         self.synopsis_tuples = total
         self.stats.record_round(tuples_in_round=total)

@@ -35,7 +35,7 @@ from ..core.dominance import Preference, dominates
 from ..core.prob_skyline import ProbabilisticSkyline, SkylineMember
 from ..core.probability import feedback_pruning_bound
 from ..core.tuples import UncertainTuple
-from ..net.message import Message, MessageKind
+from ..net.message import MessageKind
 from ..net.stats import LatencyModel, NetworkStats
 from .edsud import EDSUD
 from .site import LocalSite
@@ -108,7 +108,7 @@ class _MaintainerBase:
 
     def _push_replicas(self) -> None:
         for site in self.sites:
-            self._control_message("server", f"site-{site.site_id}")
+            self.stats.bill(MessageKind.CONTROL, "server", f"site-{site.site_id}")
             site.set_replica(self.sky)
 
     def skyline(self) -> ProbabilisticSkyline:
@@ -121,12 +121,6 @@ class _MaintainerBase:
             if site.site_id == site_id:
                 return site
         raise KeyError(f"no site with id {site_id}")
-
-    def _tuple_message(self, sender: str, receiver: str) -> None:
-        self.stats.record(Message.bearing(MessageKind.UPDATE, sender, receiver, None))
-
-    def _control_message(self, sender: str, receiver: str) -> None:
-        self.stats.record(Message.bearing(MessageKind.CONTROL, sender, receiver, None))
 
 
 class IncrementalMaintainer(_MaintainerBase):
@@ -210,7 +204,7 @@ class IncrementalMaintainer(_MaintainerBase):
         for other in self.sites:
             if other.site_id == site_id:
                 continue
-            self._tuple_message("server", f"site-{other.site_id}")
+            self.stats.bill(MessageKind.UPDATE, "server", f"site-{other.site_id}")
             found = other.dominated_local_candidates(
                 t, self.threshold, pruners=pruners
             )
@@ -247,7 +241,7 @@ class IncrementalMaintainer(_MaintainerBase):
     def _resolve_global(self, origin_site: int, t: UncertainTuple) -> float:
         """Exact global probability of ``t``: one tuple up, m−1 probes out."""
         origin = self._site(origin_site)
-        self._tuple_message(f"site-{origin_site}", "server")
+        self.stats.bill(MessageKind.UPDATE, f"site-{origin_site}", "server")
         prob = (
             origin.local_skyline_probability(t)
             if origin.contains(t.key)
@@ -257,9 +251,9 @@ class IncrementalMaintainer(_MaintainerBase):
         for other in self.sites:
             if other.site_id == origin_site:
                 continue
-            self._tuple_message("server", f"site-{other.site_id}")
+            self.stats.bill(MessageKind.UPDATE, "server", f"site-{other.site_id}")
             prob *= other.probe(t)
-            self._control_message(f"site-{other.site_id}", "server")
+            self.stats.bill(MessageKind.CONTROL, f"site-{other.site_id}", "server")
             sent += 1
         self.stats.record_round(tuples_in_round=1 + sent)
         return prob
@@ -292,17 +286,14 @@ class NaiveMaintainer(_MaintainerBase):
         )
 
     def _recompute(self) -> int:
-        result = EDSUD(
+        coordinator = EDSUD(
             self.sites, self.threshold, self.preference, self.latency_model
-        ).run()
+        )
+        # The rerun bills straight into the maintainer's books, so every
+        # message it sends stays attributable to its kind.
+        coordinator.stats = self.stats
+        before = self.stats.tuples_transmitted
+        result = coordinator.run()
         self.sky = {m.key: (m.tuple, m.probability) for m in result.answer}
         self._push_replicas()
-        self.stats.tuples_transmitted += result.stats.tuples_transmitted
-        self.stats.messages += result.stats.messages
-        self.stats.simulated_time += result.stats.simulated_time
-        self.stats.rounds += result.stats.rounds
-        # Merge the per-kind breakdown too, or the book goes asymmetric:
-        # every absorbed message must stay attributable to its kind.
-        for kind, count in result.stats.by_kind.items():
-            self.stats.by_kind[kind] = self.stats.by_kind.get(kind, 0) + count
-        return result.stats.tuples_transmitted
+        return self.stats.tuples_transmitted - before

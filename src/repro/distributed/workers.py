@@ -7,7 +7,7 @@ session's RPCs wait); doing it on a thread shares the single GIL-free
 numpy window with the serving kernels.  This module runs the build in a
 separate **process** and ships only the result arrays back.
 
-Process discipline (enforced by skylint SKY501/SKY503):
+Process discipline (enforced by skylint SKY501/SKY601):
 
 * Nothing mutable crosses the boundary.  The parent serialises the
   partition to plain contiguous arrays (:func:`TableWorkerPool.build_payload`),

@@ -3,7 +3,7 @@ the coordinator↔site endpoint contract, and real TCP transports
 (threaded sockets and an asyncio protocol over one wire format)."""
 
 from .aio import AsyncLocalEndpoint, AsyncRemoteSiteProxy
-from .message import Message, MessageKind, Quaternion, decode_tuple, encode_tuple
+from .message import MessageKind, Quaternion, decode_tuple, encode_tuple
 from .stats import LatencyModel, NetworkStats, ProgressEvent, ProgressLog
 from .trace import ProtocolTracer, TraceRecord, load_trace, summarize_trace
 from .transport import CallRecord, EndpointInterceptor, RecordingEndpoint, SiteEndpoint
@@ -11,7 +11,6 @@ from .transport import CallRecord, EndpointInterceptor, RecordingEndpoint, SiteE
 __all__ = [
     "AsyncLocalEndpoint",
     "AsyncRemoteSiteProxy",
-    "Message",
     "MessageKind",
     "Quaternion",
     "encode_tuple",

@@ -18,11 +18,22 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
-from .message import Message, MessageKind
+from .message import MessageKind
 
 __all__ = ["LatencyModel", "NetworkStats", "ProgressEvent", "ProgressLog"]
+
+#: Message kinds whose payload is a tuple and therefore costs bandwidth.
+_TUPLE_BEARING = {
+    MessageKind.REPRESENTATIVE,
+    MessageKind.FEEDBACK,
+    MessageKind.UPDATE,
+    MessageKind.DATA,
+    MessageKind.REPLICA_SYNC,
+    MessageKind.FAILOVER_PROBE,
+    MessageKind.DELTA,
+}
 
 
 @dataclass(frozen=True)
@@ -71,16 +82,32 @@ class NetworkStats:
     failovers: int = 0
     failbacks: int = 0
 
-    def record(self, message: Message) -> None:
-        """Account one message (direction inferred from the receiver)."""
+    def bill(
+        self,
+        kind: MessageKind,
+        sender: str,
+        receiver: str,
+        tuples: Optional[int] = None,
+    ) -> None:
+        """Account one message (direction inferred from the receiver).
+
+        ``tuples`` overrides the per-kind default — 1 for a
+        tuple-bearing kind, else 0 — for batched messages: a FEEDBACK
+        carrying k quaternions bears k tuples, because the paper's §3.2
+        metric counts tuples, not envelopes.  ``sender`` names the
+        message's origin for the reader; only the receiver decides the
+        direction.
+        """
+        if tuples is None:
+            tuples = 1 if kind in _TUPLE_BEARING else 0
         self.messages += 1
-        self.by_kind[message.kind.value] = self.by_kind.get(message.kind.value, 0) + 1
-        if message.tuple_count:
-            self.tuples_transmitted += message.tuple_count
-            if message.receiver == "server":
-                self.tuples_to_server += message.tuple_count
+        self.by_kind[kind.value] = self.by_kind.get(kind.value, 0) + 1
+        if tuples:
+            self.tuples_transmitted += tuples
+            if receiver == "server":
+                self.tuples_to_server += tuples
             else:
-                self.tuples_from_server += message.tuple_count
+                self.tuples_from_server += tuples
 
     def record_round(self, tuples_in_round: int = 0) -> None:
         """Advance the simulated clock by one parallel communication round."""
@@ -102,9 +129,10 @@ class NetworkStats:
     def record_failure(self) -> None:
         self.rpc_failures += 1
 
-    def snapshot(self) -> Dict[str, float]:
+    def snapshot(self) -> Dict[str, object]:
         return {
             "messages": self.messages,
+            "by_kind": dict(self.by_kind),
             "tuples_transmitted": self.tuples_transmitted,
             "tuples_to_server": self.tuples_to_server,
             "tuples_from_server": self.tuples_from_server,

@@ -11,7 +11,7 @@ a drop-in replacement endpoint (:meth:`~ReplicaManager.replica_for`)
 when a primary goes DOWN.
 
 Accounting: every replica-path message is billed to the bound
-:class:`~repro.net.stats.NetworkStats` (skylint SKY103) — provisioning
+:class:`~repro.net.stats.NetworkStats` (skylint SKY602) — provisioning
 and repairs as tuple-bearing ``REPLICA_SYNC``, digest exchanges as
 zero-tuple ``DIGEST``.  The manager starts with its own standing book
 (provisioning is a data-placement cost amortised across queries, not a
@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.dominance import Preference
 from ..core.tuples import UncertainTuple
 from ..distributed.site import LocalSite, SiteConfig
-from ..net.message import Message, MessageKind
+from ..net.message import MessageKind
 from ..net.stats import NetworkStats
 from ..net.transport import SiteEndpoint
 from .placement import assign_buddies
@@ -75,13 +75,6 @@ class ReplicaManager:
         """Re-point replica-traffic billing (e.g. at a query's books)."""
         self.stats = stats
 
-    def _account(
-        self, kind: MessageKind, sender: str, receiver: str, tuples: Optional[int] = None
-    ) -> None:
-        self.stats.record(
-            Message.bearing(kind, sender, receiver, payload=None, tuple_count=tuples)
-        )
-
     @staticmethod
     def _replica_name(site_id: int, host: int) -> str:
         return f"replica-{site_id}@site-{host}"
@@ -109,7 +102,7 @@ class ReplicaManager:
             data = list(primary.ship_all())
             pairs: List[Tuple[int, LocalSite]] = []
             for host in self.placement[sid]:
-                self._account(
+                self.stats.bill(
                     MessageKind.REPLICA_SYNC,
                     f"site-{sid}",
                     self._replica_name(sid, host),
@@ -152,7 +145,7 @@ class ReplicaManager:
         """
         self.ensure_provisioned()
         for host, replica in self._replicas.get(site_id, []):
-            self._account(
+            self.stats.bill(
                 MessageKind.REPLICA_SYNC,
                 f"site-{site_id}",
                 self._replica_name(site_id, host),
@@ -175,7 +168,7 @@ class ReplicaManager:
         """
         self.ensure_provisioned()
         for host, replica in self._replicas.get(site_id, []):
-            self._account(
+            self.stats.bill(
                 MessageKind.REPLICA_SYNC,
                 f"site-{site_id}",
                 self._replica_name(site_id, host),
@@ -203,8 +196,8 @@ class ReplicaManager:
             want = primary.partition_digest()
             for host, replica in self._replicas[sid]:
                 name = self._replica_name(sid, host)
-                self._account(MessageKind.DIGEST, f"site-{sid}", name)
-                self._account(MessageKind.DIGEST, name, f"site-{sid}")
+                self.stats.bill(MessageKind.DIGEST, f"site-{sid}", name)
+                self.stats.bill(MessageKind.DIGEST, name, f"site-{sid}")
                 if replica.partition_digest() == want:
                     continue
                 self._repair(primary, replica, f"site-{sid}", name)
@@ -230,8 +223,8 @@ class ReplicaManager:
         primary = self._primaries[site_id]
         pname = f"site-{site_id}"
         rname = self._replica_name(site_id, host)
-        self._account(MessageKind.DIGEST, pname, rname)
-        self._account(MessageKind.DIGEST, rname, pname)
+        self.stats.bill(MessageKind.DIGEST, pname, rname)
+        self.stats.bill(MessageKind.DIGEST, rname, pname)
         if primary.partition_digest() != replica.partition_digest():
             self._repair(replica, primary, rname, pname)
         return primary.partition_digest() == replica.partition_digest()
@@ -263,7 +256,7 @@ class ReplicaManager:
                 target.delete_tuple(key)
             target.insert_tuple(t)
             shipped += 1
-        self._account(
+        self.stats.bill(
             MessageKind.REPLICA_SYNC, source_name, target_name, tuples=shipped
         )
         self.stats.record_round(tuples_in_round=shipped)

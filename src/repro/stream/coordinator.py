@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.dominance import Preference
 from ..core.prob_skyline import ProbabilisticSkyline, SkylineMember
 from ..core.tuples import UncertainTuple
-from ..net.message import Message, MessageKind
+from ..net.message import MessageKind
 from ..net.stats import LatencyModel, NetworkStats
 from .deltas import DeltaKind, ResultDelta, StandingQuery
 from .site import StreamSite
@@ -140,7 +140,7 @@ class ContinuousCoordinator:
         query_id = self._next_query_id
         self._queries[query_id] = query
         self._views[query_id] = {}
-        self._account(MessageKind.SUBSCRIBE, f"client-{query_id}", _SERVER)
+        self.stats.bill(MessageKind.SUBSCRIBE, f"client-{query_id}", _SERVER)
         key = _preference_key(query.preference)
         book = self._groups.get(key)
         if book is None:
@@ -153,7 +153,7 @@ class ContinuousCoordinator:
         if previous_q_min is None or q_min < previous_q_min:
             # A new or loosened suppression bound must reach the edge.
             for site in self.sites:
-                self._account(MessageKind.SUBSCRIBE, _SERVER, self._name(site))
+                self.stats.bill(MessageKind.SUBSCRIBE, _SERVER, self._name(site))
                 site.register_group(book.group_id, q_min, book.preference)
         return query_id
 
@@ -169,12 +169,12 @@ class ContinuousCoordinator:
         if not book.query_ids:
             del self._groups[key]
             for site in self.sites:
-                self._account(MessageKind.SUBSCRIBE, _SERVER, self._name(site))
+                self.stats.bill(MessageKind.SUBSCRIBE, _SERVER, self._name(site))
                 site.drop_group(book.group_id)
             return
         q_min = self._q_min(book)
         for site in self.sites:
-            self._account(MessageKind.SUBSCRIBE, _SERVER, self._name(site))
+            self.stats.bill(MessageKind.SUBSCRIBE, _SERVER, self._name(site))
             site.register_group(book.group_id, q_min, book.preference)
 
     def queries(self) -> Dict[int, StandingQuery]:
@@ -243,15 +243,15 @@ class ContinuousCoordinator:
         for site in self.sites:
             digest = site.close_epoch(book.group_id)
             for _t, _local in digest.entered:
-                self._account(MessageKind.DELTA, self._name(site), _SERVER)
+                self.stats.bill(MessageKind.DELTA, self._name(site), _SERVER)
                 shipped += 1
                 self.candidates_shipped += 1
             if digest.rescored or digest.factors:
-                self._account(
+                self.stats.bill(
                     MessageKind.DELTA, self._name(site), _SERVER, tuples=0
                 )
             for _key in digest.departed:
-                self._account(MessageKind.EXPIRE, self._name(site), _SERVER)
+                self.stats.bill(MessageKind.EXPIRE, self._name(site), _SERVER)
             entered_by_site[site.site_id] = digest.entered
             departed.extend(digest.departed)
             for key, local in digest.rescored:
@@ -276,7 +276,7 @@ class ContinuousCoordinator:
             removed = list(departed)
             if not payload and not removed:
                 continue
-            self._account(
+            self.stats.bill(
                 MessageKind.REPLICA_SYNC,
                 _SERVER,
                 self._name(site),
@@ -285,7 +285,7 @@ class ContinuousCoordinator:
             self.replicas_shipped += len(payload)
             replies = site.sync_candidates(book.group_id, payload, removed)
             if payload:
-                self._account(
+                self.stats.bill(
                     MessageKind.DELTA, self._name(site), _SERVER, tuples=0
                 )
             for key, factor in replies:
@@ -348,7 +348,7 @@ class ContinuousCoordinator:
                 )
         self._views[query_id] = now
         if deltas:
-            self._account(
+            self.stats.bill(
                 MessageKind.NOTIFY, _SERVER, f"client-{query_id}", tuples=0
             )
         return deltas
@@ -367,17 +367,6 @@ class ContinuousCoordinator:
             for key, probability in view.items()
         ]
         return ProbabilisticSkyline(query.threshold, members)
-
-    def _account(
-        self,
-        kind: MessageKind,
-        sender: str,
-        receiver: str,
-        tuples: Optional[int] = None,
-    ) -> None:
-        self.stats.record(
-            Message.bearing(kind, sender, receiver, payload=None, tuple_count=tuples)
-        )
 
     @staticmethod
     def _name(site: StreamSite) -> str:

@@ -18,11 +18,9 @@ from repro.analysis.rules.asyncio_discipline import AsyncioDisciplineRule
 from repro.analysis.rules.interprocedural import (
     InterproceduralBillingRule,
     LedgerSymmetryRule,
-    LockDisciplineRule,
     SeedProvenanceRule,
     TransitiveBlockingRule,
 )
-from repro.analysis.rules.protocol import ProtocolAccountingRule
 from repro.analysis.summaries import build_summary
 
 
@@ -173,8 +171,9 @@ class Adapter:
     assert _check(files, [TransitiveBlockingRule()]) == []
 
 
-# SKY601 must reproduce everything SKY503 caught on its old scope
-# (direct blocking calls and pool joins in async defs).
+# SKY601 owns everything SKY503's blocking half used to catch on its
+# scope (direct blocking calls and pool joins in async defs); SKY503
+# keeps only the fire-and-forget check.
 
 SKY503_BAD_BLOCKING = """\
 import socket
@@ -199,29 +198,24 @@ class TablePool:
 
 
 def test_sky601_reproduces_sky503_blocking_findings():
-    old = run_rules(
-        [ModuleContext("repro/serve/fake.py", SKY503_BAD_BLOCKING)],
-        [AsyncioDisciplineRule()],
-    )
-    new = _check(
-        {"repro/serve/fake.py": SKY503_BAD_BLOCKING}, [TransitiveBlockingRule()]
-    )
-    assert [(f.path, f.line) for f in new] == [(f.path, f.line) for f in old]
+    for relpath in ("repro/serve/fake.py", "repro/net/aio.py", "repro/distributed/workers.py"):
+        findings = _check({relpath: SKY503_BAD_BLOCKING}, [TransitiveBlockingRule()])
+        assert [(f.rule, f.line) for f in findings] == [("SKY601", 7), ("SKY601", 8)]
+        assert "time.sleep" in findings[0].message
+        assert "socket.create_connection" in findings[1].message
 
 
 def test_sky601_reproduces_sky503_pool_join_findings():
-    old = run_rules(
-        [ModuleContext("repro/distributed/workers.py", SKY503_BAD_POOL_JOIN)],
-        [AsyncioDisciplineRule()],
-    )
-    new = _check(
+    findings = _check(
         {"repro/distributed/workers.py": SKY503_BAD_POOL_JOIN},
         [TransitiveBlockingRule()],
     )
-    assert [(f.path, f.line) for f in new] == [(f.path, f.line) for f in old]
+    assert [(f.rule, f.line) for f in findings] == [("SKY601", 3), ("SKY601", 6)]
+    assert "shutdown" in findings[0].message
+    assert "join" in findings[1].message
 
 
-def test_sky503_steps_back_to_fire_and_forget_only_under_sky601():
+def test_sky503_and_sky601_split_the_event_loop_checks():
     source = """\
 import asyncio
 import time
@@ -232,15 +226,14 @@ class Service:
         time.sleep(0.1)
         asyncio.create_task(self._scheduler())
 """
-    modules = [ModuleContext("repro/serve/fake.py", source)]
-    alone = run_rules(modules, [AsyncioDisciplineRule()])
-    assert sorted({f.rule for f in alone}) == ["SKY503"]
-    assert len(alone) == 2  # blocking + fire-and-forget
-    superseded = run_rules(
-        modules, [AsyncioDisciplineRule()], superseding={"SKY601"}
+    files = {"repro/serve/fake.py": source}
+    sky503 = run_rules(
+        [ModuleContext("repro/serve/fake.py", source)], [AsyncioDisciplineRule()]
     )
-    assert len(superseded) == 1
-    assert "fire-and-forget" in superseded[0].message
+    assert [(f.rule, f.line) for f in sky503] == [("SKY503", 8)]
+    assert "fire-and-forget" in sky503[0].message
+    sky601 = _check(files, [TransitiveBlockingRule()])
+    assert [(f.rule, f.line) for f in sky601] == [("SKY601", 7)]
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +244,7 @@ SKY602_GOOD_WRAPPER_TWO_UP = {
     "repro/distributed/fake.py": """\
 class Region:
     def entry(self, site):
-        self._account("PREPARE")
+        self.stats.bill(MessageKind.PREPARE, "server", "site-0")
         self.middle(site)
 
     def middle(self, site):
@@ -259,9 +252,6 @@ class Region:
 
     def leaf(self, site):
         return site.prepare(0.5)
-
-    def _account(self, kind):
-        self.stats.record(kind)
 """
 }
 
@@ -280,15 +270,12 @@ SKY602_BAD_DOUBLE = {
     "repro/distributed/fake.py": """\
 class Region:
     def entry(self, site):
-        self._account("PREPARE")
+        self.stats.bill(MessageKind.PREPARE, "server", "site-0")
         self.leaf(site)
 
     def leaf(self, site):
-        self.stats.record("PREPARE")
+        self.stats.bill(MessageKind.PREPARE, "server", "site-0")
         return site.prepare(0.5)
-
-    def _account(self, kind):
-        self.stats.record(kind)
 """
 }
 
@@ -317,12 +304,22 @@ def test_sky602_scope_excludes_the_site_module_and_core():
         assert _check(files, [InterproceduralBillingRule()]) == []
 
 
-def test_sky101_steps_back_under_sky602():
-    source = SKY602_BAD_UNBILLED["repro/distributed/fake.py"]
-    modules = [ModuleContext("repro/distributed/fake.py", source)]
-    alone = run_rules(modules, [ProtocolAccountingRule()])
-    assert [f.rule for f in alone] == ["SKY101"]
-    assert run_rules(modules, [ProtocolAccountingRule()], superseding={"SKY602"}) == []
+def test_sky602_counts_only_networkstats_bill_as_a_message_bill():
+    # A billing helper is not a bill: the one spelling is `stats.bill`,
+    # and a same-named call on another book (`LivenessBook.record`)
+    # never was one.
+    source = """\
+class Region:
+    def pull(self, site, book):
+        self._account(MessageKind.PREPARE)
+        book.record(("site", 0), True)
+        return site.prepare(0.5)
+
+    def _account(self, kind):
+        self.stats.bill(kind, "server", "site-0")
+"""
+    findings = _check({"repro/distributed/fake.py": source}, [InterproceduralBillingRule()])
+    assert [f.rule for f in findings] == ["SKY602"]
 
 
 # ----------------------------------------------------------------------
@@ -348,8 +345,8 @@ from repro.net.message import MessageKind
 
 class Region:
     def pull(self, site):
-        self.stats.record(MessageKind.PREPARE, "server", "site-0")
-        self.stats.record(MessageKind.RESULT, "server", "client")
+        self.stats.bill(MessageKind.PREPARE, "server", "site-0")
+        self.stats.bill(MessageKind.RESULT, "server", "client")
         return site.prepare(0.5)
 """,
     }
@@ -365,7 +362,7 @@ from repro.net.message import MessageKind
 
 class Region:
     def pull(self, site):
-        self.stats.record(MessageKind.PREPARE, "server", "site-0")
+        self.stats.bill(MessageKind.PREPARE, "server", "site-0")
         return site.prepare(0.5)
 """,
     }
@@ -384,8 +381,8 @@ from repro.net.message import MessageKind
 
 class Region:
     def pull(self, site):
-        self.stats.record(MessageKind.PREPARE, "server", "site-0")
-        self.stats.record(MessageKind.RESULT, "server", "client")
+        self.stats.bill(MessageKind.PREPARE, "server", "site-0")
+        self.stats.bill(MessageKind.RESULT, "server", "client")
         return site.pop_representative()
 """,
     }
@@ -395,8 +392,8 @@ class Region:
 
 
 def test_sky603_attributes_bills_in_helpers_to_their_callers():
-    # The repo's `_tuple_message` idiom: the bill sits in a pure helper,
-    # the RPC in its caller — the ledger entry still matches.
+    # A bill in a pure helper prices the RPC in its caller — the
+    # ledger entry still matches.
     files = {
         "repro/net/message.py": _MESSAGE_MODULE,
         "repro/distributed/fake.py": """\
@@ -405,12 +402,12 @@ from repro.net.message import MessageKind
 
 class Region:
     def pull(self, site):
-        self._account()
-        self.stats.record(MessageKind.RESULT, "server", "client")
+        self._prepare_bill()
+        self.stats.bill(MessageKind.RESULT, "server", "client")
         return site.prepare(0.5)
 
-    def _account(self):
-        self.stats.record(MessageKind.PREPARE, "server", "site-0")
+    def _prepare_bill(self):
+        self.stats.bill(MessageKind.PREPARE, "server", "site-0")
 """,
     }
     assert _check(files, [LedgerSymmetryRule()]) == []
@@ -448,29 +445,20 @@ def test_sky602_accepts_a_locally_billed_stream_epoch():
         "repro/stream/fake.py": """\
 class Hub:
     def epoch(self, site):
-        self._account("DELTA")
+        self.stats.bill(MessageKind.DELTA, "site-0", "server")
         return site.close_epoch("g0")
-
-    def _account(self, kind):
-        self.stats.record(kind)
 """
     }
     assert _check(files, [InterproceduralBillingRule()]) == []
 
 
 def test_sky101_applies_to_stream_senders_but_not_the_stream_site():
+    # The retired per-file SKY101 covered stream senders and exempted
+    # the stream site; SKY602 keeps both halves of that scope.
     source = SKY602_BAD_STREAM_UNBILLED["repro/stream/fake.py"]
-    flagged = run_rules(
-        [ModuleContext("repro/stream/fake.py", source)], [ProtocolAccountingRule()]
-    )
-    assert [f.rule for f in flagged] == ["SKY101"]
-    assert (
-        run_rules(
-            [ModuleContext("repro/stream/site.py", source)],
-            [ProtocolAccountingRule()],
-        )
-        == []
-    )
+    flagged = _check({"repro/stream/fake.py": source}, [InterproceduralBillingRule()])
+    assert [f.rule for f in flagged] == ["SKY602"]
+    assert _check({"repro/stream/site.py": source}, [InterproceduralBillingRule()]) == []
 
 
 _STREAM_MESSAGE_MODULE = """\
@@ -494,13 +482,13 @@ from repro.net.message import MessageKind
 
 class Hub:
     def register(self, site, query):
-        self.stats.record(MessageKind.SUBSCRIBE, "client", "server")
+        self.stats.bill(MessageKind.SUBSCRIBE, "client", "server")
         return site.register_group("g0", query)
 
     def epoch(self, site):
-        self.stats.record(MessageKind.DELTA, "site-0", "server")
-        self.stats.record(MessageKind.EXPIRE, "site-0", "server")
-        self.stats.record(MessageKind.NOTIFY, "server", "client")
+        self.stats.bill(MessageKind.DELTA, "site-0", "server")
+        self.stats.bill(MessageKind.EXPIRE, "site-0", "server")
+        self.stats.bill(MessageKind.NOTIFY, "server", "client")
         return site.close_epoch("g0")
 """,
     }
@@ -518,10 +506,10 @@ from repro.net.message import MessageKind
 
 class Hub:
     def register(self, site, query):
-        self.stats.record(MessageKind.SUBSCRIBE, "client", "server")
-        self.stats.record(MessageKind.DELTA, "site-0", "server")
-        self.stats.record(MessageKind.EXPIRE, "site-0", "server")
-        self.stats.record(MessageKind.NOTIFY, "server", "client")
+        self.stats.bill(MessageKind.SUBSCRIBE, "client", "server")
+        self.stats.bill(MessageKind.DELTA, "site-0", "server")
+        self.stats.bill(MessageKind.EXPIRE, "site-0", "server")
+        self.stats.bill(MessageKind.NOTIFY, "server", "client")
         return site.register_group("g0", query)
 """,
     }
@@ -540,12 +528,12 @@ from repro.net.message import MessageKind
 
 class Hub:
     def register(self, site, query):
-        self.stats.record(MessageKind.SUBSCRIBE, "client", "server")
+        self.stats.bill(MessageKind.SUBSCRIBE, "client", "server")
         return site.register_group("g0", query)
 
     def epoch(self, site):
-        self.stats.record(MessageKind.DELTA, "site-0", "server")
-        self.stats.record(MessageKind.NOTIFY, "server", "client")
+        self.stats.bill(MessageKind.DELTA, "site-0", "server")
+        self.stats.bill(MessageKind.NOTIFY, "server", "client")
         return site.close_epoch("g0")
 """,
     }
@@ -661,76 +649,15 @@ class Service:
 
 
 # ----------------------------------------------------------------------
-# SKY605 — lock-discipline
-
-
-def test_sky605_flags_an_unguarded_write_to_guarded_state():
-    files = {
-        "repro/distributed/fake.py": """\
-class Books:
-    def __init__(self):
-        self.count = 0
-
-    def hit(self):
-        with self._state_lock:
-            self.count += 1
-
-    def race(self):
-        self.count += 1
-""",
-    }
-    findings = _check(files, [LockDisciplineRule()])
-    assert [f.rule for f in findings] == ["SKY605"]
-    assert "Books.race" in findings[0].message
-    assert findings[0].line == 10
-
-
-def test_sky605_accepts_uniformly_guarded_writes_and_init():
-    files = {
-        "repro/distributed/fake.py": """\
-class Books:
-    def __init__(self):
-        self.count = 0
-
-    def hit(self):
-        with self._state_lock:
-            self.count += 1
-
-    def miss(self):
-        with self._state_lock:
-            self.count -= 1
-""",
-    }
-    assert _check(files, [LockDisciplineRule()]) == []
-
-
-def test_sky605_distinguishes_full_attribute_paths():
-    # Guarding `self.stats.sites_lost` says nothing about `self.stats.rounds`.
-    files = {
-        "repro/distributed/fake.py": """\
-class Books:
-    def hit(self):
-        with self._state_lock:
-            self.stats.sites_lost += 1
-
-    def other(self):
-        self.stats.rounds += 1
-""",
-    }
-    assert _check(files, [LockDisciplineRule()]) == []
-
-
-# ----------------------------------------------------------------------
 # registry sanity
 
 
-def test_program_rules_cover_sky601_through_sky605():
+def test_program_rules_cover_sky601_through_sky604():
     assert [rule.id for rule in PROGRAM_RULES] == [
         "SKY601",
         "SKY602",
         "SKY603",
         "SKY604",
-        "SKY605",
     ]
     for rule in PROGRAM_RULES:
         assert rule.description.strip()

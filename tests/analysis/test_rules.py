@@ -10,28 +10,42 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List
 
+from repro.analysis.callgraph import Program
 from repro.analysis.framework import Finding, ModuleContext, Rule, run_rules
 from repro.analysis.rules.asyncio_discipline import AsyncioDisciplineRule
-from repro.analysis.rules.concurrency import ThreadSharedStateRule
+from repro.analysis.rules.concurrency import ProcessSharedStateRule
 from repro.analysis.rules.determinism import UnseededRandomRule, WallClockRule
+from repro.analysis.rules.interprocedural import (
+    InterproceduralBillingRule,
+    TransitiveBlockingRule,
+)
 from repro.analysis.rules.probability import (
     FloatEqualityRule,
     RawNonOccurrenceProductRule,
 )
-from repro.analysis.rules.protocol import (
-    EmissionDisciplineRule,
-    ProtocolAccountingRule,
-)
-from repro.analysis.rules.replica import ReplicaAccountingRule
+from repro.analysis.rules.protocol import EmissionDisciplineRule
 from repro.analysis.rules.rpc import RpcDisciplineRule
+from repro.analysis.summaries import build_summary
 
 
 def _run(source: str, rule: Rule, relpath: str = "repro/core/fake.py") -> List[Finding]:
     return run_rules([ModuleContext(relpath, source)], [rule])
 
 
+def _program(source: str, relpath: str) -> Program:
+    return Program([build_summary(ModuleContext(relpath, source))])
+
+
 # ----------------------------------------------------------------------
-# SKY101 — protocol-accounting
+# SKY101 / SKY103 — the retired per-file billing rules' fixtures
+#
+# An RPC with no bill in the same function, under distributed/ (SKY101)
+# or replica/ (SKY103), is now SKY602's (interprocedural-billing) to
+# report; these pin that it still does, on the same fixtures.
+
+
+def _billing(source: str, relpath: str) -> List[Finding]:
+    return list(InterproceduralBillingRule().check_program(_program(source, relpath)))
 
 
 SKY101_BAD = """\
@@ -43,19 +57,19 @@ class Region:
 SKY101_GOOD = """\
 class Region:
     def pull(self, site, preference):
-        self._lan("PREPARE", to_site=site)
+        self.stats.bill(MessageKind.PREPARE, "server", "site-0")
         return site.prepare(preference)
 """
 
 
 def test_sky101_flags_unbilled_site_rpc():
-    findings = _run(SKY101_BAD, ProtocolAccountingRule(), "repro/distributed/fake.py")
-    assert [f.rule for f in findings] == ["SKY101"]
-    assert "prepare" in findings[0].message
+    findings = _billing(SKY101_BAD, "repro/distributed/fake.py")
+    assert [f.rule for f in findings] == ["SKY602"]
+    assert "site.prepare" in findings[0].message
 
 
 def test_sky101_accepts_rpc_with_accounting_in_same_function():
-    assert _run(SKY101_GOOD, ProtocolAccountingRule(), "repro/distributed/fake.py") == []
+    assert _billing(SKY101_GOOD, "repro/distributed/fake.py") == []
 
 
 def test_sky101_nested_thunk_bills_against_outermost_function():
@@ -65,16 +79,63 @@ class Region:
         thunk = lambda: site.pop_representative()
         return thunk()
 """
-    findings = _run(source, ProtocolAccountingRule(), "repro/distributed/fake.py")
-    assert [f.rule for f in findings] == ["SKY101"]
+    findings = _billing(source, "repro/distributed/fake.py")
+    assert [f.rule for f in findings] == ["SKY602"]
+    assert "site.pop_representative" in findings[0].message
 
 
 def test_sky101_exempts_the_site_module_itself():
-    assert _run(SKY101_BAD, ProtocolAccountingRule(), "repro/distributed/site.py") == []
+    assert _billing(SKY101_BAD, "repro/distributed/site.py") == []
 
 
 def test_sky101_ignores_non_distributed_modules():
-    assert _run(SKY101_BAD, ProtocolAccountingRule(), "repro/core/fake.py") == []
+    assert _billing(SKY101_BAD, "repro/core/fake.py") == []
+
+
+SKY103_BAD = """\
+class Manager:
+    def forward(self, replica, t):
+        replica.insert_tuple(t)
+"""
+
+SKY103_GOOD = """\
+class Manager:
+    def forward(self, replica, t):
+        self.stats.bill(MessageKind.REPLICA_SYNC, "site-0", "replica-0", tuples=1)
+        replica.insert_tuple(t)
+"""
+
+
+def test_sky103_flags_unbilled_replica_rpc():
+    findings = _billing(SKY103_BAD, "repro/replica/fake.py")
+    assert [f.rule for f in findings] == ["SKY602"]
+    assert "replica.insert_tuple" in findings[0].message
+
+
+def test_sky103_accepts_billed_replica_rpc():
+    assert _billing(SKY103_GOOD, "repro/replica/fake.py") == []
+
+
+def test_sky103_covers_the_maintenance_surface_sky101_skips():
+    source = """\
+class Manager:
+    def digest(self, replica):
+        return replica.partition_digest()
+"""
+    findings = _billing(source, "repro/replica/fake.py")
+    assert [f.rule for f in findings] == ["SKY602"]
+    assert "replica.partition_digest" in findings[0].message
+
+
+def test_sky103_nested_thunk_bills_against_outermost_function():
+    source = """\
+class Manager:
+    def sweep(self, replicas):
+        return [r.partition_digest() for r in replicas]
+"""
+    findings = _billing(source, "repro/replica/fake.py")
+    assert [f.rule for f in findings] == ["SKY602"]
+    assert "r.partition_digest" in findings[0].message
 
 
 # ----------------------------------------------------------------------
@@ -442,65 +503,25 @@ def test_sky401_reaches_ordering_policies_through_the_progressive_loop():
 
 
 # ----------------------------------------------------------------------
-# SKY501 — thread-shared-state
-
-
-def test_sky501_flags_unlocked_augassign_reachable_from_pool_workers():
-    source = """\
-class Coordinator:
-    def broadcast(self, sites):
-        def probe(site):
-            self.stats.sites_lost += 1
-        return list(self._pool.map(probe, sites))
-"""
-    findings = _run(source, ThreadSharedStateRule())
-    assert [f.rule for f in findings] == ["SKY501"]
-    assert "lock" in findings[0].message
+# SKY501 — process-shared-state
 
 
 def test_sky501_follows_self_method_calls_transitively():
     source = """\
-class Coordinator:
-    def _book(self, site):
-        self.stats.rounds += 1
+class TablePool:
+    def _book(self, store):
+        self.tables_built += 1
 
-    def broadcast(self, sites):
-        return list(self._pool.map(self._book, sites))
+    def _build(self, store):
+        self._book(store)
+        return store
+
+    def build(self, stores):
+        return list(self._process_pool.map(self._build, stores))
 """
-    findings = _run(source, ThreadSharedStateRule())
+    findings = _run(source, ProcessSharedStateRule())
     assert [f.rule for f in findings] == ["SKY501"]
-
-
-def test_sky501_accepts_writes_under_a_lock():
-    source = """\
-class Coordinator:
-    def broadcast(self, sites):
-        def probe(site):
-            with self._state_lock:
-                self.stats.sites_lost += 1
-        return list(self._pool.map(probe, sites))
-"""
-    assert _run(source, ThreadSharedStateRule()) == []
-
-
-def test_sky501_warns_on_plain_assigns_shared_with_other_methods():
-    source = """\
-class Coordinator:
-    def __init__(self):
-        self.latest = None
-
-    def reset(self):
-        self.latest = None
-
-    def broadcast(self, sites):
-        def probe(site):
-            self.latest = site
-        return list(self._pool.map(probe, sites))
-"""
-    findings = _run(source, ThreadSharedStateRule())
-    assert [f.rule for f in findings] == ["SKY501"]
-    assert findings[0].severity == "warning"
-    assert "reset" in findings[0].message
+    assert findings[0].line == 3
 
 
 def test_sky501_ignores_classes_without_executor_dispatch():
@@ -510,7 +531,20 @@ class Coordinator:
         for site in sites:
             self.stats.rounds += 1
 """
-    assert _run(source, ThreadSharedStateRule()) == []
+    assert _run(source, ProcessSharedStateRule()) == []
+
+
+def test_sky501_leaves_thread_pool_dispatch_alone():
+    # No thread pool is left in the repo; a thread worker's write is
+    # shared, not lost, so only process pools are this rule's concern.
+    source = """\
+class Coordinator:
+    def broadcast(self, sites):
+        def probe(site):
+            self.stats.sites_lost += 1
+        return list(self._pool.map(probe, sites))
+"""
+    assert _run(source, ProcessSharedStateRule()) == []
 
 
 SKY501_BAD_PROCESS_WRITE = """\
@@ -542,14 +576,14 @@ class TablePool:
 
 
 def test_sky501_flags_any_self_write_in_process_pool_callables():
-    findings = _run(SKY501_BAD_PROCESS_WRITE, ThreadSharedStateRule())
+    findings = _run(SKY501_BAD_PROCESS_WRITE, ProcessSharedStateRule())
     assert [f.rule for f in findings] == ["SKY501"]
     assert "pickled copy" in findings[0].message
 
 
 def test_sky501_process_writes_are_not_excused_by_locks():
     """Locks don't cross process boundaries — still an error."""
-    findings = _run(SKY501_BAD_PROCESS_WRITE_UNDER_LOCK, ThreadSharedStateRule())
+    findings = _run(SKY501_BAD_PROCESS_WRITE_UNDER_LOCK, ProcessSharedStateRule())
     assert [f.rule for f in findings] == ["SKY501"]
     assert findings[0].severity == "error"
 
@@ -560,7 +594,7 @@ def test_sky501_accepts_module_level_workers_returning_payloads():
     The submitted callable is module-level (not resolvable to shared
     state), and the parent-side bookkeeping write is outside it.
     """
-    assert _run(SKY501_GOOD_PROCESS_PAYLOAD, ThreadSharedStateRule()) == []
+    assert _run(SKY501_GOOD_PROCESS_PAYLOAD, ProcessSharedStateRule()) == []
 
 
 def test_sky501_recognises_process_pools_by_constructor_alias():
@@ -575,67 +609,25 @@ class TablePool:
         with ProcessPoolExecutor() as pool:
             return list(pool.map(worker, stores))
 """
-    findings = _run(source, ThreadSharedStateRule())
+    findings = _run(source, ProcessSharedStateRule())
     assert [f.rule for f in findings] == ["SKY501"]
     assert "pickled copy" in findings[0].message
 
 
 # ----------------------------------------------------------------------
-# SKY103 — replica-accounting
-
-
-SKY103_BAD = """\
-class Manager:
-    def forward(self, replica, t):
-        replica.insert_tuple(t)
-"""
-
-SKY103_GOOD = """\
-class Manager:
-    def forward(self, replica, t):
-        self._account("REPLICA_SYNC", "site-0", "replica-0", tuples=1)
-        replica.insert_tuple(t)
-"""
-
-
-def test_sky103_flags_unbilled_replica_rpc():
-    findings = _run(SKY103_BAD, ReplicaAccountingRule(), "repro/replica/fake.py")
-    assert [f.rule for f in findings] == ["SKY103"]
-    assert "insert_tuple" in findings[0].message
-
-
-def test_sky103_accepts_billed_replica_rpc():
-    assert _run(SKY103_GOOD, ReplicaAccountingRule(), "repro/replica/fake.py") == []
-
-
-def test_sky103_covers_the_maintenance_surface_sky101_skips():
-    source = """\
-class Manager:
-    def digest(self, replica):
-        return replica.partition_digest()
-"""
-    findings = _run(source, ReplicaAccountingRule(), "repro/replica/fake.py")
-    assert [f.rule for f in findings] == ["SKY103"]
-    # SKY101 owns distributed/, not replica/ — same defect, zero overlap.
-    assert _run(source, ProtocolAccountingRule(), "repro/replica/fake.py") == []
-
-
-def test_sky103_ignores_modules_outside_replica():
-    assert _run(SKY103_BAD, ReplicaAccountingRule(), "repro/distributed/fake.py") == []
-
-
-def test_sky103_nested_thunk_bills_against_outermost_function():
-    source = """\
-class Manager:
-    def sweep(self, replicas):
-        return [r.partition_digest() for r in replicas]
-"""
-    findings = _run(source, ReplicaAccountingRule(), "repro/replica/fake.py")
-    assert [f.rule for f in findings] == ["SKY103"]
-
-
-# ----------------------------------------------------------------------
 # SKY503 — asyncio-discipline
+#
+# SKY503 owns fire-and-forget tasks; blocking calls and pool joins in
+# an `async def` are SKY601's.  `_loop_findings` runs both, so each
+# fixture below pins which of the two reports it, and that it is
+# reported once.
+
+
+def _loop_findings(source: str, relpath: str = "repro/serve/fake.py") -> List[Finding]:
+    findings = _run(source, AsyncioDisciplineRule(), relpath) + list(
+        TransitiveBlockingRule().check_program(_program(source, relpath))
+    )
+    return sorted(findings, key=lambda f: (f.path, f.line, f.column, f.rule))
 
 
 SKY503_BAD_BLOCKING = """\
@@ -685,19 +677,14 @@ class Service:
 
 
 def test_sky503_flags_blocking_calls_in_async_def():
-    findings = _run(
-        SKY503_BAD_BLOCKING, AsyncioDisciplineRule(), "repro/serve/fake.py"
-    )
-    assert [f.rule for f in findings] == ["SKY503", "SKY503"]
+    findings = _loop_findings(SKY503_BAD_BLOCKING)
+    assert [(f.rule, f.line) for f in findings] == [("SKY601", 7), ("SKY601", 8)]
     assert "time.sleep" in findings[0].message
     assert "socket.create_connection" in findings[1].message
 
 
 def test_sky503_accepts_the_asyncio_equivalents():
-    assert (
-        _run(SKY503_GOOD_ASYNC, AsyncioDisciplineRule(), "repro/serve/fake.py")
-        == []
-    )
+    assert _loop_findings(SKY503_GOOD_ASYNC) == []
 
 
 def test_sky503_allows_blocking_calls_in_sync_functions():
@@ -709,33 +696,27 @@ class Service:
     def warmup(self):
         time.sleep(0.1)
 """
-    assert _run(source, AsyncioDisciplineRule(), "repro/serve/fake.py") == []
+    assert _loop_findings(source) == []
 
 
 def test_sky503_flags_fire_and_forget_create_task():
-    findings = _run(
-        SKY503_BAD_FORGOTTEN_TASK, AsyncioDisciplineRule(), "repro/serve/fake.py"
-    )
+    findings = _loop_findings(SKY503_BAD_FORGOTTEN_TASK)
     assert [f.rule for f in findings] == ["SKY503"]
     assert "fire-and-forget" in findings[0].message
 
 
 def test_sky503_accepts_stored_and_gathered_tasks():
-    assert (
-        _run(SKY503_GOOD_KEPT_TASK, AsyncioDisciplineRule(), "repro/serve/fake.py")
-        == []
-    )
+    assert _loop_findings(SKY503_GOOD_KEPT_TASK) == []
 
 
 def test_sky503_scoped_to_the_async_modules():
     assert (
-        _run(SKY503_BAD_BLOCKING, AsyncioDisciplineRule(), "repro/net/sockets.py")
+        _run(SKY503_BAD_FORGOTTEN_TASK, AsyncioDisciplineRule(), "repro/net/sockets.py")
         == []
     )
-    findings = _run(
-        SKY503_BAD_BLOCKING, AsyncioDisciplineRule(), "repro/net/aio.py"
-    )
-    assert [f.rule for f in findings] == ["SKY503", "SKY503"]
+    for relpath in ("repro/net/aio.py", "repro/distributed/workers.py"):
+        findings = _run(SKY503_BAD_FORGOTTEN_TASK, AsyncioDisciplineRule(), relpath)
+        assert [f.rule for f in findings] == ["SKY503"]
 
 
 SKY503_BAD_POOL_JOIN = """\
@@ -746,6 +727,14 @@ class TablePool:
     async def drain(self):
         self._pool.join()
 """
+
+
+def test_sky503_flags_blocking_pool_joins_in_async_def():
+    findings = _loop_findings(SKY503_BAD_POOL_JOIN, "repro/distributed/workers.py")
+    assert [(f.rule, f.line) for f in findings] == [("SKY601", 3), ("SKY601", 6)]
+    assert "shutdown" in findings[0].message
+    assert "join" in findings[1].message
+
 
 SKY503_GOOD_SYNC_CLOSE = """\
 import asyncio
@@ -761,24 +750,8 @@ class TablePool:
 """
 
 
-def test_sky503_flags_blocking_pool_joins_in_async_def():
-    findings = _run(
-        SKY503_BAD_POOL_JOIN, AsyncioDisciplineRule(), "repro/distributed/workers.py"
-    )
-    assert [f.rule for f in findings] == ["SKY503", "SKY503"]
-    assert "shutdown" in findings[0].message
-    assert "join" in findings[1].message
-
-
 def test_sky503_accepts_sync_teardown_and_wrapped_futures():
-    assert (
-        _run(
-            SKY503_GOOD_SYNC_CLOSE,
-            AsyncioDisciplineRule(),
-            "repro/distributed/workers.py",
-        )
-        == []
-    )
+    assert _loop_findings(SKY503_GOOD_SYNC_CLOSE, "repro/distributed/workers.py") == []
 
 
 def test_sky503_ignores_joins_on_non_executor_receivers():
@@ -787,13 +760,9 @@ class Service:
     async def render(self, parts):
         return ", ".join(parts)
 """
-    assert (
-        _run(source, AsyncioDisciplineRule(), "repro/distributed/workers.py") == []
-    )
+    assert _loop_findings(source, "repro/distributed/workers.py") == []
 
 
 def test_sky503_worker_module_in_scope_for_blocking_calls():
-    findings = _run(
-        SKY503_BAD_BLOCKING, AsyncioDisciplineRule(), "repro/distributed/workers.py"
-    )
-    assert [f.rule for f in findings] == ["SKY503", "SKY503"]
+    findings = _loop_findings(SKY503_BAD_BLOCKING, "repro/distributed/workers.py")
+    assert [f.rule for f in findings] == ["SKY601", "SKY601"]

@@ -51,8 +51,8 @@ def test_whole_program_pass_is_clean_over_the_default_scope():
     """The CI gate proper: both phases over src/ + benchmarks/ + examples/.
 
     Runs without a cache so the result is a pure function of the
-    sources; the superseding machinery means SKY101/SKY503's blocking
-    checks step back and SKY601/SKY602 take over here.
+    sources, and adds the SKY6xx rules the per-file check above cannot
+    run.
     """
     root = _repo_root()
     paths = [

@@ -1,15 +1,10 @@
-"""Protocol messages: bandwidth semantics and wire serialization."""
+"""Protocol message kinds and the wire codecs for tuples and quaternions."""
 
 import pytest
 
 from repro.core.tuples import UncertainTuple
-from repro.net.message import (
-    Message,
-    MessageKind,
-    Quaternion,
-    decode_tuple,
-    encode_tuple,
-)
+from repro.net.message import MessageKind, Quaternion, decode_tuple, encode_tuple
+from repro.net.stats import NetworkStats
 
 
 class TestTupleCodec:
@@ -38,6 +33,12 @@ class TestQuaternion:
         assert Quaternion.from_dict(q.to_dict()) == q
 
 
+def _billed_tuples(kind, tuples=None):
+    stats = NetworkStats()
+    stats.bill(kind, "a", "b", tuples=tuples)
+    return stats.tuples_transmitted
+
+
 class TestBandwidthSemantics:
     """Only tuple-bearing kinds may cost bandwidth (§3.2's metric)."""
 
@@ -46,7 +47,7 @@ class TestBandwidthSemantics:
                  MessageKind.UPDATE, MessageKind.DATA]
     )
     def test_tuple_bearing_kinds(self, kind):
-        assert Message.bearing(kind, "a", "b", None).tuple_count == 1
+        assert _billed_tuples(kind) == 1
 
     @pytest.mark.parametrize(
         "kind", [MessageKind.PREPARE, MessageKind.PREPARE_REPLY,
@@ -55,50 +56,11 @@ class TestBandwidthSemantics:
                  MessageKind.CONTROL]
     )
     def test_control_kinds_are_free(self, kind):
-        assert Message.bearing(kind, "a", "b", None).tuple_count == 0
+        assert _billed_tuples(kind) == 0
 
-
-class TestSizeEstimate:
-    def test_control_message_is_envelope_only(self):
-        m = Message.bearing(MessageKind.NEXT_REQUEST, "a", "b", None)
-        assert m.size_bytes() == 16
-
-    def test_tuple_bearing_scales_with_dimensionality(self):
-        m = Message.bearing(MessageKind.FEEDBACK, "a", "b", None)
-        assert m.size_bytes(dimensionality=2) == 16 + 8 * 4
-        assert m.size_bytes(dimensionality=5) == 16 + 8 * 7
-        assert m.size_bytes(5) > m.size_bytes(2)
-
-
-class TestMessageSerialization:
-    def test_json_roundtrip_plain(self):
-        m = Message.bearing(MessageKind.NEXT_REQUEST, "server", "site-1", None)
-        assert Message.from_json(m.to_json()) == m
-
-    def test_json_roundtrip_with_tuple_payload(self):
-        t = UncertainTuple(1, (1.0, 2.0), 0.5)
-        m = Message.bearing(MessageKind.FEEDBACK, "server", "site-2", t)
-        restored = Message.from_json(m.to_json())
-        assert restored.payload == t
-        assert restored.tuple_count == 1
-
-    def test_json_roundtrip_with_quaternion_payload(self):
-        t = UncertainTuple(1, (1.0, 2.0), 0.5)
-        q = Quaternion(site=0, tuple=t, local_probability=0.4)
-        m = Message.bearing(MessageKind.REPRESENTATIVE, "site-0", "server", q)
-        assert Message.from_json(m.to_json()).payload == q
-
-    def test_json_roundtrip_nested_payload(self):
-        t = UncertainTuple(1, (1.0,), 0.5)
-        m = Message.bearing(
-            MessageKind.CONTROL, "a", "b", {"items": [t, t], "count": 2}
-        )
-        restored = Message.from_json(m.to_json())
-        assert restored.payload["count"] == 2
-        assert restored.payload["items"] == [t, t]
-
-    def test_unknown_payload_tag_rejected(self):
-        from repro.net.message import _decode_payload
-
-        with pytest.raises(ValueError):
-            _decode_payload({"__type__": "alien"})
+    @pytest.mark.parametrize("kind", [MessageKind.FEEDBACK, MessageKind.CONTROL])
+    def test_tuple_count_overrides_the_kind_default(self, kind):
+        # A batched FEEDBACK bears one tuple per quaternion it carries;
+        # an explicit count wins over the per-kind default either way.
+        assert _billed_tuples(kind, tuples=3) == 3
+        assert _billed_tuples(kind, tuples=0) == 0

@@ -15,7 +15,7 @@ from typing import List
 import pytest
 
 from repro.distributed.query import build_coordinator
-from repro.net.message import Message, MessageKind
+from repro.net.message import MessageKind
 from repro.serve import (
     QuerySession,
     QuerySpec,
@@ -110,9 +110,7 @@ def test_aborted_session_bandwidth_book_is_frozen():
         frozen = session.transmitted_tuples
         # A straggling in-flight broadcast drains after abort() returned
         # and lands on the coordinator's books ...
-        session.coordinator.stats.record(
-            Message.bearing(MessageKind.FEEDBACK, "server", "site-0", None)
-        )
+        session.coordinator.stats.bill(MessageKind.FEEDBACK, "server", "site-0")
         assert session.coordinator.stats.tuples_transmitted == frozen + 1
         # ... but the session's billable figure never moves again.
         assert session.transmitted_tuples == frozen
@@ -127,9 +125,7 @@ def test_finished_session_bandwidth_book_is_frozen_too():
         while not await session.step():
             pass
         frozen = session.transmitted_tuples
-        session.coordinator.stats.record(
-            Message.bearing(MessageKind.DATA, "site-0", "server", None)
-        )
+        session.coordinator.stats.bill(MessageKind.DATA, "site-0", "server")
         assert session.transmitted_tuples == frozen
 
     asyncio.run(drive())
@@ -150,9 +146,7 @@ def test_tenant_is_never_billed_past_abort():
             assert session.state is SessionState.ABORTED
             spent_at_abort = service.ledger.spent["capped"]
             # Simulate the straggler after the service already settled.
-            session.coordinator.stats.record(
-                Message.bearing(MessageKind.FEEDBACK, "server", "site-1", None)
-            )
+            session.coordinator.stats.bill(MessageKind.FEEDBACK, "server", "site-1")
             for _ in range(3):
                 await asyncio.sleep(0)
             assert session.billed_tuples == session.transmitted_tuples
