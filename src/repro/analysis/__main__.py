@@ -1,12 +1,11 @@
-"""The skylint command line: ``python -m repro.analysis``.
+"""The skylint command line: ``python -m repro.analysis [paths]``.
 
-Runs the two-phase whole-program analyzer (per-file summaries + module
-rules, then the call-graph SKY6xx rules) with the incremental summary
-cache on by default.  Exit status is 0 only when the run is *clean*: no
-finding outside the baseline and no stale baseline entry.
-``--write-baseline`` accepts the current findings as the new baseline
-(justifications must then be filled in by hand — the self-check test
-refuses empty ones).
+Runs every rule over the sources and prints one line per finding.  Exit
+status: 0 when there are no findings, 1 when there are, 2 when a source
+cannot be analysed (a named path is missing, or a file is not UTF-8 or
+not valid Python) or ``--explain`` names an unknown rule.  The one way
+to waive a finding is a reasoned inline ``# skylint: ignore[SKY###]
+reason``.
 """
 
 from __future__ import annotations
@@ -14,18 +13,11 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from .baseline import (
-    DEFAULT_BASELINE_NAME,
-    compare,
-    load_baseline,
-    write_baseline,
-)
-from .cache import DEFAULT_CACHE_NAME
-from .engine import ENGINE_VERSION, analyze_project
-from .reporters import render_json, render_sarif, render_text
-from .rules import ALL_RULES, PROGRAM_RULES, rules_by_id
+from .callgraph import ProgramRule
+from .engine import SourceError, analyze_paths, run_rules
+from .rules import RULES, rules_by_id
 
 #: Directories scanned when no explicit paths are given.  Benchmarks
 #: and examples are protocol clients too — an unbilled RPC or unseeded
@@ -56,33 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"(default: {'/, '.join(DEFAULT_SCAN_DIRS)}/ under the repo root)",
     )
     parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help=f"baseline file (default: <repo-root>/{DEFAULT_BASELINE_NAME})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; every finding is new",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept the current findings as the baseline and exit 0",
-    )
-    parser.add_argument(
-        "--show-baselined",
-        action="store_true",
-        help="also list findings matched by the baseline (text format)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule registry and exit",
@@ -92,23 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SKY###",
         default=None,
         help="print one rule's full description and exit",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="FILE",
-        default=None,
-        help="summary cache file "
-        f"(default: <repo-root>/{DEFAULT_CACHE_NAME})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="neither read nor write the summary cache (cold run)",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print phase timings and cache hit counts to stderr",
     )
     return parser
 
@@ -120,7 +68,7 @@ def _explain(rule_id: str) -> int:
         known = ", ".join(sorted(registry))
         print(f"unknown rule {rule_id!r}; known rules: {known}", file=sys.stderr)
         return 2
-    kind = "whole-program" if rule in PROGRAM_RULES else "per-module"
+    kind = "whole-program" if isinstance(rule, ProgramRule) else "per-module"
     print(f"{rule.id}  {rule.name}  [{rule.severity}]  ({kind})")
     print()
     print(rule.description.strip())
@@ -134,55 +82,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _explain(args.explain)
 
     if args.list_rules:
-        for rule in [*ALL_RULES, *PROGRAM_RULES]:
+        for rule in RULES:
             print(f"{rule.id}  {rule.name}  [{rule.severity}]")
             print(f"    {rule.description.strip()}")
         return 0
 
     root = _repo_root(Path.cwd())
     if args.paths:
-        paths: List[Path] = [Path(p) for p in args.paths]
+        paths = [Path(p) for p in args.paths]
     else:
-        paths = [root / d for d in DEFAULT_SCAN_DIRS if (root / d).is_dir()]
-        if not paths:
-            paths = [root]
+        paths = [root / d for d in DEFAULT_SCAN_DIRS if (root / d).is_dir()] or [root]
 
-    cache_path: Optional[Path]
-    if args.no_cache:
-        cache_path = None
-    elif args.cache:
-        cache_path = Path(args.cache)
-    else:
-        cache_path = root / DEFAULT_CACHE_NAME
-
-    findings, stats = analyze_project(
-        paths, ALL_RULES, PROGRAM_RULES, root=root, cache_path=cache_path
-    )
-    if args.stats:
-        print(stats.render(), file=sys.stderr)
-
-    baseline_path = (
-        Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE_NAME
-    )
-    if args.write_baseline:
-        write_baseline(baseline_path, findings)
-        print(
-            f"wrote {len(findings)} finding(s) to {baseline_path}; "
-            "add a justification to every entry"
-        )
-        return 0
-
-    baseline = [] if args.no_baseline else load_baseline(baseline_path)
-    comparison = compare(findings, baseline)
-
-    rules = [*ALL_RULES, *PROGRAM_RULES]
-    if args.format == "json":
-        print(render_json(comparison, rules))
-    elif args.format == "sarif":
-        print(render_sarif(comparison, rules, engine_version=ENGINE_VERSION))
-    else:
-        print(render_text(comparison, rules, show_matched=args.show_baselined))
-    return 0 if comparison.clean else 1
+    try:
+        modules = analyze_paths(paths, root)
+    except SourceError as exc:
+        for problem in exc.problems:
+            print(problem, file=sys.stderr)
+        return 2
+    findings = run_rules(modules, RULES)
+    for f in findings:
+        print(f"{f.location()}  {f.rule} [{f.severity}]  {f.message}")
+    if findings:
+        print(f"skylint: {len(findings)} finding(s)")
+        return 1
+    print(f"skylint: clean ({len(modules)} file(s), {len(RULES)} rule(s) ran)")
+    return 0
 
 
 if __name__ == "__main__":

@@ -23,9 +23,9 @@ the target is near-certain —
 Unresolved calls simply have no edge — a missing edge can hide a
 finding but never invent one.  Generator functions are a hard call
 boundary: *calling* one executes nothing, so blocking-reachability
-never propagates through them (the serving layer's
-``next(self._steps)`` drive of a sync coordinator is the documented
-example — see ROADMAP).
+never propagates through them (a coordinator's ``_steps()`` protocol
+script is the example: calling it only builds the script; the engine's
+pump is what runs it).
 """
 
 from __future__ import annotations
@@ -95,7 +95,6 @@ class Program:
     """The linked whole-program view phase-2 rules run over."""
 
     def __init__(self, summaries: Sequence[ModuleSummary]) -> None:
-        self.modules: Dict[str, ModuleSummary] = {s.relpath: s for s in summaries}
         self.by_module_name: Dict[str, ModuleSummary] = {
             s.module_name: s for s in summaries
         }
@@ -133,7 +132,7 @@ class Program:
                         (
                             pf,
                             pf.summary.name,
-                            Site(pf.summary.lineno, 1, pf.summary.qualname, ""),
+                            Site(pf.summary.lineno, 1, pf.summary.qualname),
                         )
                     )
                     pf.callers.append(parent)
@@ -294,25 +293,32 @@ class Program:
             facts.extend(self.lexical_bills(child))
         return facts
 
-    def is_suppressed(self, relpath: str, rule_id: str, lineno: int) -> bool:
-        module = self.modules.get(relpath)
-        return module is not None and module.is_suppressed(rule_id, lineno)
+    def inherits_from(self, class_name: str, root: str) -> bool:
+        """Transitive, name-based subclass test (``DSUD`` → ``Coordinator``)."""
+        seen: Set[str] = set()
+        frontier = [class_name]
+        while frontier:
+            name = frontier.pop()
+            if name == root:
+                return True
+            if name in seen:
+                continue
+            seen.add(name)
+            frontier.extend(self.class_bases.get(name, ()))
+        return False
 
 
 class ProgramRule(Rule):
     """Base class for whole-program (SKY6xx) rules.
 
-    Subclasses implement :meth:`check_program` over a linked
-    :class:`Program` instead of per-module :meth:`check`.  The driver
-    honours ``# skylint: ignore[...]`` suppressions on the finding's
-    anchor line exactly as for module rules.
+    Subclasses implement :meth:`check_program`, run once over the
+    linked :class:`Program`, instead of per-module :meth:`check`.  The
+    driver honours ``# skylint: ignore[...]`` suppressions on the
+    finding's anchor line exactly as for module rules.
     """
 
     def check_program(self, program: Program) -> Iterator[Finding]:
         raise NotImplementedError
-
-    def check(self, module: object, project: object) -> Iterator[Finding]:
-        return iter(())
 
     def finding_at(
         self,
@@ -329,5 +335,4 @@ class ProgramRule(Rule):
             column=site.col,
             message=message,
             context=site.context,
-            snippet=site.snippet,
         )

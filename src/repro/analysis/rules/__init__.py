@@ -1,17 +1,15 @@
 """The skylint rule registry.
 
-Every rule family lives in its own module; :data:`ALL_RULES` is the
-canonical ordered registry of per-module rules and
-:data:`PROGRAM_RULES` the whole-program (SKY6xx) family.  The CLI and
-the self-check tests run both; each invariant is checked by exactly
-one rule.
+Every rule family lives in its own module; :data:`RULES` is the one
+ordered registry — the per-module rules, then the whole-program
+(SKY6xx) family.  The CLI and the self-check test run it whole; each
+invariant is checked by exactly one rule.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from ..callgraph import ProgramRule
 from ..framework import Rule
 from .asyncio_discipline import AsyncioDisciplineRule
 from .concurrency import ProcessSharedStateRule
@@ -26,9 +24,9 @@ from .probability import FloatEqualityRule, RawNonOccurrenceProductRule
 from .protocol import EmissionDisciplineRule
 from .rpc import RpcDisciplineRule
 
-__all__ = ["ALL_RULES", "PROGRAM_RULES", "rules_by_id"]
+__all__ = ["RULES", "rules_by_id"]
 
-ALL_RULES: List[Rule] = [
+RULES: List[Rule] = [
     EmissionDisciplineRule(),
     UnseededRandomRule(),
     WallClockRule(),
@@ -37,9 +35,6 @@ ALL_RULES: List[Rule] = [
     RpcDisciplineRule(),
     ProcessSharedStateRule(),
     AsyncioDisciplineRule(),
-]
-
-PROGRAM_RULES: List[ProgramRule] = [
     TransitiveBlockingRule(),
     InterproceduralBillingRule(),
     LedgerSymmetryRule(),
@@ -48,6 +43,4 @@ PROGRAM_RULES: List[ProgramRule] = [
 
 
 def rules_by_id() -> Dict[str, Rule]:
-    rules: Dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}
-    rules.update({rule.id: rule for rule in PROGRAM_RULES})
-    return rules
+    return {rule.id: rule for rule in RULES}

@@ -20,7 +20,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..framework import Finding, ModuleContext, Project, Rule, Severity, dotted_name
+from ..callgraph import Program
+from ..framework import Finding, ModuleContext, Rule, Severity, dotted_name
 
 __all__ = ["AsyncioDisciplineRule"]
 
@@ -46,7 +47,7 @@ class AsyncioDisciplineRule(Rule):
             or module.relpath.endswith("distributed/workers.py")
         )
 
-    def check(self, module: ModuleContext, project: Project) -> Iterator[Finding]:
+    def check(self, module: ModuleContext, program: Program) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue

@@ -26,7 +26,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
-from ..framework import Finding, ModuleContext, Project, Rule, Severity, dotted_name
+from ..callgraph import Program
+from ..framework import Finding, ModuleContext, Rule, Severity, dotted_name
 
 __all__ = ["ProcessSharedStateRule"]
 
@@ -55,7 +56,7 @@ class ProcessSharedStateRule(Rule):
         "and return a serialized payload."
     )
 
-    def check(self, module: ModuleContext, project: Project) -> Iterator[Finding]:
+    def check(self, module: ModuleContext, program: Program) -> Iterator[Finding]:
         aliases = self._process_pool_aliases(module)
         for cls in ast.walk(module.tree):
             if isinstance(cls, ast.ClassDef):

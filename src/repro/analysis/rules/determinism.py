@@ -24,7 +24,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional, Set
 
-from ..framework import Finding, ModuleContext, Project, Rule, Severity, dotted_name
+from ..callgraph import Program
+from ..framework import Finding, ModuleContext, Rule, Severity, dotted_name
 
 __all__ = ["UnseededRandomRule", "WallClockRule"]
 
@@ -133,7 +134,7 @@ class UnseededRandomRule(Rule):
     def applies_to(self, module: ModuleContext) -> bool:
         return not _path_exempt(module)
 
-    def check(self, module: ModuleContext, project: Project) -> Iterator[Finding]:
+    def check(self, module: ModuleContext, program: Program) -> Iterator[Finding]:
         imported = _imported_random_names(module)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
@@ -223,7 +224,7 @@ class WallClockRule(Rule):
         path = "/" + module.relpath
         return not any(part in path for part in WALL_CLOCK_EXEMPT_PARTS)
 
-    def check(self, module: ModuleContext, project: Project) -> Iterator[Finding]:
+    def check(self, module: ModuleContext, program: Program) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue

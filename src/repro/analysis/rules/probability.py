@@ -27,7 +27,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..framework import Finding, ModuleContext, Project, Rule, Severity, dotted_name
+from ..callgraph import Program
+from ..framework import Finding, ModuleContext, Rule, Severity, dotted_name
 
 __all__ = ["FloatEqualityRule", "RawNonOccurrenceProductRule"]
 
@@ -90,7 +91,7 @@ class FloatEqualityRule(Rule):
         "a product of (1 - P) terms is a latent always-false branch."
     )
 
-    def check(self, module: ModuleContext, project: Project) -> Iterator[Finding]:
+    def check(self, module: ModuleContext, program: Program) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Compare):
                 continue
@@ -132,7 +133,7 @@ class RawNonOccurrenceProductRule(Rule):
     def applies_to(self, module: ModuleContext) -> bool:
         return not _path_exempt(module)
 
-    def check(self, module: ModuleContext, project: Project) -> Iterator[Finding]:
+    def check(self, module: ModuleContext, program: Program) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if isinstance(node, (ast.AugAssign, ast.Assign)):
                 yield from self._check_accumulation(module, node)

@@ -18,7 +18,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..framework import Finding, ModuleContext, Project, Rule, Severity, dotted_name
+from ..callgraph import Program
+from ..framework import Finding, ModuleContext, Rule, Severity, dotted_name
 
 __all__ = ["EmissionDisciplineRule"]
 
@@ -42,7 +43,7 @@ class EmissionDisciplineRule(Rule):
     def applies_to(self, module: ModuleContext) -> bool:
         return "distributed/" in module.relpath
 
-    def check(self, module: ModuleContext, project: Project) -> Iterator[Finding]:
+    def check(self, module: ModuleContext, program: Program) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -61,7 +62,7 @@ class EmissionDisciplineRule(Rule):
             else:
                 continue
             cls = module.enclosing_class(node)
-            if cls is None or not project.inherits_from(cls.name, "Coordinator"):
+            if cls is None or not program.inherits_from(cls.name, "Coordinator"):
                 continue
             enclosing = module.enclosing_function(node)
             if enclosing is not None and enclosing.name in EMISSION_FUNNEL:

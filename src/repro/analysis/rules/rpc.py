@@ -25,7 +25,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from ..framework import Finding, ModuleContext, Project, Rule, Severity, dotted_name
+from ..callgraph import Program
+from ..framework import Finding, ModuleContext, Rule, Severity, dotted_name
 from ..summaries import RPC_METHODS
 
 __all__ = ["RpcDisciplineRule"]
@@ -59,7 +60,7 @@ class RpcDisciplineRule(Rule):
     def applies_to(self, module: ModuleContext) -> bool:
         return "distributed/" in module.relpath
 
-    def check(self, module: ModuleContext, project: Project) -> Iterator[Finding]:
+    def check(self, module: ModuleContext, program: Program) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -67,7 +68,7 @@ class RpcDisciplineRule(Rule):
             if method is None:
                 continue
             cls = module.enclosing_class(node)
-            if cls is None or not project.inherits_from(cls.name, "Coordinator"):
+            if cls is None or not program.inherits_from(cls.name, "Coordinator"):
                 continue  # regions/maintainers have their own surfaces
             if self._funnelled(module, node):
                 continue

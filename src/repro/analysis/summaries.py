@@ -3,21 +3,16 @@
 skylint v1 re-walked every AST for every rule on every run, and each
 rule saw exactly one file.  v2 splits the work:
 
-* **Phase 1** (this module) parses a file once and distills everything
-  the interprocedural rules need into a :class:`ModuleSummary` — the
-  defined functions and classes, raw call edges, and per-function
-  protocol facts (endpoint RPCs, `NetworkStats` billing, blocking
-  calls, awaits, RNG constructions).
-  Summaries are plain data with a JSON round-trip, so
-  :mod:`repro.analysis.cache` can persist them keyed by content hash
-  and unchanged files are never re-parsed.
+* **Phase 1** (this module) distills each parsed file into a
+  :class:`ModuleSummary` — the defined functions and classes, raw call
+  edges, and per-function protocol facts (endpoint RPCs,
+  `NetworkStats` billing, blocking calls, RNG constructions).
 * **Phase 2** (:mod:`repro.analysis.callgraph`) links summaries into a
   project call graph and runs the SKY6xx rules over it.
 
-Every recorded fact carries a :class:`Site` — line, column, enclosing
-``Class.method`` context, and the stripped source line — so findings
-raised from a *cached* summary fingerprint identically to findings
-raised from a fresh parse.
+Every recorded fact carries a :class:`Site` — line, column, and
+enclosing ``Class.method`` context — so a phase-2 finding is anchored
+exactly like a per-module one.
 """
 
 from __future__ import annotations
@@ -104,29 +99,11 @@ _RNG_WALL_SEEDS = frozenset(
 
 @dataclass(frozen=True)
 class Site:
-    """Anchor for a fact: enough to raise a stable-fingerprint finding."""
+    """Anchor for a fact: where a finding raised from it points."""
 
     lineno: int
     col: int
     context: str
-    snippet: str
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "lineno": self.lineno,
-            "col": self.col,
-            "context": self.context,
-            "snippet": self.snippet,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Site":
-        return cls(
-            lineno=int(data["lineno"]),  # type: ignore[arg-type]
-            col=int(data["col"]),  # type: ignore[arg-type]
-            context=str(data["context"]),
-            snippet=str(data["snippet"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -135,13 +112,6 @@ class CallFact:
 
     callee: str
     site: Site
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"callee": self.callee, "site": self.site.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CallFact":
-        return cls(str(data["callee"]), Site.from_dict(data["site"]))  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -155,23 +125,6 @@ class RpcFact:
     is_ref: bool
     site: Site
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "method": self.method,
-            "receiver": self.receiver,
-            "is_ref": self.is_ref,
-            "site": self.site.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RpcFact":
-        return cls(
-            str(data["method"]),
-            str(data["receiver"]),
-            bool(data["is_ref"]),
-            Site.from_dict(data["site"]),  # type: ignore[arg-type]
-        )
-
 
 @dataclass(frozen=True)
 class BillFact:
@@ -182,18 +135,6 @@ class BillFact:
     kind: Optional[str]
     site: Site
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"marker": self.marker, "kind": self.kind, "site": self.site.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "BillFact":
-        kind = data.get("kind")
-        return cls(
-            str(data["marker"]),
-            None if kind is None else str(kind),
-            Site.from_dict(data["site"]),  # type: ignore[arg-type]
-        )
-
 
 @dataclass(frozen=True)
 class BlockFact:
@@ -202,15 +143,6 @@ class BlockFact:
     name: str
     kind: str  # "sleep" | "socket" | "select" | "pool-join"
     site: Site
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"name": self.name, "kind": self.kind, "site": self.site.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "BlockFact":
-        return cls(
-            str(data["name"]), str(data["kind"]), Site.from_dict(data["site"])  # type: ignore[arg-type]
-        )
 
 
 @dataclass(frozen=True)
@@ -225,23 +157,6 @@ class RngFact:
     seeding: str  # "unseeded" | "wall" | "seeded"
     flows: Tuple[str, ...]
     site: Site
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "callee": self.callee,
-            "seeding": self.seeding,
-            "flows": list(self.flows),
-            "site": self.site.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RngFact":
-        return cls(
-            str(data["callee"]),
-            str(data["seeding"]),
-            tuple(str(f) for f in data["flows"]),  # type: ignore[union-attr]
-            Site.from_dict(data["site"]),  # type: ignore[arg-type]
-        )
 
 
 @dataclass
@@ -265,56 +180,6 @@ class FunctionSummary:
     param_flows: Dict[str, List[str]] = field(default_factory=dict)
     #: raw callee -> flows of values produced by calling it
     result_flows: Dict[str, List[str]] = field(default_factory=dict)
-    has_await: bool = False
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "qualname": self.qualname,
-            "name": self.name,
-            "class_name": self.class_name,
-            "parent": self.parent,
-            "lineno": self.lineno,
-            "is_async": self.is_async,
-            "is_generator": self.is_generator,
-            "params": list(self.params),
-            "calls": [c.to_dict() for c in self.calls],
-            "rpcs": [r.to_dict() for r in self.rpcs],
-            "bills": [b.to_dict() for b in self.bills],
-            "blocking": [b.to_dict() for b in self.blocking],
-            "rng": [r.to_dict() for r in self.rng],
-            "param_flows": {k: list(v) for k, v in self.param_flows.items()},
-            "result_flows": {k: list(v) for k, v in self.result_flows.items()},
-            "has_await": self.has_await,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FunctionSummary":
-        return cls(
-            qualname=str(data["qualname"]),
-            name=str(data["name"]),
-            class_name=(
-                None if data["class_name"] is None else str(data["class_name"])
-            ),
-            parent=None if data["parent"] is None else str(data["parent"]),
-            lineno=int(data["lineno"]),  # type: ignore[arg-type]
-            is_async=bool(data["is_async"]),
-            is_generator=bool(data["is_generator"]),
-            params=[str(p) for p in data["params"]],  # type: ignore[union-attr]
-            calls=[CallFact.from_dict(d) for d in data["calls"]],  # type: ignore[union-attr]
-            rpcs=[RpcFact.from_dict(d) for d in data["rpcs"]],  # type: ignore[union-attr]
-            bills=[BillFact.from_dict(d) for d in data["bills"]],  # type: ignore[union-attr]
-            blocking=[BlockFact.from_dict(d) for d in data["blocking"]],  # type: ignore[union-attr]
-            rng=[RngFact.from_dict(d) for d in data["rng"]],  # type: ignore[union-attr]
-            param_flows={
-                str(k): [str(f) for f in v]
-                for k, v in data["param_flows"].items()  # type: ignore[union-attr]
-            },
-            result_flows={
-                str(k): [str(f) for f in v]
-                for k, v in data["result_flows"].items()  # type: ignore[union-attr]
-            },
-            has_await=bool(data["has_await"]),
-        )
 
 
 @dataclass
@@ -328,32 +193,6 @@ class ClassSummary:
     #: class-body assignments (enum members, class constants) -> site
     attrs: Dict[str, Site] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "bases": list(self.bases),
-            "lineno": self.lineno,
-            "methods": list(self.methods),
-            "attr_types": dict(self.attr_types),
-            "attrs": {k: v.to_dict() for k, v in self.attrs.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ClassSummary":
-        return cls(
-            name=str(data["name"]),
-            bases=[str(b) for b in data["bases"]],  # type: ignore[union-attr]
-            lineno=int(data["lineno"]),  # type: ignore[arg-type]
-            methods=[str(m) for m in data["methods"]],  # type: ignore[union-attr]
-            attr_types={
-                str(k): str(v) for k, v in data["attr_types"].items()  # type: ignore[union-attr]
-            },
-            attrs={
-                str(k): Site.from_dict(v)
-                for k, v in data["attrs"].items()  # type: ignore[union-attr]
-            },
-        )
-
 
 @dataclass
 class ModuleSummary:
@@ -362,48 +201,6 @@ class ModuleSummary:
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
     classes: Dict[str, ClassSummary] = field(default_factory=dict)
-    #: line -> (suppressed rule ids, reason)
-    suppressions: Dict[int, Tuple[List[str], str]] = field(default_factory=dict)
-
-    def is_suppressed(self, rule_id: str, lineno: int) -> bool:
-        entry = self.suppressions.get(lineno)
-        if entry is None:
-            return False
-        ids, _reason = entry
-        return "*" in ids or rule_id in ids
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "relpath": self.relpath,
-            "module_name": self.module_name,
-            "imports": dict(self.imports),
-            "functions": {k: v.to_dict() for k, v in self.functions.items()},
-            "classes": {k: v.to_dict() for k, v in self.classes.items()},
-            "suppressions": {
-                str(line): [list(ids), reason]
-                for line, (ids, reason) in self.suppressions.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ModuleSummary":
-        return cls(
-            relpath=str(data["relpath"]),
-            module_name=str(data["module_name"]),
-            imports={str(k): str(v) for k, v in data["imports"].items()},  # type: ignore[union-attr]
-            functions={
-                str(k): FunctionSummary.from_dict(v)
-                for k, v in data["functions"].items()  # type: ignore[union-attr]
-            },
-            classes={
-                str(k): ClassSummary.from_dict(v)
-                for k, v in data["classes"].items()  # type: ignore[union-attr]
-            },
-            suppressions={
-                int(line): ([str(i) for i in entry[0]], str(entry[1]))
-                for line, entry in data["suppressions"].items()  # type: ignore[union-attr]
-            },
-        )
 
 
 # ----------------------------------------------------------------------
@@ -508,21 +305,15 @@ class _SummaryBuilder:
         self.summary = ModuleSummary(
             relpath=module.relpath,
             module_name=module_name_for(module.relpath),
-            suppressions={
-                line: (sorted(ids), reason)
-                for line, (ids, reason) in module.suppressions.items()
-            },
         )
 
     # -- helpers -------------------------------------------------------
 
     def _site(self, node: ast.AST) -> Site:
-        lineno = getattr(node, "lineno", 1)
         return Site(
-            lineno=lineno,
+            lineno=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
             context=self.module.enclosing_context(node),
-            snippet=self.module.source_line(lineno),
         )
 
     # -- imports -------------------------------------------------------
@@ -658,7 +449,6 @@ class _SummaryBuilder:
         own = list(_own_nodes(fn))
         self._collect_calls(summary, own)
         self._collect_flows(summary, fn, own)
-        summary.has_await = any(isinstance(n, ast.Await) for n in own)
         self.summary.functions[qualname] = summary
         # Recurse into nested named defs (they get their own summaries,
         # linked by an implicit parent->child call edge in phase 2).

@@ -1,211 +1,48 @@
-"""The two-phase engine: incremental cache behaviour, stats, reporters.
-
-The cache contract under test: touching a file without changing it is a
-hit (no re-parse), editing one byte is a miss, a changed engine
-signature discards everything, and cached findings round-trip
-identically — including their line-drift-tolerant fingerprints.
-"""
+"""The driver: files on disk, both phases, one suppression lookup."""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from repro.analysis.baseline import compare
-from repro.analysis.cache import SummaryCache, content_sha, engine_signature
-from repro.analysis.engine import ENGINE_VERSION, analyze_project
-from repro.analysis.framework import ModuleContext, run_rules
-from repro.analysis.reporters import render_sarif
-from repro.analysis.rules import ALL_RULES, PROGRAM_RULES
-from repro.analysis.rules.determinism import WallClockRule
+from repro.analysis.engine import analyze_paths, run_rules
+from repro.analysis.rules import RULES
 
-#: A module that always produces exactly one finding (SKY202).
+#: One module-rule finding (SKY202, line 6) and one program-rule
+#: finding (SKY601, line 10) in the same file.
 _DIRTY = """\
 import time
 
 
-def stamp():
-    return time.time()
-"""
+class Service:
+    def stamp(self):
+        return time.time()
 
-_CLEAN = """\
-import time
-
-
-def stamp():
-    return time.perf_counter()
+    async def step(self):
+        self.stamp()
+        time.sleep(0.1)
 """
 
 
-def _project(tmp_path: Path, source: str = _DIRTY) -> Path:
-    pkg = tmp_path / "src" / "repro" / "core"
+def _run(tmp_path: Path, source: str):
+    pkg = tmp_path / "src" / "repro" / "serve"
     pkg.mkdir(parents=True, exist_ok=True)
     (pkg / "fake.py").write_text(source, encoding="utf-8")
-    return tmp_path / "src"
-
-
-def _run(tmp_path: Path):
-    return analyze_project(
-        [tmp_path / "src"],
-        ALL_RULES,
-        PROGRAM_RULES,
-        root=tmp_path,
-        cache_path=tmp_path / ".skylint-cache.json",
-    )
-
-
-def test_cold_then_warm_run_hits_the_cache(tmp_path):
-    _project(tmp_path)
-    findings1, stats1 = _run(tmp_path)
-    assert stats1.parsed == 1 and stats1.summary_hits == 0
-    assert not stats1.warm
-    findings2, stats2 = _run(tmp_path)
-    assert stats2.parsed == 0 and stats2.summary_hits == 1
-    assert stats2.findings_hits == 1
-    assert stats2.warm
-    # Cached findings are byte-identical to freshly computed ones.
-    assert [f.to_dict() for f in findings2] == [f.to_dict() for f in findings1]
-    assert [f.rule for f in findings1] == ["SKY202"]
-
-
-def test_touching_without_changing_is_a_hit_and_editing_is_a_miss(tmp_path):
-    src = _project(tmp_path)
-    _run(tmp_path)
-    # Touch: rewrite identical bytes -> same content hash -> hit.
-    (src / "repro" / "core" / "fake.py").write_text(_DIRTY, encoding="utf-8")
-    _, stats = _run(tmp_path)
-    assert stats.parsed == 0 and stats.summary_hits == 1
-    # Edit: the finding disappears and the file re-parses.
-    (src / "repro" / "core" / "fake.py").write_text(_CLEAN, encoding="utf-8")
-    findings, stats = _run(tmp_path)
-    assert stats.parsed == 1 and stats.summary_hits == 0
-    assert findings == []
-
-
-def test_a_changed_engine_signature_discards_the_cache(tmp_path):
-    _project(tmp_path)
-    _run(tmp_path)
-    cache_path = tmp_path / ".skylint-cache.json"
-    sha = content_sha(_DIRTY)
-    stale = SummaryCache.load(
-        cache_path, engine_signature(ENGINE_VERSION + ".different", ["SKY000"])
-    )
-    assert stale.get("src/repro/core/fake.py", sha) is None
-    fresh = SummaryCache.load(
-        cache_path,
-        engine_signature(
-            ENGINE_VERSION,
-            [r.id for r in ALL_RULES] + [r.id for r in PROGRAM_RULES],
-        ),
-    )
-    assert fresh.get("src/repro/core/fake.py", sha) is not None
-
-
-def test_a_corrupt_cache_file_degrades_to_a_cold_run(tmp_path):
-    _project(tmp_path)
-    (tmp_path / ".skylint-cache.json").write_text("{not json", encoding="utf-8")
-    findings, stats = _run(tmp_path)
-    assert stats.parsed == 1
-    assert [f.rule for f in findings] == ["SKY202"]
-
-
-def test_deleted_files_are_pruned_from_the_cache(tmp_path):
-    src = _project(tmp_path)
-    extra = src / "repro" / "core" / "extra.py"
-    extra.write_text("X = 1\n", encoding="utf-8")
-    _run(tmp_path)
-    raw = json.loads((tmp_path / ".skylint-cache.json").read_text())
-    assert "src/repro/core/extra.py" in raw["entries"]
-    extra.unlink()
-    _run(tmp_path)
-    raw = json.loads((tmp_path / ".skylint-cache.json").read_text())
-    assert "src/repro/core/extra.py" not in raw["entries"]
+    return run_rules(analyze_paths([tmp_path / "src"], tmp_path), RULES)
 
 
 def test_suppressions_survive_the_cache(tmp_path):
-    source = _DIRTY.replace(
+    # Both phases read the same inline suppressions: a reasoned
+    # `ignore` silences a per-module and a whole-program finding alike.
+    findings = _run(tmp_path, _DIRTY)
+    assert [(f.rule, f.path, f.line) for f in findings] == [
+        ("SKY202", "src/repro/serve/fake.py", 6),
+        ("SKY601", "src/repro/serve/fake.py", 10),
+    ]
+    suppressed = _DIRTY.replace(
         "return time.time()",
         "return time.time()  # skylint: ignore[SKY202] bench stamp",
+    ).replace(
+        "time.sleep(0.1)",
+        "time.sleep(0.1)  # skylint: ignore[SKY601] fixture: deliberate stall",
     )
-    _project(tmp_path, source)
-    findings, _ = _run(tmp_path)
-    assert findings == []
-    findings, stats = _run(tmp_path)
-    assert stats.warm and findings == []
-
-
-# ----------------------------------------------------------------------
-# fingerprint stability
-
-
-def test_fingerprints_are_stable_under_line_shifts():
-    shifted = "# a new leading comment\n\n" + _DIRTY
-    original = run_rules(
-        [ModuleContext("repro/core/fake.py", _DIRTY)], [WallClockRule()]
-    )
-    moved = run_rules(
-        [ModuleContext("repro/core/fake.py", shifted)], [WallClockRule()]
-    )
-    assert len(original) == len(moved) == 1
-    assert moved[0].line != original[0].line
-    assert moved[0].fingerprint() == original[0].fingerprint()
-    # ... which is exactly what keeps the baseline comparison clean.
-    comparison = compare(moved, [_entry(original[0])])
-    assert comparison.clean
-
-
-def _entry(finding):
-    from repro.analysis.baseline import BaselineEntry
-
-    return BaselineEntry(
-        rule=finding.rule,
-        path=finding.path,
-        context=finding.context,
-        snippet=finding.snippet,
-        justification="pinned for the line-shift test",
-    )
-
-
-def test_fingerprints_change_when_the_offending_line_changes():
-    edited = _DIRTY.replace("time.time()", "time.time()  # noqa")
-    original = run_rules(
-        [ModuleContext("repro/core/fake.py", _DIRTY)], [WallClockRule()]
-    )
-    moved = run_rules(
-        [ModuleContext("repro/core/fake.py", edited)], [WallClockRule()]
-    )
-    assert original[0].fingerprint() != moved[0].fingerprint()
-
-
-# ----------------------------------------------------------------------
-# SARIF reporter
-
-
-def test_render_sarif_shape():
-    findings = run_rules(
-        [ModuleContext("repro/core/fake.py", _DIRTY)], [WallClockRule()]
-    )
-    comparison = compare(findings, [])
-    doc = json.loads(
-        render_sarif(comparison, [WallClockRule()], engine_version=ENGINE_VERSION)
-    )
-    assert doc["version"] == "2.1.0"
-    run = doc["runs"][0]
-    assert run["tool"]["driver"]["name"] == "skylint"
-    assert [r["id"] for r in run["tool"]["driver"]["rules"]] == ["SKY202"]
-    (result,) = run["results"]
-    assert result["ruleId"] == "SKY202"
-    assert result["level"] == "error"
-    location = result["locations"][0]["physicalLocation"]
-    assert location["artifactLocation"]["uri"] == "repro/core/fake.py"
-    assert location["region"]["startLine"] == findings[0].line
-    assert result["partialFingerprints"]["skylint/v1"]
-
-
-def test_render_sarif_omits_baselined_findings():
-    findings = run_rules(
-        [ModuleContext("repro/core/fake.py", _DIRTY)], [WallClockRule()]
-    )
-    comparison = compare(findings, [_entry(findings[0])])
-    doc = json.loads(render_sarif(comparison, [WallClockRule()]))
-    assert doc["runs"][0]["results"] == []
+    assert _run(tmp_path, suppressed) == []

@@ -1,19 +1,10 @@
-"""Framework-level behaviour: suppressions, fingerprints, baselines."""
+"""Framework-level behaviour: the rule registry and suppressions."""
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-from repro.analysis.baseline import (
-    BaselineEntry,
-    compare,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.framework import ModuleContext, run_rules
-from repro.analysis.reporters import render_json, render_text
-from repro.analysis.rules import ALL_RULES, rules_by_id
+from repro.analysis.engine import run_rules
+from repro.analysis.framework import ModuleContext
+from repro.analysis.rules import RULES, rules_by_id
 from repro.analysis.rules.probability import FloatEqualityRule
 
 BAD_FLOAT_EQ = """\
@@ -27,7 +18,7 @@ def _module(source: str, relpath: str = "repro/core/fake.py") -> ModuleContext:
 
 
 def test_rule_registry_ids_are_unique():
-    ids = [rule.id for rule in ALL_RULES]
+    ids = [rule.id for rule in RULES]
     assert len(ids) == len(set(ids))
     assert rules_by_id()["SKY301"].name == "probability-float-equality"
 
@@ -56,60 +47,3 @@ def test_wildcard_suppression_covers_every_rule():
     )
     findings = run_rules([_module(source)], [FloatEqualityRule()])
     assert findings == []
-
-
-def test_fingerprint_survives_line_shifts():
-    findings_a = run_rules([_module(BAD_FLOAT_EQ)], [FloatEqualityRule()])
-    shifted = "import math\n\n\n" + BAD_FLOAT_EQ
-    findings_b = run_rules([_module(shifted)], [FloatEqualityRule()])
-    assert len(findings_a) == len(findings_b) == 1
-    assert findings_a[0].line != findings_b[0].line
-    assert findings_a[0].fingerprint() == findings_b[0].fingerprint()
-
-
-def test_baseline_round_trip_and_compare(tmp_path: Path):
-    findings = run_rules([_module(BAD_FLOAT_EQ)], [FloatEqualityRule()])
-    path = tmp_path / "skylint-baseline.json"
-    write_baseline(path, findings)
-
-    raw = json.loads(path.read_text())
-    assert raw["version"] == 1
-    assert len(raw["entries"]) == 1
-
-    baseline = load_baseline(path)
-    comparison = compare(findings, baseline)
-    assert comparison.clean
-    assert not comparison.new and not comparison.stale
-
-
-def test_missing_baseline_means_every_finding_is_new(tmp_path: Path):
-    findings = run_rules([_module(BAD_FLOAT_EQ)], [FloatEqualityRule()])
-    baseline = load_baseline(tmp_path / "does-not-exist.json")
-    comparison = compare(findings, baseline)
-    assert not comparison.clean
-    assert len(comparison.new) == 1
-
-
-def test_fixed_finding_turns_the_baseline_entry_stale():
-    finding = run_rules([_module(BAD_FLOAT_EQ)], [FloatEqualityRule()])[0]
-    entry = BaselineEntry(
-        rule=finding.rule,
-        path=finding.path,
-        context=finding.context,
-        snippet=finding.snippet,
-        justification="fixture",
-    )
-    comparison = compare([], [entry])
-    assert not comparison.clean
-    assert len(comparison.stale) == 1
-
-
-def test_reporters_render_both_formats():
-    findings = run_rules([_module(BAD_FLOAT_EQ)], [FloatEqualityRule()])
-    comparison = compare(findings, [])
-    text = render_text(comparison, ALL_RULES)
-    assert "SKY301" in text and "repro/core/fake.py" in text
-    payload = json.loads(render_json(comparison, ALL_RULES))
-    assert payload["clean"] is False
-    assert payload["summary"]["total"] == 1
-    assert payload["new"][0]["rule"] == "SKY301"

@@ -1,8 +1,8 @@
 """Good/bad fixture pairs for the whole-program (SKY6xx) rule family.
 
-Each fixture is a tiny multi-file project: sources are linked into a
-:class:`~repro.analysis.callgraph.Program` exactly the way phase 2 of
-the engine does it, so these tests pin the *call-graph* semantics —
+Each fixture is a tiny multi-file project run through the engine's one
+driver (:func:`~repro.analysis.engine.run_rules`), so these tests pin
+the *call-graph* semantics —
 resolution through ``self`` methods, attribute types, imports, the
 generator boundary — not just the per-rule predicates.
 """
@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.analysis.callgraph import Program, ProgramRule
-from repro.analysis.framework import Finding, ModuleContext, run_rules
-from repro.analysis.rules import PROGRAM_RULES
+from repro.analysis.callgraph import ProgramRule
+from repro.analysis.engine import run_rules
+from repro.analysis.framework import Finding, ModuleContext
+from repro.analysis.rules import RULES
 from repro.analysis.rules.asyncio_discipline import AsyncioDisciplineRule
 from repro.analysis.rules.interprocedural import (
     InterproceduralBillingRule,
@@ -21,27 +22,10 @@ from repro.analysis.rules.interprocedural import (
     SeedProvenanceRule,
     TransitiveBlockingRule,
 )
-from repro.analysis.summaries import build_summary
-
-
-def _program(files: Dict[str, str]) -> Program:
-    summaries = [
-        build_summary(ModuleContext(relpath, source))
-        for relpath, source in files.items()
-    ]
-    return Program(summaries)
 
 
 def _check(files: Dict[str, str], rules: Sequence[ProgramRule]) -> List[Finding]:
-    program = _program(files)
-    findings = [
-        finding
-        for rule in rules
-        for finding in rule.check_program(program)
-        if not program.is_suppressed(finding.path, finding.rule, finding.line)
-    ]
-    findings.sort(key=lambda f: (f.path, f.line, f.column, f.rule))
-    return findings
+    return run_rules([ModuleContext(path, source) for path, source in files.items()], rules)
 
 
 # ----------------------------------------------------------------------
@@ -653,11 +637,12 @@ class Service:
 
 
 def test_program_rules_cover_sky601_through_sky604():
-    assert [rule.id for rule in PROGRAM_RULES] == [
+    program_rules = [rule for rule in RULES if isinstance(rule, ProgramRule)]
+    assert [rule.id for rule in program_rules] == [
         "SKY601",
         "SKY602",
         "SKY603",
         "SKY604",
     ]
-    for rule in PROGRAM_RULES:
+    for rule in program_rules:
         assert rule.description.strip()

@@ -10,8 +10,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List
 
-from repro.analysis.callgraph import Program
-from repro.analysis.framework import Finding, ModuleContext, Rule, run_rules
+from repro.analysis.engine import run_rules
+from repro.analysis.framework import Finding, ModuleContext, Rule
 from repro.analysis.rules.asyncio_discipline import AsyncioDisciplineRule
 from repro.analysis.rules.concurrency import ProcessSharedStateRule
 from repro.analysis.rules.determinism import UnseededRandomRule, WallClockRule
@@ -25,15 +25,10 @@ from repro.analysis.rules.probability import (
 )
 from repro.analysis.rules.protocol import EmissionDisciplineRule
 from repro.analysis.rules.rpc import RpcDisciplineRule
-from repro.analysis.summaries import build_summary
 
 
 def _run(source: str, rule: Rule, relpath: str = "repro/core/fake.py") -> List[Finding]:
     return run_rules([ModuleContext(relpath, source)], [rule])
-
-
-def _program(source: str, relpath: str) -> Program:
-    return Program([build_summary(ModuleContext(relpath, source))])
 
 
 # ----------------------------------------------------------------------
@@ -45,7 +40,7 @@ def _program(source: str, relpath: str) -> Program:
 
 
 def _billing(source: str, relpath: str) -> List[Finding]:
-    return list(InterproceduralBillingRule().check_program(_program(source, relpath)))
+    return _run(source, InterproceduralBillingRule(), relpath)
 
 
 SKY101_BAD = """\
@@ -624,10 +619,9 @@ class TablePool:
 
 
 def _loop_findings(source: str, relpath: str = "repro/serve/fake.py") -> List[Finding]:
-    findings = _run(source, AsyncioDisciplineRule(), relpath) + list(
-        TransitiveBlockingRule().check_program(_program(source, relpath))
+    return run_rules(
+        [ModuleContext(relpath, source)], [AsyncioDisciplineRule(), TransitiveBlockingRule()]
     )
-    return sorted(findings, key=lambda f: (f.path, f.line, f.column, f.rule))
 
 
 SKY503_BAD_BLOCKING = """\
