@@ -17,10 +17,23 @@ because every tuple below ``e`` occurs with probability at most
 ``P2(e)`` and inherits every region-dominating object as a dominator.
 If the bound falls below ``q`` the subtree is skipped.
 
-Visited objects are kept as an incomparable *pruner window* (dominated
-pruners are redundant for the dominance test by transitivity).  The
-exact probability of each surviving object is then resolved with the
-§6.3 window query on the same tree, with early exit at ``q``.
+Each test runs once, where it is cheapest:
+
+* a node is tested against the pruner window when it is pushed and
+  again when it is popped (pruners found in between can still cut it);
+* a leaf entry enters the heap iff ``P(t) ≥ q`` — no window test yet;
+* a dequeued object makes one pass over the window, folding
+  ``P(t) × ∏ (1 − P(w))`` over the pruners that dominate it (stopping
+  once the bound sinks below ``q``).  Only an object still at ``q`` or
+  above pays for the exact §6.3 window query on the same tree, with
+  early exit at ``q``.
+
+"Visited" means dequeued: an object joins the window when it is
+dequeued and no pruner dominates it (a dominated one adds nothing to
+the dominance test by transitivity).  Dequeue order is ascending
+coordinate sum, so a later object can dominate a window member only at
+an equal float sum — and a dominated pruner is still a real dominator,
+so every bound stays sound.
 
 :func:`bbs_prob_skyline_progressive` yields qualified members as they
 are discovered — ascending coordinate-sum order — which is the
@@ -66,39 +79,41 @@ def bbs_prob_skyline_progressive(
         _, _, entry = heapq.heappop(heap)
         tree.node_accesses += 1
         if isinstance(entry, IndexedItem):
-            # Re-check against pruners gathered since this item was
-            # pushed; only then pay for the exact probe.
-            if not _item_pruned(pruners, entry, threshold):
+            # One pass over the window: the bound, and whether it joins.
+            bound = entry.probability
+            dominated = False
+            for w in pruners:
+                if _point_dominates(w.values, entry.values):
+                    dominated = True
+                    bound *= 1.0 - w.probability
+                    if bound < threshold:
+                        break
+            if bound >= threshold:
                 floor = threshold / entry.probability
                 product = tree.dominators_product(
                     entry.payload, floor=floor, exclude_key=entry.key
                 )
                 if product >= floor:
                     yield SkylineMember(entry.payload, entry.probability * product)
-            _absorb_pruner(pruners, entry)
+            if not dominated:
+                pruners.append(entry)
             continue
         node: Node = entry
         if _node_pruned(pruners, node, threshold):
             # Pruners that arrived after this node was pushed can now
             # disqualify the whole subtree without expanding it.
             continue
+        if node.is_leaf:
+            for item in node.entries:
+                if item.probability >= threshold:
+                    heapq.heappush(
+                        heap, (float(sum(item.values)), next(counter), item)
+                    )
+            continue
         for child in node.entries:
-            if node.is_leaf:
-                item: IndexedItem = child
-                if _item_pruned(pruners, item, threshold):
-                    # Even a pruned item remains a legitimate pruner for
-                    # later, more dominated regions.
-                    _absorb_pruner(pruners, item)
-                    continue
+            if not _node_pruned(pruners, child, threshold):
                 heapq.heappush(
-                    heap, (float(sum(item.values)), next(counter), item)
-                )
-            else:
-                if _node_pruned(pruners, child, threshold):
-                    continue
-                heapq.heappush(
-                    heap,
-                    (child.rect.min_coordinate_sum(), next(counter), child),
+                    heap, (child.rect.min_coordinate_sum(), next(counter), child)
                 )
 
 
@@ -114,28 +129,3 @@ def _node_pruned(pruners: List[IndexedItem], node: Node, threshold: float) -> bo
             if bound < threshold:
                 return True
     return False
-
-
-def _item_pruned(pruners: List[IndexedItem], item: IndexedItem, threshold: float) -> bool:
-    """True iff ``item`` itself provably misses the threshold."""
-    bound = item.probability
-    if bound < threshold:
-        return True
-    for w in pruners:
-        if _point_dominates(w.values, item.values):
-            bound *= 1.0 - w.probability
-            if bound < threshold:
-                return True
-    return False
-
-
-def _absorb_pruner(pruners: List[IndexedItem], item: IndexedItem) -> None:
-    """BNL-style insert keeping the pruner window incomparable."""
-    survivors = []
-    for w in pruners:
-        if _point_dominates(w.values, item.values):
-            return  # a stronger-or-equal pruner is already present
-        if not _point_dominates(item.values, w.values):
-            survivors.append(w)
-    survivors.append(item)
-    pruners[:] = survivors

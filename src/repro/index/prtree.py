@@ -62,8 +62,9 @@ class PRTree(RTree):
     ) -> None:
         self.preference = preference
         self.store_products = store_products
-        #: Number of tree nodes touched by probe-style queries; reset
-        #: freely — benchmarks use it to compare traversal work.
+        #: Heap entries BBS dequeues plus the nodes that window queries
+        #: visit; reset freely — benchmarks use it to compare traversal
+        #: work.
         self.node_accesses = 0
         super().__init__(max_entries=max_entries, min_entries=min_entries)
 
@@ -198,11 +199,10 @@ class PRTree(RTree):
             rect = node.rect
             if rect is None or rect.disjoint_from_dominance_region(point):
                 continue
-            if (
-                self.store_products
-                and rect.fully_inside_dominance_region(point)
-                and not self._subtree_contains_key(node, exclude_key, point)
-            ):
+            # A box fully inside the *strict* dominance region is below
+            # ``point`` on some dimension, so it cannot hold the target
+            # itself: its whole product counts.
+            if self.store_products and rect.fully_inside_dominance_region(point):
                 product *= node.aggregate.non_occurrence
             elif node.is_leaf:
                 for item in node.entries:
@@ -228,20 +228,6 @@ class PRTree(RTree):
         ``floor`` early-exit contract) as :meth:`dominators_product`.
         """
         return [self.dominators_product(t, floor=floor) for t in targets]
-
-    def _subtree_contains_key(
-        self, node: Node, key: Optional[int], point: Tuple[float, ...]
-    ) -> bool:
-        """Whether the excluded key might sit inside this subtree.
-
-        The excluded tuple's point equals ``target``'s projection only
-        when the target itself is stored here; a subtree fully inside
-        the *strict* dominance region can never contain the target's
-        own point, so this is almost always False without any walk.
-        """
-        if key is None or node.rect is None:
-            return False
-        return node.rect.contains_point(point)
 
     def dominators(self, target: UncertainTuple) -> List[UncertainTuple]:
         """Materialise the tuples dominating ``target`` (mostly for tests)."""

@@ -103,10 +103,16 @@ class RTree:
 
     def _refresh(self, node: Node) -> None:
         """Recompute ``rect`` and ``aggregate`` of ``node`` from its entries."""
-        if node.entries:
-            node.rect = Rect.union_of(node.entry_rect(e) for e in node.entries)
-        else:
+        if not node.entries:
             node.rect = None
+        elif node.is_leaf:
+            # Per-dimension min/max of the points: min() and max() keep
+            # the first extreme, as union_of does, so even the sign of a
+            # zero corner matches the union of the points' rects.
+            columns = list(zip(*(item.values for item in node.entries)))
+            node.rect = Rect(tuple(map(min, columns)), tuple(map(max, columns)))
+        else:
+            node.rect = Rect.union_of(child.rect for child in node.entries)
         if node.is_leaf:
             node.aggregate = self._aggregate_items(node.entries)
         else:

@@ -118,6 +118,14 @@ class TestDominanceRegionPredicates:
         assert not r.disjoint_from_dominance_region((2.0, 2.0))
 
     @given(coords, coords, coords)
+    def test_fully_inside_never_contains_the_target(self, a, b, target):
+        # Why a window query may take a fully-inside subtree's whole
+        # product without looking for the target's own key in it.
+        r = rect_from(a, b)
+        if r.fully_inside_dominance_region(target):
+            assert not r.contains_point(target)
+
+    @given(coords, coords, coords)
     def test_predicates_never_both_true(self, a, b, target):
         r = rect_from(a, b)
         assert not (
