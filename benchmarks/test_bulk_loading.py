@@ -1,16 +1,14 @@
-"""Benchmark — bulk-loading strategies: STR vs Hilbert vs Morton vs insert.
+"""Benchmark — STR bulk loading vs one-at-a-time insertion.
 
 Measures build time and — the number that matters downstream — probe
-node accesses over the resulting trees.  Expected shape: the packed
-loaders beat one-at-a-time insertion on both axes; Hilbert packs at
-least as tightly as Morton (curve locality); STR remains the strong
-default.
+node accesses over the resulting trees.  Expected shape: the STR
+packer beats one-at-a-time insertion on both axes.
 """
 
 import pytest
 
 from repro.data.workload import make_synthetic_workload
-from repro.index.bulk import curve_bulk_load, str_bulk_load
+from repro.index.bulk import str_bulk_load
 from repro.index.prtree import PRTree
 from repro.index.rtree import IndexedItem
 
@@ -33,21 +31,19 @@ def build(strategy, items):
     tree = PRTree(max_entries=16)
     if strategy == "str":
         return str_bulk_load(tree, list(items))
-    if strategy in ("hilbert", "morton"):
-        return curve_bulk_load(tree, list(items), curve=strategy)
     for it in items:
         tree.insert(it)
     return tree
 
 
-@pytest.mark.parametrize("strategy", ["str", "hilbert", "morton", "insert"])
+@pytest.mark.parametrize("strategy", ["str", "insert"])
 def test_build_time(benchmark, items, strategy):
     tree = benchmark(build, strategy, items)
     assert len(tree) == N
     tree.check_invariants()
 
 
-@pytest.mark.parametrize("strategy", ["str", "hilbert", "morton", "insert"])
+@pytest.mark.parametrize("strategy", ["str", "insert"])
 def test_probe_quality(benchmark, items, probe_targets, strategy):
     tree = build(strategy, items)
 
@@ -61,10 +57,10 @@ def test_probe_quality(benchmark, items, probe_targets, strategy):
     benchmark.extra_info["node_accesses"] = accesses
 
 
-def test_packed_loaders_beat_insertion(benchmark, items, probe_targets):
+def test_str_beats_insertion(benchmark, items, probe_targets):
     def compare():
         out = {}
-        for strategy in ("str", "hilbert", "insert"):
+        for strategy in ("str", "insert"):
             tree = build(strategy, items)
             tree.node_accesses = 0
             for t in probe_targets:
@@ -75,4 +71,3 @@ def test_packed_loaders_beat_insertion(benchmark, items, probe_targets):
     accesses = benchmark.pedantic(compare, rounds=1, iterations=1)
     benchmark.extra_info.update(accesses)
     assert accesses["str"] <= accesses["insert"]
-    assert accesses["hilbert"] <= accesses["insert"]

@@ -1,11 +1,12 @@
 """Micro-benchmarks of the substrates the table/figure numbers rest on:
 centralized skyline algorithms, local probabilistic skyline, PR-tree
-construction, and the §6.3 probe — useful when profiling a regression
-in any figure bench."""
+construction, and the §6.3 probe against the index-free linear scan —
+useful when profiling a regression in any figure bench."""
 
 import pytest
 
 from repro.core.prob_skyline import prob_skyline_sfs
+from repro.core.probability import non_occurrence_product
 from repro.core.skyline import block_nested_loop, divide_and_conquer, sort_filter_skyline
 from repro.data.workload import make_synthetic_workload
 from repro.index.bbs import bbs_prob_skyline
@@ -82,3 +83,26 @@ def test_probe_throughput(benchmark, database, tree):
 
     total = benchmark(probe_all)
     assert total >= 0.0
+
+
+def test_probe_linear_scan(benchmark, database):
+    targets = database[::50]
+
+    def scan_all():
+        total = 0.0
+        for t in targets:
+            total += non_occurrence_product(t, database)
+        return total
+
+    total = benchmark(scan_all)
+    assert total >= 0.0
+
+
+def test_probe_agrees_with_linear_scan(benchmark, database, tree):
+    def compare():
+        for t in database[::125]:
+            exact = non_occurrence_product(t, database)
+            assert tree.dominators_product(t) == pytest.approx(exact, abs=1e-12)
+        return True
+
+    assert benchmark.pedantic(compare, rounds=1, iterations=1)

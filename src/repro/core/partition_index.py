@@ -5,8 +5,7 @@ with one ``(n,)`` broadcast; filling the whole ``P_sky`` table that way
 is ``n`` broadcasts — O(n²) comparisons, the wall our benchmarks hit at
 n≈20k.  This module trades that for the space-partitioning scheme of
 "Computing All Restricted Skyline Probabilities" (arXiv 2303.00259),
-adapted to the uniform-grid machinery the repo already trusts in
-:mod:`repro.index.grid`:
+on a uniform grid:
 
 * Rows are binned into a uniform grid over canonical min-space (the
   binning is monotone, so ``r ≺ x ⟹ cell(r) ≤ cell(x)`` componentwise
@@ -131,10 +130,8 @@ class PartitionIndex:
         """Bin ``store``'s rows; ``cells_per_dim=None`` auto-sizes.
 
         The auto rule targets ``occupancy`` rows per cell —
-        ``(n / occupancy)^(1/d)`` bins per dimension — the same shape
-        as :class:`~repro.index.grid.GridIndex`'s sizing but with a
-        larger default occupancy, because the table pass pays per cell
-        *pair* where the probe pays per cell.
+        ``(n / occupancy)^(1/d)`` bins per dimension.  The default
+        occupancy is large because the table pass pays per cell *pair*.
         """
         values = np.asarray(store.values, dtype=np.float64)
         n = values.shape[0]

@@ -51,7 +51,6 @@ from ..core.prob_skyline import ProbabilisticSkyline, SkylineMember, prob_skylin
 from ..core.probability import feedback_pruning_bound, non_occurrence_product
 from ..core.tuples import UncertainTuple, validate_database
 from ..index.bbs import bbs_prob_skyline
-from ..index.grid import GridIndex
 from ..index.prtree import PRTree
 from ..net.message import Quaternion
 
@@ -68,8 +67,7 @@ class SiteConfig:
     ``kernel``           — which :class:`SiteKernel` does the site's
                            arithmetic, one of :data:`KERNELS`:
                            ``"prtree"`` (§6: BBS and window queries over
-                           the PR-tree), ``"grid"`` (the uniform-grid
-                           rival; probes only, local skylines sort),
+                           the PR-tree, the one spatial index),
                            ``"columnar"`` (no index, flat numpy scans:
                            streams, the no-index ablation), ``"table"``
                            (the precomputed all-probabilities table,
@@ -79,14 +77,12 @@ class SiteConfig:
     ``feedback_pruning`` — enable the Local-Pruning phase (ablation
                            switch; disabling it never affects the
                            answer, only bandwidth).
-    ``max_entries``      — PR-tree node capacity.
     ``store_products``   — keep non-occurrence products in the tree
                            (§6.3 probe optimization; ablation switch).
     """
 
     kernel: str = "prtree"
     feedback_pruning: bool = True
-    max_entries: int = 16
     store_products: bool = True
 
 
@@ -124,7 +120,7 @@ class _Candidate:
 # ----------------------------------------------------------------------
 
 #: The values ``SiteConfig.kernel`` accepts.
-KERNELS = ("prtree", "grid", "columnar", "table", "scalar")
+KERNELS = ("prtree", "columnar", "table", "scalar")
 
 Partition = Dict[int, UncertainTuple]
 
@@ -188,14 +184,16 @@ class SiteKernel:
         raise ValueError("only the 'table' kernel keeps an all-probabilities table")
 
 
-class IndexKernel(SiteKernel):
-    """A spatial index answering the §6.3 window query (PR-tree or grid)."""
+class PRTreeKernel(SiteKernel):
+    """The paper's configuration: BBS (§6.2) and the §6.3 window query
+    over one PR-tree, updated in place."""
 
-    def __init__(
-        self, database: Partition, preference: Optional[Preference], index: Union[PRTree, GridIndex]
-    ) -> None:
+    def __init__(self, database: Partition, preference: Optional[Preference], index: PRTree) -> None:
         super().__init__(database, preference)
         self.index = index
+
+    def skyline(self, threshold: float) -> ProbabilisticSkyline:
+        return bbs_prob_skyline(self.index, threshold)
 
     def factor(self, t: UncertainTuple, floor: float = 0.0) -> float:
         return self.index.dominators_product(t, floor=floor)
@@ -208,15 +206,6 @@ class IndexKernel(SiteKernel):
 
     def remove(self, t: UncertainTuple) -> None:
         self.index.remove(t)
-
-
-class PRTreeKernel(IndexKernel):
-    """The paper's configuration: BBS over the PR-tree (§6.2)."""
-
-    index: PRTree
-
-    def skyline(self, threshold: float) -> ProbabilisticSkyline:
-        return bbs_prob_skyline(self.index, threshold)
 
 
 class ColumnarKernel(SiteKernel):
@@ -331,12 +320,8 @@ def make_kernel(
     """Build the kernel ``config.kernel`` names — the only reader of that field."""
     name = config.kernel
     if name == "prtree":
-        tree = PRTree.build(
-            database.values(), preference, config.max_entries, store_products=config.store_products
-        )
+        tree = PRTree.build(database.values(), preference, store_products=config.store_products)
         return PRTreeKernel(database, preference, tree)
-    if name == "grid":
-        return IndexKernel(database, preference, GridIndex.build(database.values(), preference))
     flat = {"columnar": ColumnarKernel, "table": TableKernel, "scalar": ScalarKernel}
     if name not in flat:
         raise ValueError(f"unknown kernel {name!r}; expected one of {KERNELS}")

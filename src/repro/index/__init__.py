@@ -1,42 +1,24 @@
-"""Spatial indexing substrate: R-tree, STR bulk loading, and the PR-tree.
+"""Spatial indexing substrate: the STR-packed PR-tree a site builds.
 
-The Probabilistic R-tree (§6.1) keeps per-node existential-probability
-summaries that power the BBS-style local skyline (§6.2) and the
-window-query probability probe (§6.3).
+The Probabilistic R-tree (§6.1) is an R-tree, bulk-loaded by STR, whose
+nodes keep existential-probability summaries that power the BBS-style
+local skyline (§6.2) and the window-query probability probe (§6.3).
 """
 
 from .bbs import bbs_prob_skyline, bbs_prob_skyline_progressive
-from .bulk import curve_bulk_load, str_bulk_load
+from .bulk import str_bulk_load
 from .geometry import Rect
-from .grid import GridIndex
 from .prtree import PRTree, ProbAggregate
-from .space_filling import hilbert_coords, hilbert_index, morton_index, quantize
 from .rtree import IndexedItem, Node, RTree
-from .window import (
-    dominance_window,
-    linear_dominators,
-    linear_dominators_product,
-    window_tuples,
-)
 
 __all__ = [
     "Rect",
-    "GridIndex",
     "RTree",
     "Node",
     "IndexedItem",
     "PRTree",
     "ProbAggregate",
     "str_bulk_load",
-    "curve_bulk_load",
-    "hilbert_index",
-    "hilbert_coords",
-    "morton_index",
-    "quantize",
     "bbs_prob_skyline",
     "bbs_prob_skyline_progressive",
-    "dominance_window",
-    "window_tuples",
-    "linear_dominators",
-    "linear_dominators_product",
 ]

@@ -23,7 +23,7 @@ from typing import Callable, List, Sequence
 
 from .rtree import IndexedItem, Node, RTree
 
-__all__ = ["str_bulk_load", "curve_bulk_load", "even_chunks"]
+__all__ = ["str_bulk_load", "even_chunks"]
 
 
 def even_chunks(items: List, n_chunks: int) -> List[List]:
@@ -69,37 +69,8 @@ def _str_partition(
     return groups
 
 
-def _pack_levels(tree: RTree, leaf_groups: List[List[IndexedItem]], n_items: int,
-                 dimensionality: int) -> RTree:
-    """Build the tree bottom-up from pre-partitioned leaf runs."""
-    capacity = tree.max_entries
-    level: List[Node] = []
-    for group in leaf_groups:
-        node = Node(is_leaf=True)
-        node.entries = list(group)
-        tree._refresh(node)
-        level.append(node)
-
-    def node_center(node: Node):
-        return tuple(
-            (lo + up) / 2.0 for lo, up in zip(node.rect.lower, node.rect.upper)
-        )
-
-    while len(level) > 1:
-        groups = _str_partition(
-            level, capacity, 0, dimensionality, sort_key=node_center
-        )
-        parents: List[Node] = []
-        for group in groups:
-            node = Node(is_leaf=False)
-            node.entries = list(group)
-            tree._refresh(node)
-            parents.append(node)
-        level = parents
-
-    tree.root = level[0]
-    tree._size = n_items
-    return tree
+def _node_center(node: Node) -> tuple:
+    return tuple((lo + up) / 2.0 for lo, up in zip(node.rect.lower, node.rect.upper))
 
 
 def str_bulk_load(tree: RTree, items: Sequence[IndexedItem]) -> RTree:
@@ -115,48 +86,16 @@ def str_bulk_load(tree: RTree, items: Sequence[IndexedItem]) -> RTree:
     if not items:
         return tree
     dimensionality = len(items[0].values)
-    leaf_groups = _str_partition(
-        items, tree.max_entries, 0, dimensionality, sort_key=lambda it: it.values
-    )
-    return _pack_levels(tree, leaf_groups, len(items), dimensionality)
-
-
-def curve_bulk_load(
-    tree: RTree,
-    items: Sequence[IndexedItem],
-    curve: str = "hilbert",
-    bits: int = 10,
-) -> RTree:
-    """Populate an *empty* ``tree`` by space-filling-curve packing.
-
-    Points are quantized onto a ``2^bits`` grid, sorted along the
-    chosen curve (``"hilbert"`` or ``"morton"``), and cut into
-    even-size leaf runs.  Hilbert ordering keeps runs spatially compact
-    (consecutive cells are always adjacent), which is what gives this
-    packer its query quality; Morton is cheaper to compute but jumps.
-    See ``benchmarks/test_bulk_loading.py`` for the comparison against
-    STR.
-    """
-    from .space_filling import hilbert_index, morton_index, quantize
-
-    if len(tree) != 0:
-        raise ValueError("curve_bulk_load requires an empty tree")
-    if curve not in ("hilbert", "morton"):
-        raise ValueError(f"unknown curve {curve!r}; expected hilbert or morton")
-    items = list(items)
-    if not items:
-        return tree
-    dimensionality = len(items[0].values)
-    lower = tuple(
-        min(it.values[j] for it in items) for j in range(dimensionality)
-    )
-    upper = tuple(
-        max(it.values[j] for it in items) for j in range(dimensionality)
-    )
-    key_fn = hilbert_index if curve == "hilbert" else morton_index
-    ordered = sorted(
-        items, key=lambda it: key_fn(quantize(it.values, lower, upper, bits), bits)
-    )
-    n_leaves = math.ceil(len(ordered) / tree.max_entries)
-    leaf_groups = even_chunks(ordered, n_leaves)
-    return _pack_levels(tree, leaf_groups, len(items), dimensionality)
+    level: List = items
+    is_leaf, sort_key = True, (lambda it: it.values)
+    while is_leaf or len(level) > 1:
+        nodes: List[Node] = []
+        for group in _str_partition(level, tree.max_entries, 0, dimensionality, sort_key):
+            node = Node(is_leaf=is_leaf)
+            node.entries = list(group)
+            tree._refresh(node)
+            nodes.append(node)
+        level, is_leaf, sort_key = nodes, False, _node_center
+    tree.root = level[0]
+    tree._size = len(items)
+    return tree

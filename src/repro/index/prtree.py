@@ -229,19 +229,6 @@ class PRTree(RTree):
         """
         return [self.dominators_product(t, floor=floor) for t in targets]
 
-    def dominators(self, target: UncertainTuple) -> List[UncertainTuple]:
-        """Materialise the tuples dominating ``target`` (mostly for tests)."""
-        point = (
-            self.preference.project(target.values)
-            if self.preference is not None
-            else tuple(target.values)
-        )
-        out = []
-        for item in self.items():
-            if item.key != target.key and _point_dominates(item.values, point):
-                out.append(item.payload)
-        return out
-
 
 def _point_dominates(a: Tuple[float, ...], b: Tuple[float, ...]) -> bool:
     """Min-space dominance between projected points."""

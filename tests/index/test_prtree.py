@@ -133,16 +133,6 @@ class TestDominatorsProduct:
 
 
 class TestDominators:
-    def test_dominators_listing(self):
-        db = [
-            UncertainTuple(0, (0.0, 0.0), 0.5),
-            UncertainTuple(1, (1.0, 1.0), 0.5),
-            UncertainTuple(2, (2.0, 0.5), 0.5),
-        ]
-        tree = PRTree.build(db)
-        keys = {t.key for t in tree.dominators(db[1])}
-        assert keys == {0}
-
     def test_tuples_roundtrip(self):
         db = make_random_database(80, 2, seed=11)
         tree = PRTree.build(db)
