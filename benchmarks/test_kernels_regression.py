@@ -1,10 +1,9 @@
 """Kernel regression benchmarks: vectorized vs scalar hot paths.
 
-Times the columnar SFS, the Eq. 9 probe kernel, the all-probabilities
-table and batched probe rounds at the benchmark scale, and asserts the
-regression floors — the vectorized path must stay meaningfully faster
-than the scalar reference, and the output-sensitive table build faster
-than the O(n²) fill, up to the n=100k acceptance scale.  Runs under
+Times the columnar SFS, the Eq. 9 probe kernel and batched probe rounds
+at the benchmark scale, and asserts the regression floor — the
+vectorized path must stay meaningfully faster than the scalar
+reference.  Runs under
 ``pytest benchmarks/ --benchmark-only`` (CI's non-blocking
 ``benchmarks`` job) so a kernel regression fails loudly next to the
 paper-figure benchmarks.
@@ -13,16 +12,13 @@ paper-figure benchmarks.
 import random
 import time
 
-import numpy as np
 import pytest
 
 from repro.core.kernels import ColumnStore
 from repro.core.kernels import prob_skyline_sfs as columnar_sfs
-from repro.core.partition_index import PartitionIndex
 from repro.core.probability import non_occurrence_product
 from repro.core.prob_skyline import prob_skyline_sfs as scalar_sfs
 from repro.core.tuples import UncertainTuple
-from repro.data.io import open_columns, write_columns
 
 from .conftest import Q, run_algorithm
 
@@ -95,52 +91,6 @@ class TestProbeKernel:
                 non_occurrence_product(t, database)
 
         benchmark(run)
-
-
-class TestPartitionedTable:
-    @pytest.mark.parametrize(
-        "n, sample, floor, rounds",
-        [(N, N, 5.0, 3), (100_000, 2_048, 10.0, 1)],
-        ids=["n4k-full-fill", "n100k-sampled-fill"],
-    )
-    def test_partitioned_build_beats_vectorized_fill(
-        self, benchmark, database, tmp_path, n, sample, floor, rounds
-    ):
-        """Regression floors: the output-sensitive table build ≥ 5× the
-        O(n²) vectorized fill at n=4k, ≥ 10× at n=100k, d=4, where the
-        asymptotic gap dominates.
-
-        The flat kernel's per-probe cost is independent across probes
-        (identical blocked broadcasts), so at n=100k the fill is timed
-        on the first ``sample`` rows and scaled linearly; the table must
-        agree with it to 1e-9 on every sampled row.
-        """
-        if n == N:
-            store = ColumnStore.from_tuples(database)
-        else:
-            # Memory-mapped column directory: n=100k never exists as
-            # Python tuples.
-            rng = np.random.default_rng(505)
-            columns = (rng.random((n, D)), rng.random(n) * 0.99 + 0.01, None)
-            write_columns(tmp_path / "rel", [columns], D)
-            store = open_columns(tmp_path / "rel")
-        points = np.asarray(store.values[:sample], dtype=np.float64)
-        keys = [int(k) for k in store.keys[:sample]]
-
-        def compare():
-            t0 = time.perf_counter()
-            index = PartitionIndex.build(store)
-            index.refresh()
-            t1 = time.perf_counter()
-            baseline = store.dominator_products(points, exclude_keys=keys)
-            t2 = time.perf_counter()
-            table = index.all_probabilities()[:sample]
-            assert np.max(np.abs(table - baseline)) < 1e-9
-            return t1 - t0, (t2 - t1) * (n / sample)
-
-        build_s, fill_s = benchmark.pedantic(compare, rounds=rounds, iterations=1)
-        benchmark.extra_info["speedup"] = fill_s / build_s
-        assert fill_s / build_s >= floor
 
 
 class TestBatchedRounds:

@@ -12,7 +12,6 @@ from typing import Dict, List
 
 from ..framework import Rule
 from .asyncio_discipline import AsyncioDisciplineRule
-from .concurrency import ProcessSharedStateRule
 from .determinism import UnseededRandomRule, WallClockRule
 from .interprocedural import (
     InterproceduralBillingRule,
@@ -33,7 +32,6 @@ RULES: List[Rule] = [
     FloatEqualityRule(),
     RawNonOccurrenceProductRule(),
     RpcDisciplineRule(),
-    ProcessSharedStateRule(),
     AsyncioDisciplineRule(),
     TransitiveBlockingRule(),
     InterproceduralBillingRule(),

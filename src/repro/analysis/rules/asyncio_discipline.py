@@ -8,9 +8,8 @@ strong reference to the task, so the event loop may garbage-collect it
 mid-flight and its exceptions vanish instead of failing the query that
 spawned it.
 
-The rule is scoped to the async modules (``repro/serve/``,
-``repro/net/aio.py``, and the worker-pool module
-``repro/distributed/workers.py``).  Blocking calls and pool joins
+The rule is scoped to the async modules (``repro/serve/`` and
+``repro/net/aio.py``).  Blocking calls and pool joins
 reachable from an ``async def`` are SKY601's, which follows them
 through any number of sync helpers.
 """
@@ -41,11 +40,7 @@ class AsyncioDisciplineRule(Rule):
     )
 
     def applies_to(self, module: ModuleContext) -> bool:
-        return (
-            "repro/serve/" in module.relpath
-            or module.relpath.endswith("net/aio.py")
-            or module.relpath.endswith("distributed/workers.py")
-        )
+        return "repro/serve/" in module.relpath or module.relpath.endswith("net/aio.py")
 
     def check(self, module: ModuleContext, program: Program) -> Iterator[Finding]:
         for node in ast.walk(module.tree):

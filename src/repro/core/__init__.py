@@ -38,7 +38,6 @@ from .probability import (
     observation2_bound,
     skyline_probability,
 )
-from .partition_index import PartitionIndex
 from .skycube import ProbabilisticSkycube, compute_skycube, enumerate_subspaces
 from .statistics import (
     ProbabilityProfile,
@@ -79,7 +78,6 @@ __all__ = [
     "divide_and_conquer",
     "SkylineMember",
     "ProbabilisticSkyline",
-    "PartitionIndex",
     "prob_skyline_brute_force",
     "prob_skyline_sfs",
     "all_skyline_probabilities",

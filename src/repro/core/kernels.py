@@ -28,8 +28,10 @@ All kernels are exact re-expressions of the scalar arithmetic — the
 same IEEE-754 multiplications in the same monotone setting — and the
 property tests in ``tests/core/test_kernels.py`` pin agreement with the
 scalar reference to 1e-9 across random preferences, duplicate
-coordinates, and boundary probabilities.  Sites choose between the two
-paths via ``SiteConfig.vectorized``.
+coordinates, and boundary probabilities.  A site answers Eq. 9 and its
+local skyline with these scans under ``SiteConfig(kernel="columnar")``;
+every kernel but the ``"scalar"`` oracle runs Local-Pruning's
+dominance test over a :class:`ColumnStore` matrix.
 """
 
 from __future__ import annotations
@@ -75,57 +77,11 @@ class ColumnStore:
         keys: np.ndarray,
         tuples: Optional[List[UncertainTuple]] = None,
     ) -> None:
-        # float32 and float64 matrices pass through untouched — a
-        # memory-mapped column file (repro.data.io.open_columns) must
-        # not be copied into RAM just to enter the kernel layer; the
-        # comparisons broadcast across dtypes exactly (every float32 is
-        # representable in float64).  Anything else is coerced to a
-        # contiguous float64 matrix as before.
-        arr = np.asanyarray(values)
-        if arr.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-            arr = np.ascontiguousarray(arr, dtype=np.float64)
-        self.values = arr
+        self.values = np.asarray(values, dtype=np.float64)
         self.probabilities = np.asarray(probabilities, dtype=np.float64)
         self.non_occurrence = 1.0 - self.probabilities
         self.keys = np.asarray(keys, dtype=np.int64)
         self.tuples = tuples
-
-    @classmethod
-    def from_arrays(
-        cls,
-        values: np.ndarray,
-        probabilities: np.ndarray,
-        keys: Optional[np.ndarray] = None,
-        preference: Optional[Preference] = None,
-    ) -> "ColumnStore":
-        """Columnise pre-built arrays without a tuple detour.
-
-        The chunked-construction path for large partitions: callers
-        stream ``(n, d)`` values (float32 or float64, possibly
-        memory-mapped — see :func:`repro.data.io.open_columns`) plus
-        aligned probabilities straight into the kernel layer, never
-        materialising ``n`` :class:`UncertainTuple` objects.  With
-        ``preference=None`` the values are trusted to already be in
-        canonical min-space and are not copied.
-        """
-        vals = np.asanyarray(values)
-        if vals.ndim != 2:
-            raise ValueError(f"values must be (n, d), got shape {vals.shape}")
-        if preference is not None:
-            vals = _project_matrix(np.asarray(vals, dtype=np.float64), preference)
-        probs = np.asarray(probabilities, dtype=np.float64)
-        if probs.shape != (vals.shape[0],):
-            raise ValueError(
-                f"{probs.shape[0] if probs.ndim else 'scalar'} probabilities "
-                f"for {vals.shape[0]} rows"
-            )
-        if keys is None:
-            key_arr = np.arange(vals.shape[0], dtype=np.int64)
-        else:
-            key_arr = np.asarray(keys, dtype=np.int64)
-            if key_arr.shape != (vals.shape[0],):
-                raise ValueError(f"{key_arr.shape[0]} keys for {vals.shape[0]} rows")
-        return cls(vals, probs, key_arr, None)
 
     @classmethod
     def from_tuples(

@@ -2,16 +2,12 @@
 the synthetic NYSE trace, and horizontal partitioning."""
 
 from .io import (
-    ColumnWriter,
     load_tuples,
     load_tuples_csv,
     load_tuples_jsonl,
-    open_columns,
-    save_columns,
     save_tuples,
     save_tuples_csv,
     save_tuples_jsonl,
-    write_columns,
 )
 from .nyse import attach_uncertainty, generate_nyse_trades, nyse_preference
 from .partition import (
@@ -58,10 +54,6 @@ __all__ = [
     "save_tuples_csv",
     "load_tuples_jsonl",
     "save_tuples_jsonl",
-    "ColumnWriter",
-    "write_columns",
-    "save_columns",
-    "open_columns",
     "Workload",
     "make_synthetic_workload",
     "make_nyse_workload",

@@ -20,7 +20,6 @@ from .site import LocalSite, ProbeReply, SiteConfig
 from .streaming import DistributedStreamSkyline, StreamEvent
 from .synopsis import GridSynopsis, SynopsisEDSUD, build_site_synopsis
 from .updates import IncrementalMaintainer, MaintenanceReport, NaiveMaintainer
-from .workers import TableWorkerPool
 from .vertical import (
     VerticalRunStats,
     VerticalSite,
@@ -63,5 +62,4 @@ __all__ = [
     "IncrementalMaintainer",
     "NaiveMaintainer",
     "MaintenanceReport",
-    "TableWorkerPool",
 ]

@@ -39,23 +39,19 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from ..core.dominance import Preference, dominates
 from ..core.kernels import ColumnStore, _project_matrix
 from ..core.kernels import prob_skyline_sfs as columnar_prob_skyline_sfs
-from ..core.partition_index import PartitionIndex
 from ..core.prob_skyline import ProbabilisticSkyline, SkylineMember, prob_skyline_sfs
 from ..core.probability import feedback_pruning_bound, non_occurrence_product
 from ..core.tuples import UncertainTuple, validate_database
 from ..index.bbs import bbs_prob_skyline
 from ..index.prtree import PRTree
 from ..net.message import Quaternion
-
-if TYPE_CHECKING:
-    from .workers import TableWorkerPool
 
 __all__ = ["SiteConfig", "KERNELS", "SiteKernel", "ProbeReply", "BatchProbeReply", "LocalSite"]
 
@@ -69,11 +65,9 @@ class SiteConfig:
                            ``"prtree"`` (§6: BBS and window queries over
                            the PR-tree, the one spatial index),
                            ``"columnar"`` (no index, flat numpy scans:
-                           streams, the no-index ablation), ``"table"``
-                           (the precomputed all-probabilities table,
-                           exact to ~1e-12 rather than bit for bit),
-                           ``"scalar"`` (the pure-Python reference the
-                           exactness suites diff the others against).
+                           streams, the no-index ablation), ``"scalar"``
+                           (the pure-Python reference the exactness
+                           suites diff the others against).
     ``feedback_pruning`` — enable the Local-Pruning phase (ablation
                            switch; disabling it never affects the
                            answer, only bandwidth).
@@ -120,7 +114,7 @@ class _Candidate:
 # ----------------------------------------------------------------------
 
 #: The values ``SiteConfig.kernel`` accepts.
-KERNELS = ("prtree", "columnar", "table", "scalar")
+KERNELS = ("prtree", "columnar", "scalar")
 
 Partition = Dict[int, UncertainTuple]
 
@@ -180,9 +174,6 @@ class SiteKernel:
         point = self._point(t)
         return alive & (view >= point).all(axis=1) & (view > point).any(axis=1)
 
-    def build_table(self, pool: Optional["TableWorkerPool"] = None) -> PartitionIndex:
-        raise ValueError("only the 'table' kernel keeps an all-probabilities table")
-
 
 class PRTreeKernel(SiteKernel):
     """The paper's configuration: BBS (§6.2) and the §6.3 window query
@@ -218,82 +209,19 @@ class ColumnarKernel(SiteKernel):
             self._store = ColumnStore.from_tuples(list(self.database.values()), self.preference)
         return self._store
 
-    def _flat(self) -> Union[ColumnStore, PartitionIndex]:
-        return self.store()  # its ``dominator_product(s)`` answer Eq. 9, always exactly
-
     def factor(self, t: UncertainTuple, floor: float = 0.0) -> float:
-        return float(self._flat().dominator_product(self._point(t), exclude_key=t.key))
+        return float(self.store().dominator_product(self._point(t), exclude_key=t.key))
 
     def factors(self, ts: Sequence[UncertainTuple]) -> List[float]:
         if not ts:
             return []
         points, keys = np.stack([self._point(t) for t in ts]), [t.key for t in ts]
-        return [float(f) for f in self._flat().dominator_products(points, exclude_keys=keys)]
+        return [float(f) for f in self.store().dominator_products(points, exclude_keys=keys)]
 
     def add(self, t: UncertainTuple) -> None:
         self._store = None  # any update: rebuild on next use
 
     remove = add
-
-
-class TableKernel(ColumnarKernel):
-    """The all-probabilities table: a lazily built :class:`PartitionIndex`.
-
-    Local skylines are a table filter, probes read cells, §5.4 updates
-    invalidate cells in place.  Cell-aggregated products match the flat
-    scans to ~1e-12, not bit for bit.
-    """
-
-    _index: Optional[PartitionIndex] = None
-
-    def table(self) -> PartitionIndex:
-        """The partition index, building it inline if absent."""
-        if self._index is None:
-            self._index = PartitionIndex.build(self.store())
-        return self._index
-
-    def _flat(self) -> PartitionIndex:
-        return self.table()
-
-    def build_table(self, pool: Optional["TableWorkerPool"] = None) -> PartitionIndex:
-        """Precompute every cell (idempotent; returns the index).
-
-        With a :class:`~repro.distributed.workers.TableWorkerPool` the
-        product pass runs in a worker process and only the result arrays
-        come back — bit-identical to the inline build, verified by the
-        payload's grid-parameter check.
-        """
-        if self._index is None and pool is not None:
-            store = self.store()
-            self._index = PartitionIndex.from_payload(store, pool.build_payload(store))
-        else:
-            self.table().refresh()
-        return self.table()
-
-    def skyline(self, threshold: float) -> ProbabilisticSkyline:
-        """``SKY(D_i)`` as a table filter: one vector compare + gather."""
-        index = self.table()
-        psky = index.p_sky()
-        rows = np.nonzero(index.alive & (psky >= threshold))[0]
-        members = [SkylineMember(self.database[int(index.keys[r])], float(psky[r])) for r in rows]
-        return ProbabilisticSkyline(threshold, members)
-
-    def add(self, t: UncertainTuple) -> None:
-        super().add(t)
-        index = self._index
-        if index is None:
-            return
-        if len(index) == 0 or index.dimensionality != len(t.values):
-            # Degenerate geometry (table built over an empty or
-            # mismatched partition): drop it and rebuild lazily.
-            self._index = None
-        else:
-            index.apply_insert(self._point(t), t.probability, t.key)
-
-    def remove(self, t: UncertainTuple) -> None:
-        super().remove(t)
-        if self._index is not None:
-            self._index.apply_delete(t.key)
 
 
 class ScalarKernel(SiteKernel):
@@ -322,7 +250,7 @@ def make_kernel(
     if name == "prtree":
         tree = PRTree.build(database.values(), preference, store_products=config.store_products)
         return PRTreeKernel(database, preference, tree)
-    flat = {"columnar": ColumnarKernel, "table": TableKernel, "scalar": ScalarKernel}
+    flat = {"columnar": ColumnarKernel, "scalar": ScalarKernel}
     if name not in flat:
         raise ValueError(f"unknown kernel {name!r}; expected one of {KERNELS}")
     return flat[name](database, preference)
@@ -406,10 +334,6 @@ class LocalSite:
             cache[threshold] = self.kernel.skyline(threshold)
         return cache[threshold]
 
-    def build_all_probs_table(self, pool: Optional["TableWorkerPool"] = None) -> PartitionIndex:
-        """The ``"table"`` kernel's full P_sky table; see :meth:`TableKernel.build_table`."""
-        return self.kernel.build_table(pool)
-
     def enable_skyline_cache(self) -> None:
         """Memoize ``prepare``'s local skyline per threshold.
 
@@ -424,7 +348,7 @@ class LocalSite:
         """A per-session view over this site's partition.
 
         The fork shares everything a query only *reads* — the database
-        dict, the kernel (with its index, column store or table) and the
+        dict, the kernel (with its index or column store) and the
         skyline cache — and owns everything a query *mutates*: the
         candidate queue, feedback history, pop/prune accounting, and an
         empty ``SKY(H)`` replica.  Two forks therefore run concurrent

@@ -6,9 +6,7 @@ of uncertain stream arrivals and, per registered *preference group*
 :class:`~repro.distributed.site.LocalSite` whose database always equals
 the live window contents in arrival order.  Inserts and expiries route
 through :meth:`LocalSite.insert_tuple` / :meth:`LocalSite.delete_tuple`,
-so on the ``"table"`` kernel every update lands as a §5.4
-:meth:`PartitionIndex.apply_insert` / ``apply_delete`` cell
-invalidation instead of a rebuild.
+the §5.4 update hooks, so the site's kernel hears of every change.
 
 At every epoch boundary the coordinator asks each site for a
 :class:`StreamDigest` — the site's **edge pre-filter** output (after
@@ -51,9 +49,7 @@ def streaming_site_config() -> SiteConfig:
     Columnar and unindexed: every local skyline / probe is recomputed
     from the live window contents (lazily, cached until the next
     update), so digests are pure functions of the window — the
-    bit-identity contract needs nothing else.  Pass
-    ``SiteConfig(kernel="table")`` instead to exercise the §5.4
-    cell-invalidation path (exact to tolerance, not bitwise).
+    bit-identity contract needs nothing else.
     """
     return SiteConfig(kernel="columnar")
 

@@ -84,5 +84,5 @@ def test_list_rules_prints_every_rule_id(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     ids = [rule.id for rule in RULES]
-    assert len(ids) == 12
+    assert len(ids) == 11
     assert all(rule_id in out for rule_id in ids)

@@ -182,7 +182,7 @@ class TablePool:
 
 
 def test_sky601_reproduces_sky503_blocking_findings():
-    for relpath in ("repro/serve/fake.py", "repro/net/aio.py", "repro/distributed/workers.py"):
+    for relpath in ("repro/serve/fake.py", "repro/net/aio.py"):
         findings = _check({relpath: SKY503_BAD_BLOCKING}, [TransitiveBlockingRule()])
         assert [(f.rule, f.line) for f in findings] == [("SKY601", 7), ("SKY601", 8)]
         assert "time.sleep" in findings[0].message
@@ -191,7 +191,7 @@ def test_sky601_reproduces_sky503_blocking_findings():
 
 def test_sky601_reproduces_sky503_pool_join_findings():
     findings = _check(
-        {"repro/distributed/workers.py": SKY503_BAD_POOL_JOIN},
+        {"repro/serve/fake.py": SKY503_BAD_POOL_JOIN},
         [TransitiveBlockingRule()],
     )
     assert [(f.rule, f.line) for f in findings] == [("SKY601", 3), ("SKY601", 6)]

@@ -13,7 +13,6 @@ from typing import List
 from repro.analysis.engine import run_rules
 from repro.analysis.framework import Finding, ModuleContext, Rule
 from repro.analysis.rules.asyncio_discipline import AsyncioDisciplineRule
-from repro.analysis.rules.concurrency import ProcessSharedStateRule
 from repro.analysis.rules.determinism import UnseededRandomRule, WallClockRule
 from repro.analysis.rules.interprocedural import (
     InterproceduralBillingRule,
@@ -498,118 +497,6 @@ def test_sky401_reaches_ordering_policies_through_the_progressive_loop():
 
 
 # ----------------------------------------------------------------------
-# SKY501 — process-shared-state
-
-
-def test_sky501_follows_self_method_calls_transitively():
-    source = """\
-class TablePool:
-    def _book(self, store):
-        self.tables_built += 1
-
-    def _build(self, store):
-        self._book(store)
-        return store
-
-    def build(self, stores):
-        return list(self._process_pool.map(self._build, stores))
-"""
-    findings = _run(source, ProcessSharedStateRule())
-    assert [f.rule for f in findings] == ["SKY501"]
-    assert findings[0].line == 3
-
-
-def test_sky501_ignores_classes_without_executor_dispatch():
-    source = """\
-class Coordinator:
-    def run(self, sites):
-        for site in sites:
-            self.stats.rounds += 1
-"""
-    assert _run(source, ProcessSharedStateRule()) == []
-
-
-def test_sky501_leaves_thread_pool_dispatch_alone():
-    # No thread pool is left in the repo; a thread worker's write is
-    # shared, not lost, so only process pools are this rule's concern.
-    source = """\
-class Coordinator:
-    def broadcast(self, sites):
-        def probe(site):
-            self.stats.sites_lost += 1
-        return list(self._pool.map(probe, sites))
-"""
-    assert _run(source, ProcessSharedStateRule()) == []
-
-
-SKY501_BAD_PROCESS_WRITE = """\
-class TablePool:
-    def build(self, stores):
-        def worker(store):
-            self.tables_built += 1
-            return store
-        return list(self._process_pool.map(worker, stores))
-"""
-
-SKY501_BAD_PROCESS_WRITE_UNDER_LOCK = """\
-class TablePool:
-    def build(self, stores):
-        def worker(store):
-            with self._lock:
-                self.latest = store
-            return store
-        return list(self._process_pool.map(worker, stores))
-"""
-
-SKY501_GOOD_PROCESS_PAYLOAD = """\
-class TablePool:
-    def build(self, store):
-        future = self._process_pool.submit(build_payload, store.values)
-        self.payloads += 1
-        return future.result()
-"""
-
-
-def test_sky501_flags_any_self_write_in_process_pool_callables():
-    findings = _run(SKY501_BAD_PROCESS_WRITE, ProcessSharedStateRule())
-    assert [f.rule for f in findings] == ["SKY501"]
-    assert "pickled copy" in findings[0].message
-
-
-def test_sky501_process_writes_are_not_excused_by_locks():
-    """Locks don't cross process boundaries — still an error."""
-    findings = _run(SKY501_BAD_PROCESS_WRITE_UNDER_LOCK, ProcessSharedStateRule())
-    assert [f.rule for f in findings] == ["SKY501"]
-    assert findings[0].severity == "error"
-
-
-def test_sky501_accepts_module_level_workers_returning_payloads():
-    """The sanctioned shape: ship arguments in, return a payload out.
-
-    The submitted callable is module-level (not resolvable to shared
-    state), and the parent-side bookkeeping write is outside it.
-    """
-    assert _run(SKY501_GOOD_PROCESS_PAYLOAD, ProcessSharedStateRule()) == []
-
-
-def test_sky501_recognises_process_pools_by_constructor_alias():
-    source = """\
-from concurrent.futures import ProcessPoolExecutor
-
-
-class TablePool:
-    def build(self, stores):
-        def worker(store):
-            self.tables_built += 1
-        with ProcessPoolExecutor() as pool:
-            return list(pool.map(worker, stores))
-"""
-    findings = _run(source, ProcessSharedStateRule())
-    assert [f.rule for f in findings] == ["SKY501"]
-    assert "pickled copy" in findings[0].message
-
-
-# ----------------------------------------------------------------------
 # SKY503 — asyncio-discipline
 #
 # SKY503 owns fire-and-forget tasks; blocking calls and pool joins in
@@ -708,7 +595,7 @@ def test_sky503_scoped_to_the_async_modules():
         _run(SKY503_BAD_FORGOTTEN_TASK, AsyncioDisciplineRule(), "repro/net/sockets.py")
         == []
     )
-    for relpath in ("repro/net/aio.py", "repro/distributed/workers.py"):
+    for relpath in ("repro/net/aio.py", "repro/serve/session.py"):
         findings = _run(SKY503_BAD_FORGOTTEN_TASK, AsyncioDisciplineRule(), relpath)
         assert [f.rule for f in findings] == ["SKY503"]
 
@@ -724,7 +611,7 @@ class TablePool:
 
 
 def test_sky503_flags_blocking_pool_joins_in_async_def():
-    findings = _loop_findings(SKY503_BAD_POOL_JOIN, "repro/distributed/workers.py")
+    findings = _loop_findings(SKY503_BAD_POOL_JOIN)
     assert [(f.rule, f.line) for f in findings] == [("SKY601", 3), ("SKY601", 6)]
     assert "shutdown" in findings[0].message
     assert "join" in findings[1].message
@@ -745,7 +632,7 @@ class TablePool:
 
 
 def test_sky503_accepts_sync_teardown_and_wrapped_futures():
-    assert _loop_findings(SKY503_GOOD_SYNC_CLOSE, "repro/distributed/workers.py") == []
+    assert _loop_findings(SKY503_GOOD_SYNC_CLOSE) == []
 
 
 def test_sky503_ignores_joins_on_non_executor_receivers():
@@ -754,9 +641,5 @@ class Service:
     async def render(self, parts):
         return ", ".join(parts)
 """
-    assert _loop_findings(source, "repro/distributed/workers.py") == []
+    assert _loop_findings(source) == []
 
-
-def test_sky503_worker_module_in_scope_for_blocking_calls():
-    findings = _loop_findings(SKY503_BAD_BLOCKING, "repro/distributed/workers.py")
-    assert [f.rule for f in findings] == ["SKY601", "SKY601"]

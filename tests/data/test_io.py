@@ -1,19 +1,14 @@
-"""Relation persistence: CSV/JSONL round-trips and column directories."""
+"""Relation persistence: CSV/JSONL round-trips."""
 
-import numpy as np
 import pytest
 
 from repro.data.io import (
-    ColumnWriter,
     load_tuples,
     load_tuples_csv,
     load_tuples_jsonl,
-    open_columns,
-    save_columns,
     save_tuples,
     save_tuples_csv,
     save_tuples_jsonl,
-    write_columns,
 )
 from repro.core.tuples import UncertainTuple
 
@@ -115,80 +110,3 @@ class TestDispatch:
         with pytest.raises(ValueError, match="duplicate"):
             load_tuples_csv(path)
 
-
-class TestColumnDirectory:
-    def test_tuple_roundtrip_through_memmap(self, tmp_path):
-        db = make_random_database(150, 3, seed=71)
-        count = save_columns(tmp_path / "rel", db)
-        assert count == len(db)
-        store = open_columns(tmp_path / "rel")
-        assert isinstance(store.values, np.memmap)
-        assert len(store) == len(db)
-        for r, t in enumerate(db):
-            assert store.keys[r] == t.key
-            assert tuple(store.values[r]) == t.values
-            assert store.probabilities[r] == t.probability
-
-    def test_mmap_false_loads_plain_arrays(self, tmp_path):
-        db = make_random_database(20, 2, seed=72)
-        save_columns(tmp_path / "rel", db)
-        store = open_columns(tmp_path / "rel", mmap=False)
-        assert not isinstance(store.values, np.memmap)
-        np.testing.assert_array_equal(
-            store.values, open_columns(tmp_path / "rel").values
-        )
-
-    def test_chunked_build_matches_single_shot(self, tmp_path):
-        rng = np.random.default_rng(73)
-        values = rng.random((1000, 3))
-        probs = rng.random(1000) * 0.99 + 0.01
-
-        def chunks():
-            for start in range(0, 1000, 128):
-                yield values[start : start + 128], probs[start : start + 128], None
-
-        count = write_columns(tmp_path / "chunked", chunks(), 3)
-        assert count == 1000
-        store = open_columns(tmp_path / "chunked")
-        np.testing.assert_array_equal(np.asarray(store.values), values)
-        np.testing.assert_array_equal(np.asarray(store.probabilities), probs)
-        # Auto-numbered keys: running row count across chunks.
-        np.testing.assert_array_equal(np.asarray(store.keys), np.arange(1000))
-
-    def test_float32_values_preserved(self, tmp_path):
-        rng = np.random.default_rng(74)
-        values = rng.random((64, 2), dtype=np.float32)
-        probs = rng.random(64) * 0.5 + 0.25
-        with ColumnWriter(tmp_path / "f32", 2, value_dtype="float32") as writer:
-            writer.append(values, probs)
-        store = open_columns(tmp_path / "f32")
-        assert store.values.dtype == np.float32
-        assert store.probabilities.dtype == np.float64
-        np.testing.assert_array_equal(np.asarray(store.values), values)
-
-    def test_crashed_write_is_visibly_incomplete(self, tmp_path):
-        rng = np.random.default_rng(75)
-        with pytest.raises(RuntimeError, match="boom"):
-            with ColumnWriter(tmp_path / "crash", 2) as writer:
-                writer.append(rng.random((8, 2)), rng.random(8) * 0.5 + 0.1)
-                raise RuntimeError("boom")
-        # No meta.json stamp → the directory refuses to open.
-        with pytest.raises(FileNotFoundError, match="meta.json"):
-            open_columns(tmp_path / "crash")
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        save_columns(tmp_path / "rel", make_random_database(5, 2, seed=76))
-        meta = tmp_path / "rel" / "meta.json"
-        meta.write_text(meta.read_text().replace('"version": 1', '"version": 99'))
-        with pytest.raises(ValueError, match="version"):
-            open_columns(tmp_path / "rel")
-
-    def test_empty_relation_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="empty"):
-            save_columns(tmp_path / "rel", [])
-
-    def test_shape_mismatch_rejected(self, tmp_path):
-        rng = np.random.default_rng(77)
-        with ColumnWriter(tmp_path / "bad", 3) as writer:
-            with pytest.raises(ValueError):
-                writer.append(rng.random((4, 2)), rng.random(4))

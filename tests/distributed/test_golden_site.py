@@ -1,7 +1,7 @@
 """A committed golden for what one ``LocalSite`` computes, per kernel.
 
 For two seeded partitions (one under a subspace/max preference) and each
-of the four ``SiteConfig.kernel`` values, ``golden_site.json`` pins the
+of the three ``SiteConfig.kernel`` values, ``golden_site.json`` pins the
 ``float.hex()`` of the ``prepare`` order and probabilities, of ``probe``
 and ``probe_batch`` over a fixed foreign set, of floored Eq. 3 values,
 the prune counts of a fixed feedback sequence — and all of it again
@@ -11,7 +11,8 @@ cc522e3, before ``LocalSite`` asked a ``SiteKernel`` for its arithmetic
 configurations), so it is an independent witness that the refactor
 moved no bit on any kernel.  It then held a fifth kernel, ``"grid"``;
 its two cells were deleted with that kernel and the eight left were not
-re-recorded.
+re-recorded.  The ``"table"`` kernel's two cells went the same way, and
+the six left were again not re-recorded.
 
 Re-record (only for a deliberate arithmetic change)::
 
@@ -32,7 +33,7 @@ from ..conftest import make_random_database
 GOLDEN = Path(__file__).with_name("golden_site.json")
 
 Q = 0.1
-KERNELS = ("prtree", "columnar", "table", "scalar")
+KERNELS = ("prtree", "columnar", "scalar")
 CASES = {
     "full-3d": (make_random_database(120, 3, seed=41, grid=12), None),
     "subspace-max-4d": (

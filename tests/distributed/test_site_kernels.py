@@ -8,13 +8,13 @@ probes, feedback pruning, §5.4 updates, fork isolation and
 1e-9 (the kernels multiply in different orders), and a fork matches a
 *fresh site on the same kernel* bit for bit.  After a §5.4 update that
 stays bitwise for the flat kernels, which fold in the stored order; a
-PR-tree or table updated in place is shaped differently from one
-rebuilt, folds in a different order, and agrees to 1e-9.
+PR-tree updated in place is shaped differently from one rebuilt, folds
+in a different order, and agrees to 1e-9.
 
 The last section pins the shape of the design rather than its numbers:
-``SiteConfig`` spells four kernels and two switches and refuses any
-other (the retired ``"grid"`` kernel and ``max_entries`` field among
-them), ``config.kernel`` has exactly one reader, and ``LocalSite``
+``SiteConfig`` spells three kernels and two switches and refuses any
+other (the retired ``"grid"`` and ``"table"`` kernels and the
+``max_entries`` field among them), ``config.kernel`` has exactly one reader, and ``LocalSite``
 never asks which kernel it holds.
 """
 
@@ -211,12 +211,12 @@ def test_a_stream_site_refuses_a_wrong_dimensionality_arrival():
 # chosen once
 
 
-def test_site_config_spells_four_kernels_and_two_switches():
+def test_site_config_spells_three_kernels_and_two_switches():
     names = [f.name for f in dataclasses.fields(SiteConfig)]
     assert names == ["kernel", "feedback_pruning", "store_products"]
-    assert KERNELS == ("prtree", "columnar", "table", "scalar")
+    assert KERNELS == ("prtree", "columnar", "scalar")
     assert SiteConfig().kernel == "prtree"
-    for unknown in ("btree", "grid"):
+    for unknown in ("btree", "grid", "table"):
         with pytest.raises(ValueError) as refused:
             site(unknown, make_random_database(5, 2, seed=10))
         assert all(repr(name) in str(refused.value) for name in KERNELS)

@@ -19,7 +19,6 @@ import pytest
 
 from repro.core.dominance import Preference
 from repro.distributed.query import distributed_skyline
-from repro.distributed.site import SiteConfig
 from repro.data.workload import make_synthetic_stream
 from repro.stream import ContinuousCoordinator, StandingQuery, StreamSite, make_window
 from repro.stream.site import streaming_site_config
@@ -104,31 +103,3 @@ def test_every_epoch_matches_a_fresh_run_bitwise(kind: str):
     # which would uplink every arrival.
     assert 0 < hub.candidates_shipped < hub.arrivals_total
 
-
-def test_table_engine_matches_to_tolerance():
-    """The §5.4 ``"table"`` kernel is exact to ~1e-12, not
-    bitwise; the standing result must still track a fresh run on the
-    *same* engine within tolerance."""
-    config = SiteConfig(kernel="table")
-    hub = ContinuousCoordinator(
-        [
-            StreamSite(i, make_window("count", 20), site_config=config)
-            for i in range(SITES)
-        ]
-    )
-    query = StandingQuery(threshold=0.3)
-    query_id = hub.register(query)
-    for i, arrival in enumerate(ARRIVALS[:90]):
-        hub.ingest(arrival.site_id, arrival.tuple, arrival.stamp)
-        if (i + 1) % 15 == 0:
-            hub.close_epoch()
-            got = _standing_view(hub, query_id)
-            want = distributed_skyline(
-                hub.live_partitions(),
-                query.threshold,
-                algorithm="edsud",
-                site_config=config,
-            ).answer
-            assert [k for k, _p in got] == [m.key for m in want.members]
-            for (_k, p_got), m in zip(got, want.members):
-                assert p_got == pytest.approx(m.probability, abs=1e-9)
