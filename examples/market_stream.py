@@ -10,6 +10,9 @@ console narrates every change the market causes, and the final tally
 shows the property that makes the design viable: the overwhelming
 majority of ticks never touch the wide-area network.
 
+Every tick closes one epoch of the continuous-query engine, so the
+standing answer is exact after each arrival.
+
 Run:  python examples/market_stream.py
 """
 
@@ -17,7 +20,13 @@ import random
 
 from repro import UncertainTuple
 from repro.core.dominance import Preference
-from repro.distributed import DistributedStreamSkyline
+from repro.stream import (
+    ContinuousCoordinator,
+    CountWindow,
+    DeltaKind,
+    StandingQuery,
+    StreamSite,
+)
 
 VENUES = 4
 WINDOW = 200        # deals kept per venue
@@ -42,8 +51,11 @@ def tick_generator(seed):
 
 def main() -> None:
     preference = Preference.of("min,max")  # cheap and big
-    stream = DistributedStreamSkyline(
-        sites=VENUES, window=WINDOW, threshold=THRESHOLD, preference=preference
+    hub = ContinuousCoordinator(
+        [StreamSite(v, CountWindow(WINDOW)) for v in range(VENUES)]
+    )
+    query_id = hub.register(
+        StandingQuery(threshold=THRESHOLD, preference=preference)
     )
     feed = tick_generator(seed=404)
 
@@ -51,31 +63,38 @@ def main() -> None:
     print("streaming", TICKS, "ticks...\n")
 
     changes = 0
+    quiet = 0
     for i in range(TICKS):
-        venue, deal = feed.__next__()
-        event = stream.arrive(venue, deal)
-        if event.changed_answer and changes < 12:
+        venue, deal = next(feed)
+        before = hub.stats.tuples_transmitted
+        hub.ingest(venue, deal)
+        deltas = hub.close_epoch()
+        shipped = hub.stats.tuples_transmitted - before
+        quiet += shipped == 0
+        added = [d.key for d in deltas if d.kind is DeltaKind.ENTER]
+        removed = [d.key for d in deltas if d.kind is DeltaKind.EXIT]
+        if not (added or removed):
+            continue
+        if changes < 12:
             price, volume = deal.values
             note = []
-            if event.added:
-                note.append(f"+{len(event.added)}")
-            if event.removed:
-                note.append(f"-{len(event.removed)}")
+            if added:
+                note.append(f"+{len(added)}")
+            if removed:
+                note.append(f"-{len(removed)}")
             print(
                 f"tick {i:>5}: venue {venue} ${price:<6.2f} x {int(volume):>6,} "
                 f"-> skyline {' '.join(note)} "
-                f"(now {len(stream.skyline())}, {event.tuples_transmitted} tuples)"
+                f"(now {len(hub.result(query_id))}, {shipped} tuples)"
             )
-        if event.changed_answer:
-            changes += 1
+        changes += 1
 
-    quiet = sum(1 for e in stream.events if e.tuples_transmitted == 0)
     print(f"\nafter {TICKS} ticks:")
     print(f"  answer changes        : {changes}")
     print(f"  zero-traffic ticks    : {quiet} ({100 * quiet / TICKS:.0f}%)")
-    print(f"  maintenance bandwidth : {stream.stats.tuples_transmitted} tuples total")
+    print(f"  maintenance bandwidth : {hub.stats.tuples_transmitted} tuples total")
     print("\ncurrent best deals:")
-    for member in list(stream.skyline())[:6]:
+    for member in list(hub.result(query_id))[:6]:
         price, volume = member.tuple.values
         print(
             f"  ${price:>6.2f} x {int(volume):>6,}   "

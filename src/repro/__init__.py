@@ -60,7 +60,6 @@ from .distributed import (
     build_coordinator,
     build_sites,
     distributed_skyline,
-    vertical_skyline,
 )
 from .index import PRTree, bbs_prob_skyline
 from .net import LatencyModel
@@ -108,7 +107,6 @@ __all__ = [
     "adistributed_skyline",
     "IncrementalMaintainer",
     "NaiveMaintainer",
-    "vertical_skyline",
     # data io
     "load_tuples",
     "save_tuples",

@@ -38,7 +38,6 @@ from .probability import (
     observation2_bound,
     skyline_probability,
 )
-from .skycube import ProbabilisticSkycube, compute_skycube, enumerate_subspaces
 from .statistics import (
     ProbabilityProfile,
     dimension_correlations,
@@ -82,9 +81,6 @@ __all__ = [
     "prob_skyline_sfs",
     "all_skyline_probabilities",
     "expected_skyline_cardinality",
-    "ProbabilisticSkycube",
-    "compute_skycube",
-    "enumerate_subspaces",
     "ProbabilityProfile",
     "probability_profile",
     "dimension_correlations",

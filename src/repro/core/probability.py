@@ -26,7 +26,6 @@ from .tuples import UncertainTuple
 
 __all__ = [
     "non_occurrence_product",
-    "product_of_non_occurrence",
     "skyline_probability",
     "foreign_skyline_probability",
     "global_skyline_probability",
@@ -59,26 +58,6 @@ def non_occurrence_product(
             product *= 1.0 - t.probability
             if product < floor:
                 return product
-    return product
-
-
-def product_of_non_occurrence(
-    probabilities: Iterable[float], floor: float = 0.0
-) -> float:
-    """``∏ (1 − p)`` over bare probabilities, in iteration order.
-
-    The scalar sibling of :func:`non_occurrence_product` for callers
-    that have already selected the dominating tuples (TA-style vertical
-    sites, pruning prechecks over replicas) and hold only their
-    existential probabilities.  ``floor`` gives the same early exit:
-    once the running product drops below it, the partial (upper-bounding)
-    product is returned immediately.
-    """
-    product = 1.0
-    for p in probabilities:
-        product *= 1.0 - p
-        if product < floor:
-            return product
     return product
 
 

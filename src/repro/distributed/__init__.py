@@ -6,7 +6,6 @@ from .baseline import ShipAllBaseline
 from .coordinator import Coordinator
 from .dsud import DSUD
 from .edsud import EDSUD, EDSUDConfig
-from .hierarchy import RegionCoordinator, build_regions
 from .naive import NaiveLocalSkylines
 from .query import (
     ALGORITHMS,
@@ -17,33 +16,16 @@ from .query import (
 )
 from .runner import RunResult
 from .site import LocalSite, ProbeReply, SiteConfig
-from .streaming import DistributedStreamSkyline, StreamEvent
 from .synopsis import GridSynopsis, SynopsisEDSUD, build_site_synopsis
 from .updates import IncrementalMaintainer, MaintenanceReport, NaiveMaintainer
-from .vertical import (
-    VerticalRunStats,
-    VerticalSite,
-    VerticalSkylineCoordinator,
-    vertical_partition,
-    vertical_skyline,
-)
 
 __all__ = [
     "CostEstimates",
     "estimate_costs",
     "recommend_algorithm",
-    "RegionCoordinator",
-    "build_regions",
     "GridSynopsis",
     "SynopsisEDSUD",
     "build_site_synopsis",
-    "DistributedStreamSkyline",
-    "StreamEvent",
-    "VerticalSite",
-    "VerticalSkylineCoordinator",
-    "VerticalRunStats",
-    "vertical_partition",
-    "vertical_skyline",
     "LocalSite",
     "SiteConfig",
     "ProbeReply",

@@ -352,10 +352,6 @@ class Coordinator(ScriptEngine):
         *sent* (DOWN sites are never sent to, so never billed), but
         PROBE_REPLY only when the site actually answers — a site that
         dies mid-broadcast costs the attempt, not the reply.
-
-        Endpoints without ``probe_and_prune_batch`` (e.g. region
-        aggregators) degrade to per-tuple probe_and_prune RPCs behind
-        the same batched accounting.
         """
         quaternions = list(quaternions)
         if not quaternions:
@@ -380,9 +376,7 @@ class Coordinator(ScriptEngine):
 
         # Two per-site call shapes, mirrored when decoding replies: one
         # batched RPC, or — for a single-tuple share (every share at
-        # k = 1) and for endpoints without probe_and_prune_batch —
-        # sequential per-tuple probes whose partial factors still
-        # tighten coverage.
+        # k = 1) — a single per-tuple probe.
         pops = {
             site.site_id: _Rpc(site, "pop_representative")
             for site in map(self._live_endpoint, refill)
@@ -393,9 +387,7 @@ class Coordinator(ScriptEngine):
         riders = []  # (lane index, the pop that closes that lane)
         for site, indices in plan:
             ts = [quaternions[i].tuple for i in indices]
-            one_rpc = (
-                len(ts) > 1 and getattr(site, "probe_and_prune_batch", None) is not None
-            )
+            one_rpc = len(ts) > 1
             batched.append(one_rpc)
             if one_rpc:
                 lane = [_Rpc(site, "probe_and_prune_batch", (ts,))]

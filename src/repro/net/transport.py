@@ -5,10 +5,9 @@ The coordinator drives sites through a narrow RPC surface —
 implementations are :class:`~repro.distributed.site.LocalSite`
 (in-process, the default for experiments: bandwidth accounting is exact
 regardless of transport because the coordinator records protocol
-messages itself), the TCP proxies
+messages itself), and the TCP proxies
 :class:`~repro.net.sockets.RemoteSiteProxy` and
-:class:`~repro.net.aio.AsyncRemoteSiteProxy`, and
-:class:`~repro.distributed.hierarchy.RegionCoordinator`.
+:class:`~repro.net.aio.AsyncRemoteSiteProxy`.
 
 Everything else that looks like an endpoint is an
 :class:`EndpointInterceptor` doing one thing around each call: inject a
@@ -75,12 +74,7 @@ class SiteEndpoint(Protocol):
         """Server-Delivery + Local-Pruning; returns a ProbeReply."""
 
     def probe_and_prune_batch(self, ts: Sequence[UncertainTuple]) -> "BatchProbeReply":
-        """Batched Server-Delivery: one factor per tuple, in order.
-
-        The one member an endpoint may leave out: the coordinator falls
-        back to per-tuple :meth:`probe_and_prune` calls when it is
-        absent.
-        """
+        """Batched Server-Delivery: one factor per tuple, in order."""
 
     def queue_size(self) -> int:
         """Remaining local candidates (control information)."""
@@ -98,23 +92,21 @@ SURFACE: Tuple[str, ...] = tuple(
 class EndpointInterceptor:
     """Forward the :data:`SURFACE` to ``inner``, with a hook on each side.
 
-    The surface is bound once, at construction, from what ``inner``
-    actually offers — wrapping an endpoint without
-    ``probe_and_prune_batch`` must not invent one — and everything
-    outside it (``ship_all``, update hooks, ``pruned_total``, …) passes
-    through untouched.  A call stays a plain call until :meth:`before`
-    or the inner endpoint hands back an awaitable; from there on it is a
-    coroutine, so :meth:`after` sees the reply over sync and awaitable
-    endpoints alike, never a coroutine object.
+    The surface is bound once, at construction — an ``inner`` missing
+    any of it is not an endpoint and raises ``AttributeError`` — and
+    everything outside it (``ship_all``, update hooks, ``pruned_total``,
+    …) passes through untouched.  A call stays a plain call until
+    :meth:`before` or the inner endpoint hands back an awaitable; from
+    there on it is a coroutine, so :meth:`after` sees the reply over
+    sync and awaitable endpoints alike, never a coroutine object.
     """
 
     def __init__(self, inner: SiteEndpoint) -> None:
         self.inner = inner
         self.site_id = inner.site_id
         for method in SURFACE:
-            target = getattr(inner, method, None)
-            if target is not None:
-                setattr(self, method, functools.partial(self._run, method, target))
+            target = getattr(inner, method)
+            setattr(self, method, functools.partial(self._run, method, target))
 
     def before(self, method: str, args: Tuple[Any, ...]) -> Any:
         """Runs ahead of the inner call: raise to cancel it, or return an

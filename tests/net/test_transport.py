@@ -5,13 +5,12 @@ import inspect
 
 import pytest
 
-from repro.distributed.hierarchy import RegionCoordinator
 from repro.distributed.site import LocalSite
 from repro.fault.injection import FaultyEndpoint
 from repro.fault.schedule import FaultSchedule
 from repro.net.aio import AsyncLocalEndpoint, AsyncRemoteSiteProxy
 from repro.net.trace import ProtocolTracer
-from repro.net.transport import RecordingEndpoint, SiteEndpoint
+from repro.net.transport import SURFACE, RecordingEndpoint, SiteEndpoint
 
 from ..conftest import make_random_database
 from .proxy_contract import settle
@@ -171,11 +170,17 @@ class TestEndpointInterceptor:
         assert asyncio.run(pending) == site.queue_size()
         assert naps == [0.25] and site.threshold == 0.3
 
-    def test_the_surface_is_bound_from_what_the_inner_offers(self):
-        """A region endpoint has no batched probe; neither may its wrapper,
-        or the coordinator would route batches into an AttributeError."""
-        db = make_random_database(40, 2, seed=2)
-        region = RegionCoordinator(0, [LocalSite(0, db[:20]), LocalSite(1, db[20:])])
-        wrapped = RecordingEndpoint(region)
-        assert wrapped.prepare(0.5) >= 1
-        assert getattr(wrapped, "probe_and_prune_batch", None) is None
+    @pytest.mark.parametrize("missing", SURFACE)
+    def test_an_inner_without_a_surface_method_is_refused(self, missing):
+        """Every SURFACE method is required: a wrapper never hides a hole
+        in its inner until the coordinator routes a call into it."""
+        site = LocalSite(0, make_random_database(20, 2, seed=2))
+
+        class Partial:
+            site_id = 0
+
+        for name in SURFACE:
+            if name != missing:
+                setattr(Partial, name, staticmethod(getattr(site, name)))
+        with pytest.raises(AttributeError, match=missing):
+            RecordingEndpoint(Partial())

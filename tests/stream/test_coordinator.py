@@ -51,6 +51,8 @@ class TestRegistration:
         b = hub.register(StandingQuery(threshold=0.3))
         assert a != b
         assert set(hub.queries()) == {a, b}
+        # Nothing has arrived yet: both answers start empty.
+        assert len(hub.result(a)) == 0 and len(hub.result(b)) == 0
 
     def test_only_a_lowered_q_min_travels_to_the_sites(self):
         hub = _coordinator(sites=3)
@@ -166,8 +168,8 @@ class TestDeltas:
         assert hub.stats.messages == before
 
     def test_suppressed_arrival_ships_zero_tuples(self):
-        hub = _coordinator(sites=2, capacity=8)
-        hub.register(StandingQuery(threshold=0.3))
+        hub = _coordinator(sites=2, capacity=3)
+        qid = hub.register(StandingQuery(threshold=0.3))
         hub.ingest(0, _t(0, (0.0, 0.0), 0.9))
         hub.close_epoch()
         shipped = hub.stats.tuples_transmitted
@@ -177,6 +179,16 @@ class TestDeltas:
         hub.close_epoch()
         assert hub.stats.tuples_transmitted == shipped
         assert hub.candidates_shipped == 1
+        # Likely but held under q by key 0 (0.9 × 0.1): suppressed too...
+        hub.ingest(0, _t(2, (1.0, 1.0), 0.9))
+        assert hub.close_epoch() == []
+        assert hub.candidates_shipped == 1
+        # ...until key 0 slides out of the window and key 2 surfaces.
+        hub.ingest(0, _t(3, (9.5, 0.5), 0.5))
+        deltas = hub.close_epoch()
+        assert [(d.kind, d.key) for d in deltas[:1]] == [(DeltaKind.EXIT, 0)]
+        assert 2 in {d.key for d in deltas if d.kind is DeltaKind.ENTER}
+        assert {m.key: m.probability for m in hub.result(qid).members}[2] == 0.9
 
 
 class TestViews:
@@ -226,6 +238,8 @@ class TestViews:
             epochs_checked += 1
         assert epochs_checked == 8
         assert any(replayed[qid] for qid in replayed)
+        assert hub.stats.by_kind["delta"] >= 1
+        assert hub.stats.by_kind["notify"] >= 1
         # Ledger identity: the only tuple-bearing traffic is entered
         # candidates up (DELTA) and replicas down (REPLICA_SYNC).
         assert (

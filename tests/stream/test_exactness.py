@@ -7,7 +7,8 @@ canonical order — to a fresh
 current live window contents of all sites.  Checked here for the three
 window kinds crossed with {plain, subspace, top-k} standing queries
 under a seeded chaos schedule (irregular epoch boundaries, explicit
-clock advances, mid-stream registration and unregistration).
+clock advances, mid-stream registration and unregistration), and for
+a shallow count window whose every arrival closes an epoch.
 """
 
 from __future__ import annotations
@@ -25,10 +26,16 @@ from repro.stream.site import streaming_site_config
 
 SITES = 3
 ARRIVALS = make_synthetic_stream(n=150, d=3, sites=SITES, seed=421)
-#: Window size knob per kind, tuned so windows actually churn: the
-#: stream's mean inter-arrival is ~1, so a ~25-wide time span holds
-#: roughly as many live tuples as the 25-deep count window.
-WINDOW_SIZE = {"count": 25.0, "sliding-time": 25.0, "tumbling-time": 30.0}
+#: (window kind, size knob, arrivals per scheduled epoch) per case.
+#: Sizes are tuned so windows actually churn: the stream's mean
+#: inter-arrival is ~1, so a ~25-wide time span holds roughly as many
+#: live tuples as the 25-deep count window.
+CASES = {
+    "count": ("count", 25.0, 15),
+    "count-per-arrival": ("count", 6.0, 1),
+    "sliding-time": ("sliding-time", 25.0, 15),
+    "tumbling-time": ("tumbling-time", 30.0, 15),
+}
 
 
 def _fresh_view(
@@ -54,10 +61,11 @@ def _standing_view(
     return [(m.key, m.probability) for m in hub.result(query_id).members]
 
 
-@pytest.mark.parametrize("kind", sorted(WINDOW_SIZE))
-def test_every_epoch_matches_a_fresh_run_bitwise(kind: str):
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_every_epoch_matches_a_fresh_run_bitwise(case: str):
+    kind, size, epoch_every = CASES[case]
     hub = ContinuousCoordinator(
-        [StreamSite(i, make_window(kind, WINDOW_SIZE[kind])) for i in range(SITES)]
+        [StreamSite(i, make_window(kind, size)) for i in range(SITES)]
     )
     queries: Dict[int, StandingQuery] = {}
 
@@ -80,13 +88,13 @@ def test_every_epoch_matches_a_fresh_run_bitwise(kind: str):
             # expire between pushes, count windows must not care.
             halfway = (arrival.stamp + ARRIVALS[i + 1].stamp) / 2.0
             hub.advance(halfway)
-        if (i + 1) % 15 == 0 or chaos.random() < 0.08:
+        if (i + 1) % epoch_every == 0 or chaos.random() < 0.08:
             hub.close_epoch()
             epochs += 1
             for query_id, query in queries.items():
                 got = _standing_view(hub, query_id)
                 assert got == _fresh_view(hub, query), (
-                    f"epoch {hub.epoch} ({kind}): standing view for query "
+                    f"epoch {hub.epoch} ({case}): standing view for query "
                     f"{query_id} drifted from the fresh run"
                 )
                 nonempty += bool(got)

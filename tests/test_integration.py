@@ -8,11 +8,9 @@ these pin the seams between them.
 
 import random
 
-import pytest
-
-from repro import EDSUD, IncrementalMaintainer, LatencyModel, Preference, UncertainTuple, build_sites, distributed_skyline, load_tuples, make_nyse_workload, make_synthetic_workload, prob_skyline_sfs, save_tuples, vertical_skyline
-from repro.distributed.streaming import DistributedStreamSkyline
+from repro import EDSUD, IncrementalMaintainer, LatencyModel, Preference, UncertainTuple, build_sites, distributed_skyline, load_tuples, make_nyse_workload, make_synthetic_workload, prob_skyline_sfs, save_tuples
 from repro.net.sockets import host_sites
+from repro.stream import ContinuousCoordinator, CountWindow, StandingQuery, StreamSite
 
 
 class TestPersistenceToQueryPipeline:
@@ -46,17 +44,6 @@ class TestTransportParity:
         assert remote.iterations == local.iterations
 
 
-class TestHorizontalVsVertical:
-    def test_both_architectures_agree(self):
-        workload = make_synthetic_workload(n=900, d=3, sites=3, seed=3)
-        horizontal = distributed_skyline(workload.partitions, 0.3)
-        vertical, _ = vertical_skyline(workload.global_database, 0.3)
-        assert set(horizontal.answer.keys()) == set(vertical.keys())
-        assert horizontal.answer.probabilities() == pytest.approx(
-            vertical.probabilities()
-        )
-
-
 class TestQueryThenMaintainThenStream:
     def test_full_lifecycle(self):
         workload = make_synthetic_workload(n=500, d=2, sites=3, seed=4)
@@ -83,10 +70,15 @@ class TestQueryThenMaintainThenStream:
         assert maintainer.skyline().agrees_with(fresh.answer, tol=1e-6)
 
         # 4. The streaming layer reproduces the same semantics from zero.
-        stream = DistributedStreamSkyline(sites=3, window=1_000, threshold=0.3)
+        hub = ContinuousCoordinator(
+            [StreamSite(i, CountWindow(1_000)) for i in range(3)]
+        )
+        query_id = hub.register(StandingQuery(threshold=0.3))
         for site_id, part in enumerate(live):
-            stream.drain(site_id, part)
-        assert stream.skyline().agrees_with(fresh.answer, tol=1e-6)
+            for t in part:
+                hub.ingest(site_id, t)
+                hub.close_epoch()
+        assert hub.result(query_id).agrees_with(maintainer.skyline(), tol=1e-6)
 
 
 class TestPreferenceEverywhere:
@@ -100,9 +92,6 @@ class TestPreferenceEverywhere:
             workload.partitions, 0.3, preference=pref
         )
         assert horizontal.answer.agrees_with(central, tol=1e-9)
-        # distributed vertical (keys/probabilities; values are projected)
-        vertical, _ = vertical_skyline(workload.global_database, 0.3, pref)
-        assert set(vertical.keys()) == set(central.keys())
         # persisted round trip keeps the same answer
         path = tmp_path / "trades.jsonl"
         save_tuples(path, workload.global_database)
@@ -127,9 +116,9 @@ class TestLatencyModelConsistency:
 
 
 class TestAlgorithmFamilyOnOneInstance:
-    def test_five_ways_to_the_same_answer(self):
-        """All four horizontal algorithms plus the vertical coordinator
-        agree on a single nontrivial instance with ties and P=1 tuples."""
+    def test_four_ways_to_the_same_answer(self):
+        """All four horizontal algorithms agree on a single nontrivial
+        instance with ties and P=1 tuples."""
         rng = random.Random(8)
         db = [
             UncertainTuple(
@@ -144,5 +133,3 @@ class TestAlgorithmFamilyOnOneInstance:
         for algorithm in ("ship-all", "naive", "dsud", "edsud"):
             result = distributed_skyline(partitions, 0.3, algorithm=algorithm)
             assert result.answer.agrees_with(central, tol=1e-9), algorithm
-        vertical, _ = vertical_skyline(db, 0.3)
-        assert vertical.agrees_with(central, tol=1e-9)
