@@ -11,15 +11,20 @@ quietest / cheapest readings.
 Unlike the other examples, the sites here are *real TCP servers* on
 localhost — each gateway runs behind a socket, and the e-DSUD
 coordinator talks the same protocol it would over a WAN
-(:mod:`repro.net.sockets`).  The second query restricts dominance to
-the (pm25, noise) subspace, the §4 extension.
+(:mod:`repro.net.sockets` hosts the gateways, :mod:`repro.net.aio`
+dials them).  The servers are hosted in plain sync code; only the
+queries run on an event loop, through ``asyncio.run``.  The second
+query restricts dominance to the (pm25, noise) subspace, the §4
+extension.
 
 Run:  python examples/sensor_fusion_live.py
 """
 
+import asyncio
 import random
 
 from repro import EDSUD, Preference, UncertainTuple
+from repro.net.aio import connect_async_sites
 from repro.net.sockets import host_sites
 
 THRESHOLD = 0.4
@@ -59,6 +64,21 @@ def show(result, label: str) -> None:
         )
 
 
+async def query(addresses, preference=None):
+    """One e-DSUD run over TCP clients of the hosted gateways."""
+    proxies = await connect_async_sites(addresses)
+    try:
+        for proxy in proxies:
+            assert await proxy.ping()
+        coordinator = EDSUD(proxies, THRESHOLD, preference=preference)
+        async for _ in coordinator.asteps():
+            pass
+        return await coordinator.afinish()
+    finally:
+        for proxy in proxies:
+            await proxy.close()
+
+
 def main() -> None:
     rng = random.Random(2024)
     partitions = [generate_gateway(g, rng) for g in range(GATEWAYS)]
@@ -69,17 +89,15 @@ def main() -> None:
 
     # Full-space query over real sockets.
     with host_sites(partitions) as cluster:
-        for proxy in cluster.proxies:
-            assert proxy.ping()
         print(f"all {GATEWAYS} TCP site servers up "
-              f"(ports {[s.address[1] for s in cluster.servers]})")
-        result = EDSUD(cluster.proxies, THRESHOLD).run()
+              f"(ports {[port for _, (_, port) in cluster.addresses]})")
+        result = asyncio.run(query(cluster.addresses))
         show(result, "full-space skyline (pm2.5, noise, power)")
 
     # Subspace query (§4): the analyst only cares about air and noise.
     subspace = Preference(subspace=(0, 1))
     with host_sites(partitions, preference=subspace) as cluster:
-        result = EDSUD(cluster.proxies, THRESHOLD, preference=subspace).run()
+        result = asyncio.run(query(cluster.addresses, preference=subspace))
         show(result, "subspace skyline (pm2.5, noise)")
 
 

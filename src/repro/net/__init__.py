@@ -1,6 +1,6 @@
 """Network substrate: protocol messages, bandwidth/latency accounting,
-the coordinator↔site endpoint contract, and real TCP transports
-(threaded sockets and an asyncio protocol over one wire format)."""
+the coordinator↔site endpoint contract, and a real TCP transport
+(site servers in threads or processes, one asyncio client)."""
 
 from .aio import AsyncLocalEndpoint, AsyncRemoteSiteProxy
 from .message import MessageKind, Quaternion, decode_tuple, encode_tuple

@@ -9,23 +9,26 @@ that loop.  This module provides the awaitable endpoints:
   fault-injecting wrapper) by yielding to the event loop before each
   call, so co-scheduled sessions interleave at RPC granularity even
   when the work itself is in-process.
-* :class:`AsyncRemoteSiteProxy` — the callback pump of
-  :class:`~repro.net.rpc.SiteProxy`'s call script (the frames, timeouts
-  and retry rules :class:`~repro.net.sockets.RemoteSiteProxy` runs) over
-  one asyncio Protocol per connection: a call is a future, its request
-  on the wire when it returns, and no exchange costs a task — so RPCs
-  to *distinct* sites genuinely overlap in one thread.
+* :class:`AsyncRemoteSiteProxy` — the TCP client: a call script (the
+  frames, timeouts and retry rules of :mod:`repro.net.rpc`'s method
+  table) stepped from the callbacks of one asyncio Protocol per
+  connection.  A call is a future, its request on the wire when it
+  returns, and no exchange costs a task — so RPCs to *distinct* sites
+  genuinely overlap in one thread.
 
-Servers are unchanged: an :class:`~repro.net.sockets.SiteServer` hosts
-both proxy flavours, because the wire format is identical.
+Sites are served by :class:`~repro.net.sockets.SiteServer`, hosted in
+threads or in processes; both ways hand out the ``(site_id, (host,
+port))`` addresses that :func:`connect_async_sites` dials.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, List, Optional, Sequence, Tuple, cast
+import functools
+from typing import Any, Awaitable, Callable, Generator, List, Optional, Sequence, Tuple, cast
 
-from .rpc import HEADER_BYTES, Outcome, Script, SiteProxy, _frame_length
+from ..fault.errors import SiteTimeout
+from .rpc import HEADER_BYTES, METHODS, Method, _frame_length, decode_body, encode_frame
 from .transport import EndpointInterceptor
 
 __all__ = [
@@ -33,6 +36,11 @@ __all__ = [
     "AsyncRemoteSiteProxy",
     "connect_async_sites",
 ]
+
+#: What a call script is sent back: the reply body (``None`` after a
+#: dial and on a clean EOF) and the native exception its I/O raised, if any.
+Outcome = Tuple[Optional[bytes], Optional[BaseException]]
+Script = Generator[Optional[bytes], Outcome, Any]
 
 
 class AsyncLocalEndpoint(EndpointInterceptor):
@@ -86,16 +94,49 @@ class _Wire(asyncio.Protocol):
             self.proxy._step(future, script, outcome or (None, asyncio.TimeoutError()))
 
 
-class AsyncRemoteSiteProxy(SiteProxy):
-    """The callback pump of :class:`~repro.net.rpc.SiteProxy`.
+class AsyncRemoteSiteProxy:
+    """A SiteEndpoint speaking the TCP protocol.
 
     Every method returns an :class:`asyncio.Future`; one call at a time.
     The constructor does not dial — use :meth:`connect`, or let the
     first RPC dial.
+
+    ``timeout`` is a *real* deadline on connect and on each
+    request/response exchange: a site that accepts the connection but
+    never answers surfaces as :class:`~repro.fault.errors.SiteTimeout`
+    instead of hanging the query.  Timeouts are never retried here —
+    whether the lost answer is worth another round trip is the
+    coordinator's :class:`RetryPolicy` decision — and since a late
+    reply may still be in flight, the next call re-dials first.
+
+    ``retries`` is transparent reconnection: after a dropped connection
+    (transient network fault, site restart behind the same address) an
+    *idempotent* RPC is re-issued on a fresh dial up to that many
+    times; a non-idempotent one surfaces its ambiguous drop as
+    :class:`ConnectionError` for the coordinator to handle.
+
+    Each call is a script — the only place that decides dial, retry and
+    give-up — that yields ``None`` for a fresh connection or a request
+    frame to exchange, and is sent back an :data:`Outcome`.
     """
 
-    _TIMEOUT = asyncio.TimeoutError
     _wire: Optional[_Wire] = None
+
+    def __init__(
+        self,
+        site_id: int,
+        address: Tuple[str, int],
+        timeout: float = 30.0,
+        retries: int = 0,
+    ) -> None:
+        self.site_id = site_id
+        self.address = address
+        self.timeout = timeout
+        self.retries = retries
+        self.timeouts = 0
+        self._dials = 0
+        self._needs_redial = True  # no connection yet
+        self._closed = False
 
     @classmethod
     async def connect(
@@ -109,6 +150,19 @@ class AsyncRemoteSiteProxy(SiteProxy):
         proxy = cls(site_id, address, timeout=timeout, retries=retries)
         await proxy._pump(proxy._connect_script())
         return proxy
+
+    @property
+    def reconnects(self) -> int:
+        """Every re-dial after the first connection."""
+        return max(0, self._dials - 1)
+
+    def __getattr__(self, name: str) -> Callable[..., Any]:
+        if name not in METHODS:
+            raise AttributeError(f"{type(self).__name__} has no attribute {name!r}")
+        return functools.partial(self._call, name)
+
+    def _call(self, method: str, *args: Any) -> asyncio.Future[Any]:
+        return self._pump(self._call_script(method, args))
 
     def _pump(self, script: Script) -> asyncio.Future[Any]:
         future = asyncio.get_running_loop().create_future()
@@ -150,6 +204,66 @@ class AsyncRemoteSiteProxy(SiteProxy):
             return wire.transport.close()
         self._wire = wire
         self._step(future, script, (None, None))
+
+    def _escalate(self, fault: Optional[BaseException], awaited: str) -> None:
+        if isinstance(fault, asyncio.TimeoutError):
+            self.timeouts += 1
+            raise SiteTimeout(
+                self.site_id, f"no {awaited} within {self.timeout}s"
+            ) from fault
+
+    def _dial_script(self) -> Generator[None, Outcome, Optional[BaseException]]:
+        """Ask for a connection; returns the fault it met, if any."""
+        _, fault = yield None
+        self._escalate(fault, "connection")
+        if fault is None:
+            self._dials += 1
+            self._needs_redial = False
+        return fault
+
+    def _connect_script(self) -> Script:
+        """The first connection: its fault is the caller's to see."""
+        fault = yield from self._dial_script()
+        if fault is not None:
+            raise fault
+
+    def _call_script(self, method: str, args: Tuple[Any, ...]) -> Script:
+        """One RPC: the only loop that decides retry and re-dial."""
+        # A name outside the table goes out bare: the server is the
+        # authority on what it serves, and answers with an error reply.
+        row = METHODS.get(method) or Method()
+        if len(args) != (row.field is not None):
+            raise TypeError(f"{method}() got {len(args)} positional argument(s)")
+        request = {"method": method}
+        if row.field is not None:
+            request[row.field] = row.encode_arg(args[0])
+        frame = encode_frame(request)
+        fault: Optional[BaseException] = None
+        for _ in range(1 + (self.retries if row.idempotent else 0)):
+            if self._closed:
+                # A closed proxy must never silently reconnect: its
+                # owner released the socket, and a late RPC re-dialing
+                # here would leak a fresh connection past it.
+                raise ConnectionError(f"proxy for site {self.site_id} is closed")
+            body: Optional[bytes] = None
+            fault = (yield from self._dial_script()) if self._needs_redial else None
+            if fault is None:
+                # Until a whole reply is read the stream position is
+                # unknown — also when the script is never answered (an
+                # await cancelled mid-exchange): a late reply may be in flight.
+                self._needs_redial = True
+                body, fault = yield frame
+            if body is not None:
+                self._needs_redial = False
+                response = decode_body(body)
+                if not response["ok"]:
+                    # An application error is authoritative — no retry.
+                    raise RuntimeError(
+                        f"site {self.site_id} RPC failed: {response['error']}"
+                    )
+                return row.decode_reply(response["result"])
+            self._escalate(fault, f"answer to {method!r}")
+        raise fault or ConnectionError(f"site {self.site_id} closed the connection")
 
     async def close(self) -> None:
         """Release the connection; idempotent, and final.

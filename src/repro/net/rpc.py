@@ -1,29 +1,22 @@
-"""The site RPC surface, written once: frame codec, method table, proxy core.
+"""The site RPC surface, written once: frame codec and method table.
 
 * A frame is a 4-byte big-endian length prefix and a UTF-8 JSON body;
   payloads reuse :mod:`repro.net.message`, so the wire format and the
   accounting model describe the same objects.
 * :data:`METHODS` holds one :class:`Method` row per RPC — the JSON codec
   of its argument and of its reply, and whether it may be re-issued.
-  The server's :func:`dispatch` and both proxies are generated from it:
+  The server's :func:`dispatch` and the client,
+  :class:`~repro.net.aio.AsyncRemoteSiteProxy`, are generated from it:
   a row plus the ``LocalSite`` method is the whole cost of a new RPC.
-* :class:`SiteProxy` is a proxy minus its socket.  Its call script — the
-  only place that decides dial, retry and give-up — yields ``None`` for
-  a fresh connection or a request frame to exchange, and is sent back
-  ``(reply body, fault)``.  :class:`~repro.net.sockets.RemoteSiteProxy`
-  pumps it over a blocking socket,
-  :class:`~repro.net.aio.AsyncRemoteSiteProxy` from asyncio callbacks.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
-from ..fault.errors import SiteTimeout
 from .message import Quaternion, decode_tuple, encode_tuple
 
 if TYPE_CHECKING:  # typing only — net must not import distributed at runtime
@@ -36,7 +29,6 @@ __all__ = [
     "Method",
     "METHODS",
     "dispatch",
-    "SiteProxy",
 ]
 
 _LENGTH = struct.Struct(">I")
@@ -170,126 +162,3 @@ def dispatch(site: "LocalSite", request: Dict[str, Any]) -> Any:
         return row.encode_reply(None)
     args = () if row.field is None else (row.decode_arg(request[row.field]),)
     return row.encode_reply(getattr(site, name)(*args))
-
-
-#: What a pump sends back: the reply body (``None`` after a dial and on
-#: a clean EOF) and the native exception its I/O raised, if any.
-Outcome = Tuple[Optional[bytes], Optional[BaseException]]
-Script = Generator[Optional[bytes], Outcome, Any]
-
-
-class SiteProxy:
-    """A SiteEndpoint speaking the TCP protocol — all of it but the I/O.
-
-    ``timeout`` is a *real* deadline on connect and on each
-    request/response exchange: a site that accepts the connection but
-    never answers surfaces as :class:`~repro.fault.errors.SiteTimeout`
-    instead of hanging the query.  Timeouts are never retried here —
-    whether the lost answer is worth another round trip is the
-    coordinator's :class:`RetryPolicy` decision — and since a late
-    reply may still be in flight, the next call re-dials first.
-
-    ``retries`` is transparent reconnection: after a dropped connection
-    (transient network fault, site restart behind the same address) an
-    *idempotent* RPC is re-issued on a fresh dial up to that many
-    times; a non-idempotent one surfaces its ambiguous drop as
-    :class:`ConnectionError` for the coordinator to handle.
-
-    A subclass supplies ``_pump(script)`` (run a script by doing the I/O
-    it asks for), ``_TIMEOUT`` (how that I/O reports a missed deadline)
-    and a ``close()`` that sets ``_closed`` and releases the connection.
-    """
-
-    _TIMEOUT: Type[BaseException]
-
-    def __init__(
-        self,
-        site_id: int,
-        address: Tuple[str, int],
-        timeout: float = 30.0,
-        retries: int = 0,
-    ) -> None:
-        self.site_id = site_id
-        self.address = address
-        self.timeout = timeout
-        self.retries = retries
-        self.timeouts = 0
-        self._dials = 0
-        self._needs_redial = True  # no connection yet
-        self._closed = False
-
-    @property
-    def reconnects(self) -> int:
-        """Every re-dial after the first connection."""
-        return max(0, self._dials - 1)
-
-    def __getattr__(self, name: str) -> Callable[..., Any]:
-        if name not in METHODS:
-            raise AttributeError(f"{type(self).__name__} has no attribute {name!r}")
-        return functools.partial(self._call, name)
-
-    def _pump(self, script: Script) -> Any:
-        raise NotImplementedError
-
-    def _call(self, method: str, *args: Any) -> Any:
-        return self._pump(self._call_script(method, args))
-
-    def _escalate(self, fault: Optional[BaseException], awaited: str) -> None:
-        if isinstance(fault, self._TIMEOUT):
-            self.timeouts += 1
-            raise SiteTimeout(
-                self.site_id, f"no {awaited} within {self.timeout}s"
-            ) from fault
-
-    def _dial_script(self) -> Generator[None, Outcome, Optional[BaseException]]:
-        """Ask the pump for a connection; returns the fault it met, if any."""
-        _, fault = yield None
-        self._escalate(fault, "connection")
-        if fault is None:
-            self._dials += 1
-            self._needs_redial = False
-        return fault
-
-    def _connect_script(self) -> Script:
-        """The first connection: its fault is the caller's to see."""
-        fault = yield from self._dial_script()
-        if fault is not None:
-            raise fault
-
-    def _call_script(self, method: str, args: Tuple[Any, ...]) -> Script:
-        """One RPC: the only loop that decides retry and re-dial."""
-        # A name outside the table goes out bare: the server is the
-        # authority on what it serves, and answers with an error reply.
-        row = METHODS.get(method) or Method()
-        if len(args) != (row.field is not None):
-            raise TypeError(f"{method}() got {len(args)} positional argument(s)")
-        request = {"method": method}
-        if row.field is not None:
-            request[row.field] = row.encode_arg(args[0])
-        frame = encode_frame(request)
-        fault: Optional[BaseException] = None
-        for _ in range(1 + (self.retries if row.idempotent else 0)):
-            if self._closed:
-                # A closed proxy must never silently reconnect: its
-                # owner released the socket, and a late RPC re-dialing
-                # here would leak a fresh connection past it.
-                raise ConnectionError(f"proxy for site {self.site_id} is closed")
-            body: Optional[bytes] = None
-            fault = (yield from self._dial_script()) if self._needs_redial else None
-            if fault is None:
-                # Until a whole reply is read the stream position is
-                # unknown — also when the pump never answers (an await
-                # cancelled mid-exchange): a late reply may be in flight.
-                self._needs_redial = True
-                body, fault = yield frame
-            if body is not None:
-                self._needs_redial = False
-                response = decode_body(body)
-                if not response["ok"]:
-                    # An application error is authoritative — no retry.
-                    raise RuntimeError(
-                        f"site {self.site_id} RPC failed: {response['error']}"
-                    )
-                return row.decode_reply(response["result"])
-            self._escalate(fault, f"answer to {method!r}")
-        raise fault or ConnectionError(f"site {self.site_id} closed the connection")

@@ -1,16 +1,17 @@
-"""A real TCP transport for the coordinator↔site protocol.
+"""TCP site servers for the coordinator↔site protocol.
 
 The experiments run in-process (bandwidth accounting is exact either
 way), but a reproduction of a *distributed* system should also actually
 run distributed.  This module hosts each :class:`LocalSite` behind a
-TCP server and exposes a :class:`RemoteSiteProxy` implementing the same
-:class:`~repro.net.transport.SiteEndpoint` surface over the wire, so
-any coordinator runs unchanged against real sockets — see
+TCP server — in threads (:func:`host_sites`) or in OS processes
+(:func:`host_sites_in_processes`) — and both hand out the
+``(site_id, (host, port))`` addresses that
+:func:`repro.net.aio.connect_async_sites` dials, so any coordinator
+runs unchanged against real sockets through ``asteps()`` — see
 ``examples/sensor_fusion_live.py`` and the transport integration tests.
 
-The frame format, the per-method codecs and the proxy's retry/re-dial
-policy all live in :mod:`repro.net.rpc`; this module only moves frames
-over blocking sockets.
+The frame format and the per-method codecs live in
+:mod:`repro.net.rpc`; this module only serves frames.
 """
 
 from __future__ import annotations
@@ -20,27 +21,17 @@ import socket
 import socketserver
 import threading
 import time
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..core.dominance import Preference
 from ..core.tuples import UncertainTuple
-from .rpc import (
-    HEADER_BYTES,
-    Outcome,
-    Script,
-    SiteProxy,
-    _frame_length,
-    decode_body,
-    dispatch,
-    encode_frame,
-)
+from .rpc import HEADER_BYTES, _frame_length, decode_body, dispatch, encode_frame
 
 if TYPE_CHECKING:  # typing only — net must not import distributed at runtime
     from ..distributed.site import LocalSite, SiteConfig
 
 __all__ = [
     "SiteServer",
-    "RemoteSiteProxy",
     "host_sites",
     "SiteCluster",
     "ProcessSiteCluster",
@@ -135,78 +126,29 @@ class SiteServer(socketserver.ThreadingTCPServer):
         return self.server_address  # type: ignore[return-value]
 
     def serve_in_thread(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
+        # poll_interval = 20 ms: shutdown() waits out at most one poll.
+        thread = threading.Thread(target=self.serve_forever, args=(0.02,), daemon=True)
         thread.start()
         return thread
 
 
-class RemoteSiteProxy(SiteProxy):
-    """The blocking pump of :class:`~repro.net.rpc.SiteProxy`.
-
-    Connects on construction; ``timeout`` is the socket deadline for
-    connect, send and receive.
-    """
-
-    _TIMEOUT = socket.timeout
-
-    def __init__(
-        self,
-        site_id: int,
-        address: Tuple[str, int],
-        timeout: float = 30.0,
-        retries: int = 0,
-    ) -> None:
-        super().__init__(site_id, address, timeout=timeout, retries=retries)
-        self._sock: Optional[socket.socket] = None
-        self._pump(self._connect_script())
-
-    def _pump(self, script: Script) -> Any:
-        try:
-            request = next(script)
-            while True:
-                request = script.send(self._io(request))
-        except StopIteration as done:
-            return done.value
-
-    def _io(self, request: Optional[bytes]) -> Outcome:
-        try:
-            if request is None:
-                self._release()
-                self._sock = socket.create_connection(
-                    self.address, timeout=self.timeout
-                )
-                return None, None
-            assert self._sock is not None
-            self._sock.sendall(request)
-            return _recv_frame(self._sock), None
-        except OSError as exc:  # socket.timeout and ConnectionError included
-            return None, exc
-
-    def _release(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-
-    def close(self) -> None:
-        """Release the connection; idempotent, and final."""
-        self._closed = True
-        self._release()
-
-
 class SiteCluster:
-    """A set of locally hosted TCP sites plus proxies, with clean teardown.
+    """Thread-hosted TCP sites, with clean teardown.
 
-    Use as a context manager::
+    ``addresses`` is ``(site_id, (host, port))`` pairs, as
+    :class:`ProcessSiteCluster` has.  Host in sync code; query on a
+    loop::
 
         with host_sites(partitions, preference) as cluster:
-            result = EDSUD(cluster.proxies, threshold=0.3).run()
+            result = asyncio.run(query(cluster.addresses))
+
+    where ``query`` dials :func:`repro.net.aio.connect_async_sites` and
+    drives a coordinator's ``asteps()``/``afinish()``.
     """
 
-    def __init__(self, servers: List[SiteServer], proxies: List[RemoteSiteProxy]) -> None:
+    def __init__(self, servers: List[SiteServer]) -> None:
         self.servers = servers
-        self.proxies = proxies
+        self.addresses = [(i, server.address) for i, server in enumerate(servers)]
 
     def __enter__(self) -> "SiteCluster":
         return self
@@ -215,8 +157,6 @@ class SiteCluster:
         self.close()
 
     def close(self) -> None:
-        for proxy in self.proxies:
-            proxy.close()
         for server in self.servers:
             server.shutdown()
             server.server_close()
@@ -226,35 +166,22 @@ def host_sites(
     partitions: Sequence[Sequence[UncertainTuple]],
     preference: Optional[Preference] = None,
     site_config: "Optional[SiteConfig]" = None,
-    timeout: float = 30.0,
 ) -> SiteCluster:
-    """Spin up one TCP-hosted LocalSite per partition on localhost.
-
-    ``timeout`` is each proxy's per-RPC socket deadline (seconds).
-    """
+    """Spin up one thread-hosted LocalSite server per partition on localhost."""
     from ..distributed.site import LocalSite
 
     servers: List[SiteServer] = []
-    proxies: List[RemoteSiteProxy] = []
     try:
         for i, partition in enumerate(partitions):
             site = LocalSite(
                 site_id=i, database=partition, preference=preference, config=site_config
             )
-            server = SiteServer(site)
-            server.serve_in_thread()
-            servers.append(server)
-            proxies.append(
-                RemoteSiteProxy(site_id=i, address=server.address, timeout=timeout)
-            )
+            servers.append(SiteServer(site))
+            servers[-1].serve_in_thread()
     except Exception:
-        for proxy in proxies:
-            proxy.close()
-        for server in servers:
-            server.shutdown()
-            server.server_close()
+        SiteCluster(servers).close()
         raise
-    return SiteCluster(servers, proxies)
+    return SiteCluster(servers)
 
 
 def _serve_partition_process(
@@ -289,8 +216,7 @@ class ProcessSiteCluster:
     The genuinely distributed deployment: each partition lives in a
     separate Python process (own GIL, own memory), reachable only
     through the wire protocol.  ``addresses`` is ready to hand to
-    :func:`repro.net.aio.connect_async_sites` or to
-    :class:`RemoteSiteProxy`.
+    :func:`repro.net.aio.connect_async_sites`.
     """
 
     def __init__(

@@ -5,8 +5,7 @@ The coordinator drives sites through a narrow RPC surface —
 implementations are :class:`~repro.distributed.site.LocalSite`
 (in-process, the default for experiments: bandwidth accounting is exact
 regardless of transport because the coordinator records protocol
-messages itself), and the TCP proxies
-:class:`~repro.net.sockets.RemoteSiteProxy` and
+messages itself), and the TCP client
 :class:`~repro.net.aio.AsyncRemoteSiteProxy`.
 
 Everything else that looks like an endpoint is an

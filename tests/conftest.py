@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import os
 import random
 from typing import List, Optional
@@ -11,6 +12,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.core.tuples import UncertainTuple
+from repro.net.aio import connect_async_sites
 
 # Profiles: "ci" (default) disables the wall-clock deadline so runs on
 # loaded machines never flake; "thorough" raises the example budget for
@@ -82,6 +84,28 @@ def make_random_database(
             UncertainTuple(start_key + i, values, rng.random() * 0.99 + 0.01)
         )
     return out
+
+
+def query_over_tcp(addresses, build, **dial):
+    """Run ``build(proxies)`` to completion over TCP clients of ``addresses``.
+
+    The proxies are dialed with :func:`connect_async_sites` (``dial``
+    goes to it) and the coordinator is driven by ``asteps()`` on a fresh
+    event loop; its result is returned and the proxies are closed.
+    """
+
+    async def scenario():
+        proxies = await connect_async_sites(addresses, **dial)
+        try:
+            coordinator = build(proxies)
+            async for _ in coordinator.asteps():
+                pass
+            return await coordinator.afinish()
+        finally:
+            for proxy in proxies:
+                await proxy.close()
+
+    return asyncio.run(scenario())
 
 
 @pytest.fixture

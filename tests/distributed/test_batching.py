@@ -23,7 +23,7 @@ from repro.net.message import MessageKind
 from repro.net.sockets import host_sites
 from repro.net.transport import RecordingEndpoint
 
-from ..conftest import make_random_database
+from ..conftest import make_random_database, query_over_tcp
 
 Q = 0.3
 SITES = 3
@@ -127,7 +127,9 @@ class TestBatchOverTcp:
             partitions, Q, algorithm="edsud", batch_size=3
         )
         with host_sites(partitions) as cluster:
-            over_wire = EDSUD(cluster.proxies, Q, batch_size=3).run()
+            over_wire = query_over_tcp(
+                cluster.addresses, lambda proxies: EDSUD(proxies, Q, batch_size=3)
+            )
         assert over_wire.answer.agrees_with(in_process.answer, tol=1e-9)
         assert over_wire.stats.messages == in_process.stats.messages
         assert over_wire.stats.tuples_transmitted == (

@@ -10,7 +10,7 @@ endpoint runs inline.  Pinned here:
 * it is confined: sync endpoints under ``asteps()`` create no task and
   yield exactly as ``steps()`` does;
 * it is invisible: traces, per-site call sequences and a mid-wave
-  casualty's ``CoverageReport`` equal the blocking pump's;
+  casualty's ``CoverageReport`` equal the in-process run's;
 * it is tidy: a cancelled wave cancels its calls in flight, an error in
   one lane waits for its siblings, and no coroutine is ever dropped
   unawaited;
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import asyncio
 import gc
-import threading
 import warnings
 from collections import Counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -37,7 +36,7 @@ from repro.fault.retry import RetryPolicy
 from repro.fault.schedule import FaultSchedule
 from repro.net.aio import connect_async_sites
 from repro.net.sockets import (
-    RemoteSiteProxy,
+    SiteCluster,
     SiteServer,
     _SiteRequestHandler,
     host_sites_in_processes,
@@ -45,7 +44,7 @@ from repro.net.sockets import (
 from repro.net.trace import ProtocolTracer, summarize_trace
 from repro.net.transport import EndpointInterceptor
 
-from ..conftest import make_random_database
+from ..conftest import make_random_database, query_over_tcp
 
 SITES = 4
 Q = 0.3
@@ -248,15 +247,20 @@ class Died(BaseException):
 
 
 class Mortal:
-    """A hosted site that dies for good at its ``at``-th call.
+    """A site that dies for good at its ``at``-th call, raising ``death``.
 
-    From then on every connection that carries a call drops without a
-    reply — redials and liveness probes included.
+    Hosted, ``death`` is :class:`Died`: from then on every connection
+    that carries a call drops without a reply — redials and liveness
+    probes included.  In process, it is the :class:`ConnectionError` the
+    TCP client raises for that drop.
     """
 
-    def __init__(self, inner: LocalSite, at: int) -> None:
+    def __init__(
+        self, inner: LocalSite, at: int, death: Callable[[], BaseException] = Died
+    ) -> None:
         self.inner = inner
         self.at = at
+        self.death = death
         self.calls = 0
 
     def __getattr__(self, name: str) -> Any:
@@ -267,7 +271,7 @@ class Mortal:
         def call(*args: Any) -> Any:
             self.calls += 1
             if self.calls >= self.at:
-                raise Died
+                raise self.death()
             return target(*args)
 
         return call
@@ -281,68 +285,34 @@ class MortalHandler(_SiteRequestHandler):
             pass  # socketserver closes the connection behind us
 
 
-class Hosted:
+def hosted(victim: Optional[int] = None, at: int = 0) -> SiteCluster:
     """Thread-hosted site servers over PARTITIONS; optional casualty."""
-
-    def __init__(self, victim: Optional[int] = None, at: int = 0) -> None:
-        self.servers = []
-        for site in local_sites():
-            hosted = Mortal(site, at) if site.site_id == victim else site
-            server = SiteServer(hosted)
-            server.RequestHandlerClass = MortalHandler
-            threading.Thread(target=server.serve_forever, daemon=True).start()
-            self.servers.append(server)
-        self.addresses = [(i, s.address) for i, s in enumerate(self.servers)]
-
-    def __enter__(self) -> "Hosted":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        for server in self.servers:
-            server.shutdown()
-            server.server_close()
-
-
-def run_blocking(hosted: Hosted, build):
-    proxies = [RemoteSiteProxy(i, address, timeout=5.0) for i, address in hosted.addresses]
-    try:
-        return build(proxies).run()
-    finally:
-        for proxy in proxies:
-            proxy.close()
-
-
-def run_awaiting(hosted: Hosted, build):
-    async def scenario():
-        proxies = await connect_async_sites(hosted.addresses, timeout=5.0)
-        try:
-            return (await adrive(build(proxies)))[0]
-        finally:
-            for proxy in proxies:
-                await proxy.close()
-
-    return asyncio.run(scenario())
+    servers = []
+    for site in local_sites():
+        server = SiteServer(Mortal(site, at) if site.site_id == victim else site)
+        server.RequestHandlerClass = MortalHandler
+        server.serve_in_thread()
+        servers.append(server)
+    return SiteCluster(servers)
 
 
 class TestOverSockets:
     @pytest.mark.parametrize("batch_size", [1, 3])
-    def test_a_trace_of_overlapped_proxies_equals_the_blocking_runs(self, batch_size):
-        def traced(run):
-            tracer = ProtocolTracer()
-            with Hosted() as hosted:
-                result = run(
-                    hosted,
-                    lambda proxies: EDSUD(tracer.wrap(proxies), Q, batch_size=batch_size),
-                )
-            return tracer, result
+    def test_a_trace_of_overlapped_proxies_equals_the_in_process_run(self, batch_size):
+        def traced(tracer):
+            return lambda endpoints: EDSUD(tracer.wrap(endpoints), Q, batch_size=batch_size)
 
-        sync_tracer, sync_result = traced(run_blocking)
-        async_tracer, async_result = traced(run_awaiting)
-        assert fingerprint(async_result) == fingerprint(sync_result)
-        sync_summary = summarize_trace(sync_tracer.records)
+        solo_tracer, async_tracer = ProtocolTracer(), ProtocolTracer()
+        solo_result = traced(solo_tracer)(local_sites()).run()
+        with hosted() as cluster:
+            async_result = query_over_tcp(
+                cluster.addresses, traced(async_tracer), timeout=5.0
+            )
+        assert fingerprint(async_result) == fingerprint(solo_result)
+        solo_summary = summarize_trace(solo_tracer.records)
         async_summary = summarize_trace(async_tracer.records)
-        sync_summary.pop("duration"), async_summary.pop("duration")
-        assert async_summary == sync_summary
+        solo_summary.pop("duration"), async_summary.pop("duration")
+        assert async_summary == solo_summary
         assert async_summary["calls"] == async_result.stats.rpc_calls
 
         def by_site(tracer):
@@ -353,23 +323,25 @@ class TestOverSockets:
                 for site_id in range(SITES)
             }
 
-        assert by_site(async_tracer) == by_site(sync_tracer)
+        assert by_site(async_tracer) == by_site(solo_tracer)
 
     @pytest.mark.parametrize("at", [9, 14])
-    def test_a_site_killed_mid_wave_degrades_like_the_blocking_pump(self, at):
+    def test_a_site_killed_mid_wave_degrades_like_the_in_process_run(self, at):
         victim = 2
-
-        def degraded(run):
-            with Hosted(victim=victim, at=at) as hosted:
-                return run(hosted, lambda proxies: EDSUD(proxies, Q))
-
-        sync_result = degraded(run_blocking)
-        async_result = degraded(run_awaiting)
-        assert not sync_result.coverage.complete
-        assert sync_result.coverage.down_sites == (victim,)
-        assert sync_result.coverage.degraded
-        assert async_result.coverage == sync_result.coverage
-        assert fingerprint(async_result) == fingerprint(sync_result)
+        sites: List[Any] = local_sites()
+        sites[victim] = Mortal(
+            sites[victim], at, lambda: ConnectionError(f"site {victim} closed the connection")
+        )
+        solo_result = EDSUD(sites, Q).run()
+        with hosted(victim=victim, at=at) as cluster:
+            async_result = query_over_tcp(
+                cluster.addresses, lambda proxies: EDSUD(proxies, Q), timeout=5.0
+            )
+        assert not solo_result.coverage.complete
+        assert solo_result.coverage.down_sites == (victim,)
+        assert solo_result.coverage.degraded
+        assert async_result.coverage == solo_result.coverage
+        assert fingerprint(async_result) == fingerprint(solo_result)
 
 
 # ----------------------------------------------------------------------

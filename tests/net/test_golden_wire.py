@@ -8,7 +8,7 @@ and journals each request and reply frame byte for byte.
 table, the shared proxy core and the endpoint interceptor existed, so
 it is an independent witness of the wire format: a proxy from that
 commit talks to this commit's server, and the reverse, exactly when
-both proxies still reproduce it.
+this commit's proxy still reproduces it.
 
 Re-record (only for a deliberate wire change)::
 
@@ -27,7 +27,7 @@ import pytest
 
 from repro.distributed.site import LocalSite
 from repro.net.aio import AsyncRemoteSiteProxy
-from repro.net.sockets import RemoteSiteProxy, SiteServer
+from repro.net.sockets import SiteServer
 
 from ..conftest import make_random_database
 
@@ -110,22 +110,7 @@ def _bodies(journal):
     return out
 
 
-def _drive_sync(address, script):
-    proxy = RemoteSiteProxy(0, address, timeout=10.0)
-    try:
-        for _, method, args, raises in script:
-            if raises is None:
-                getattr(proxy, method)(*args)
-            else:
-                with pytest.raises(raises, match="RPC failed"):
-                    getattr(proxy, method)(*args)
-        while proxy.pop_representative() is not None:
-            pass
-    finally:
-        proxy.close()
-
-
-def _drive_async(address, script):
+def _drive(address, script):
     async def scenario():
         proxy = await AsyncRemoteSiteProxy.connect(0, address, timeout=10.0)
         try:
@@ -143,18 +128,15 @@ def _drive_async(address, script):
     asyncio.run(scenario())
 
 
-DRIVERS = {"sync": _drive_sync, "async": _drive_async}
-
-
-def record(kind):
+def record():
     """The conversation's frames as ``[{call, request, reply}, ...]``."""
     db, script = conversation()
     server = SiteServer(LocalSite(0, db))
     relay = _Relay(server.address)
     server.serve_in_thread()
-    threading.Thread(target=relay.serve_forever, daemon=True).start()
+    threading.Thread(target=relay.serve_forever, args=(0.02,), daemon=True).start()
     try:
-        DRIVERS[kind](relay.server_address, script)
+        _drive(relay.server_address, script)
     finally:
         for s in (relay, server):
             s.shutdown()
@@ -168,10 +150,9 @@ def record(kind):
     return [{"call": label, **frame} for label, frame in zip(labels, frames)]
 
 
-@pytest.mark.parametrize("kind", sorted(DRIVERS))
-def test_every_frame_matches_the_golden_bytes(kind):
+def test_every_frame_matches_the_golden_bytes():
     golden = json.loads(GOLDEN.read_text())
-    recorded = record(kind)
+    recorded = record()
     assert [f["call"] for f in recorded] == [f["call"] for f in golden]
     for got, want in zip(recorded, golden):
         assert got == want, want["call"]
@@ -197,7 +178,6 @@ def test_the_golden_covers_the_whole_surface():
 
 
 if __name__ == "__main__":
-    frames = record("sync")
-    assert frames == record("async"), "the two proxies disagree on the wire"
+    frames = record()
     GOLDEN.write_text(json.dumps(frames, indent=1) + "\n")
     print(f"recorded {len(frames)} frames to {GOLDEN}")

@@ -41,12 +41,11 @@ def test_every_copy_of_the_rpc_names_agrees_with_the_table():
 
 def test_a_table_row_is_the_whole_cost_of_a_new_rpc(cluster, monkeypatch):
     """``LocalSite.partition_digest`` exists but was never on the wire:
-    one row later the server dispatches it and both proxies offer it."""
+    one row later the server dispatches it and the proxy offers it."""
     c, db = cluster
     expected = LocalSite(0, db[0::3]).partition_digest()
-    assert not hasattr(c.proxies[0], "partition_digest")
+    assert not hasattr(AsyncRemoteSiteProxy(0, c.servers[0].address), "partition_digest")
     monkeypatch.setitem(METHODS, "partition_digest", Method())
-    assert c.proxies[0].partition_digest() == expected
 
     async def scenario():
         proxy = await AsyncRemoteSiteProxy.connect(0, c.servers[0].address)

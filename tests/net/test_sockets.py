@@ -15,16 +15,22 @@ from repro.distributed.edsud import EDSUD
 from repro.fault.errors import RETRYABLE_FAULTS
 from repro.net.aio import AsyncRemoteSiteProxy
 from repro.net.rpc import _LENGTH, MAX_FRAME_BYTES
-from repro.net.sockets import RemoteSiteProxy, _recv_frame, host_sites
+from repro.net.sockets import _recv_frame, host_sites, host_sites_in_processes
 
-from ..conftest import make_random_database
-from .proxy_contract import SYNC, ProxyContract
+from ..conftest import make_random_database, query_over_tcp
 
 
-class TestRpcSurface(ProxyContract):
-    """The blocking proxy against the shared contract."""
+def ping(address):
+    """One ``ping`` from a fresh TCP client."""
 
-    kit = SYNC
+    async def scenario():
+        proxy = await AsyncRemoteSiteProxy.connect(0, address, timeout=5.0)
+        try:
+            return await proxy.ping()
+        finally:
+            await proxy.close()
+
+    return asyncio.run(scenario())
 
 
 class TestFramingRobustness:
@@ -54,7 +60,7 @@ class TestFramingRobustness:
         except OSError:
             pass
         sock.close()
-        assert server.proxies[0].ping()
+        assert ping(server.servers[0].address)
 
     def test_truncated_frame_then_disconnect(self, server):
         import struct
@@ -62,7 +68,7 @@ class TestFramingRobustness:
         sock = self._raw_connection(server)
         sock.sendall(struct.pack(">I", 1_000)[:2])  # half a length prefix
         sock.close()
-        assert server.proxies[0].ping()
+        assert ping(server.servers[0].address)
 
     def test_valid_json_wrong_schema_gets_error_reply(self, server):
         import json
@@ -76,7 +82,7 @@ class TestFramingRobustness:
         reply = json.loads(sock.recv(length))
         assert reply["ok"] is False
         sock.close()
-        assert server.proxies[0].ping()
+        assert ping(server.servers[0].address)
 
     def test_many_hostile_connections(self, server):
         import struct
@@ -89,7 +95,7 @@ class TestFramingRobustness:
             except OSError:
                 pass
             sock.close()
-        assert server.proxies[0].ping()
+        assert ping(server.servers[0].address)
 
 
 class TestEndToEnd:
@@ -99,7 +105,7 @@ class TestEndToEnd:
         partitions = [db[i::4] for i in range(4)]
         central = prob_skyline_sfs(db, 0.3)
         with host_sites(partitions) as c:
-            result = coordinator_cls(c.proxies, 0.3).run()
+            result = query_over_tcp(c.addresses, lambda proxies: coordinator_cls(proxies, 0.3))
         assert result.answer.agrees_with(central, tol=1e-9)
 
     def test_site_crash_mid_query_degrades_and_discloses(self):
@@ -108,34 +114,39 @@ class TestEndToEnd:
         exactly which site was lost (Corollary-1 upper-bound mode)."""
         db = make_random_database(200, 2, seed=7, grid=10)
         partitions = [db[i::3] for i in range(3)]
-        cluster = host_sites(partitions)
-        try:
-            # A process crash kills the listener *and* its established
-            # connections; shutdown() alone leaves handler threads
-            # serving, so sever the proxy's socket as the crash would.
-            victim = cluster.servers[1]
-            victim.shutdown()
-            victim.server_close()
-            cluster.proxies[1]._sock.close()
-            result = EDSUD(cluster.proxies, 0.3).run()
-            assert result.coverage is not None
-            assert not result.coverage.complete
-            assert 1 in result.coverage.down_sites
-        finally:
-            cluster.close()
+        with host_sites(partitions) as cluster:
+
+            def crash_site_1(proxies):
+                # A process crash kills the listener *and* its established
+                # connections; shutdown() alone leaves handler threads
+                # serving, so sever the proxy's connection as the crash would.
+                victim = cluster.servers[1]
+                victim.shutdown()
+                victim.server_close()
+                proxies[1]._wire.transport.close()
+                return EDSUD(proxies, 0.3)
+
+            result = query_over_tcp(cluster.addresses, crash_site_1)
+        assert result.coverage is not None
+        assert not result.coverage.complete
+        assert 1 in result.coverage.down_sites
 
     def test_connection_drop_during_rpc(self):
-        """Closing the proxy's socket mid-conversation raises cleanly."""
+        """Closing the proxy's connection mid-conversation raises cleanly."""
         db = make_random_database(60, 2, seed=8)
-        cluster = host_sites([db])
-        try:
-            proxy = cluster.proxies[0]
-            assert proxy.ping()
-            proxy._sock.close()
-            with pytest.raises(OSError):
-                proxy.prepare(0.3)
-        finally:
-            cluster.close()
+
+        async def scenario(address):
+            proxy = await AsyncRemoteSiteProxy.connect(0, address)
+            try:
+                assert await proxy.ping()
+                proxy._wire.transport.close()
+                with pytest.raises(OSError):
+                    await proxy.prepare(0.3)
+            finally:
+                await proxy.close()
+
+        with host_sites([db]) as cluster:
+            asyncio.run(scenario(cluster.servers[0].address))
 
     def test_teardown_releases_ports(self):
         db = make_random_database(30, 2, seed=3)
@@ -152,69 +163,82 @@ class TestEndToEnd:
         s.close()
 
 
+class TestInThreadHosting:
+    def test_eight_servers_start_and_close_within_a_second(self):
+        """A server that has just served a call waits out one whole poll
+        before it shuts down: a short one, not socketserver's 0.5 s."""
+        db = make_random_database(80, 2, seed=15)
+        started = time.perf_counter()
+        for i in range(8):
+            with host_sites([db[i::8]]) as cluster:
+                assert ping(cluster.servers[0].address)
+        assert time.perf_counter() - started < 1.0
+
+    def test_both_hostings_hand_out_the_same_addresses(self):
+        db = make_random_database(60, 2, seed=16)
+        partitions = [db[i::3] for i in range(3)]
+
+        def shape(addresses):
+            return [(site_id, host, type(port)) for site_id, (host, port) in addresses]
+
+        with host_sites(partitions) as threads, host_sites_in_processes(
+            partitions
+        ) as processes:
+            assert shape(threads.addresses) == shape(processes.addresses)
+            assert shape(threads.addresses) == [(i, "127.0.0.1", int) for i in range(3)]
+
+
 class TestProcessHosting:
     """Site servers in their own OS processes (the distributed deploy)."""
 
     def test_process_cluster_serves_full_queries(self):
-        from repro.net.sockets import RemoteSiteProxy, host_sites_in_processes
-
         db = make_random_database(200, 2, seed=11, grid=10)
         partitions = [db[i::3] for i in range(3)]
         central = prob_skyline_sfs(db, 0.3)
         with host_sites_in_processes(partitions) as cluster:
-            proxies = [
-                RemoteSiteProxy(site_id=i, address=addr)
-                for i, addr in cluster.addresses
-            ]
-            try:
-                result = DSUD(proxies, 0.3).run()
-            finally:
-                for proxy in proxies:
-                    proxy.close()
+            result = query_over_tcp(cluster.addresses, lambda proxies: DSUD(proxies, 0.3))
         assert result.answer.agrees_with(central, tol=1e-9)
 
     def test_fork_per_connection_isolates_concurrent_queries(self):
         """Two connections to one server must not share queue state:
         each gets a private fork, so both pop the same representative
         first — exactly what per-session isolation requires."""
-        from repro.net.sockets import RemoteSiteProxy, host_sites_in_processes
-
         db = make_random_database(120, 2, seed=12, grid=10)
-        with host_sites_in_processes([db], fork_per_connection=True) as cluster:
-            (site_id, address) = cluster.addresses[0]
-            a = RemoteSiteProxy(site_id=site_id, address=address)
-            b = RemoteSiteProxy(site_id=site_id, address=address)
+
+        async def scenario(site_id, address):
+            a = await AsyncRemoteSiteProxy.connect(site_id, address)
+            b = await AsyncRemoteSiteProxy.connect(site_id, address)
             try:
-                assert a.prepare(0.3) == b.prepare(0.3)
-                first_a = a.pop_representative()
-                first_b = b.pop_representative()
+                assert await a.prepare(0.3) == await b.prepare(0.3)
+                first_a = await a.pop_representative()
+                first_b = await b.pop_representative()
                 assert first_a is not None and first_b is not None
                 assert first_a.tuple.key == first_b.tuple.key
             finally:
-                a.close()
-                b.close()
+                await a.close()
+                await b.close()
+
+        with host_sites_in_processes([db], fork_per_connection=True) as cluster:
+            asyncio.run(scenario(*cluster.addresses[0]))
 
     def test_rpc_delay_is_applied_per_request(self):
         """The deterministic WAN stand-in: every RPC takes at least the
         configured service delay."""
-        import time
-
-        from repro.net.sockets import RemoteSiteProxy, host_sites_in_processes
-
         db = make_random_database(40, 2, seed=13)
-        with host_sites_in_processes([db], rpc_delay=0.05) as cluster:
-            (site_id, address) = cluster.addresses[0]
-            proxy = RemoteSiteProxy(site_id=site_id, address=address)
+
+        async def scenario(site_id, address):
+            proxy = await AsyncRemoteSiteProxy.connect(site_id, address)
             try:
                 start = time.perf_counter()
-                assert proxy.ping()
+                assert await proxy.ping()
                 assert time.perf_counter() - start >= 0.05
             finally:
-                proxy.close()
+                await proxy.close()
+
+        with host_sites_in_processes([db], rpc_delay=0.05) as cluster:
+            asyncio.run(scenario(*cluster.addresses[0]))
 
     def test_close_terminates_all_site_processes(self):
-        from repro.net.sockets import host_sites_in_processes
-
         db = make_random_database(30, 2, seed=14)
         cluster = host_sites_in_processes([db[0::2], db[1::2]])
         assert all(p.is_alive() for p in cluster.processes)
@@ -262,7 +286,7 @@ class TestFrameCap:
 
         server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
         server.daemon_threads = True
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True).start()
         try:
             yield server.server_address
         finally:
@@ -281,17 +305,7 @@ class TestFrameCap:
         with socket.create_connection(c.servers[0].address, timeout=5.0) as raw:
             raw.sendall(_LENGTH.pack(MAX_FRAME_BYTES + 1))
             assert raw.recv(1) == b""  # hung up without reading a body
-        assert c.proxies[0].ping()  # and still serves everyone else
-
-    def test_remote_site_proxy_raises_a_retryable_fault(self):
-        with self.hostile_server() as address:
-            proxy = RemoteSiteProxy(0, address, timeout=5.0)
-            try:
-                with pytest.raises(ConnectionError) as caught:
-                    proxy.ping()
-                self.assert_refused(caught.value, proxy)
-            finally:
-                proxy.close()
+        assert ping(c.servers[0].address)  # and still serves everyone else
 
     def test_async_remote_site_proxy_raises_a_retryable_fault(self):
         async def scenario(address):

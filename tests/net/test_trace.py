@@ -74,9 +74,7 @@ class TestSummary:
         c, db = cluster
 
         async def scenario():
-            proxies = await connect_async_sites(
-                [(i, s.address) for i, s in enumerate(c.servers)]
-            )
+            proxies = await connect_async_sites(c.addresses)
             tracer = ProtocolTracer()
             try:
                 coordinator = DSUD(tracer.wrap(proxies), 0.3, batch_size=3)

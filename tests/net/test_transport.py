@@ -13,7 +13,11 @@ from repro.net.trace import ProtocolTracer
 from repro.net.transport import SURFACE, RecordingEndpoint, SiteEndpoint
 
 from ..conftest import make_random_database
-from .proxy_contract import settle
+
+
+async def settle(value):
+    """Await what an async endpoint hands back; pass a sync reply through."""
+    return await value if inspect.isawaitable(value) else value
 
 
 def make_endpoint(seed=1):

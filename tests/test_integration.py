@@ -12,6 +12,8 @@ from repro import EDSUD, IncrementalMaintainer, LatencyModel, Preference, Uncert
 from repro.net.sockets import host_sites
 from repro.stream import ContinuousCoordinator, CountWindow, StandingQuery, StreamSite
 
+from .conftest import query_over_tcp
+
 
 class TestPersistenceToQueryPipeline:
     def test_generate_save_load_query(self, tmp_path):
@@ -38,7 +40,9 @@ class TestTransportParity:
             preference=workload.preference,
         )
         with host_sites(workload.partitions, preference=workload.preference) as c:
-            remote = EDSUD(c.proxies, 0.3, workload.preference).run()
+            remote = query_over_tcp(
+                c.addresses, lambda proxies: EDSUD(proxies, 0.3, workload.preference)
+            )
         assert remote.answer.agrees_with(local.answer, tol=1e-12)
         assert remote.bandwidth == local.bandwidth
         assert remote.iterations == local.iterations
