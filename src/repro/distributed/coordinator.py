@@ -21,13 +21,16 @@ of raising.  A DOWN site is excluded from subsequent rounds; the
 factors it can no longer contribute are tracked by a
 :class:`~repro.fault.coverage.CoverageTracker`, so every affected
 result carries its Corollary-1 upper bound and the set of sites that
-did contribute.  Run loops run :meth:`_poll_recoveries_script` once per
-iteration: a DOWN site that answers a liveness probe is re-probed for
-every factor it owes (tightening — possibly retracting — degraded
-results) and handed back to the iteration policy via the sites list
-the poll returns.  On a healthy run none of this machinery sends a
-single extra message, so accounting stays bit-identical to the
-fault-oblivious protocol.
+did contribute.  Bringing a logical site back is one operation,
+:meth:`_converge_script`: replay part of that broadcast log onto an
+endpoint.  *Recovery* replays what a returning site missed onto the
+site itself; *failover* (with a ``replica_manager``) replays the whole
+log onto a buddy replica and swaps it in; *failback* does the same for
+the re-synced primary, unretried, so a primary that dies again only
+costs the next poll another try — the replica never stopped serving.
+Run loops call :meth:`_poll_recoveries_script` once per iteration; on
+a healthy run none of this sends a single extra message, so accounting
+stays bit-identical to the fault-oblivious protocol.
 """
 
 from __future__ import annotations
@@ -185,11 +188,11 @@ class Coordinator(ScriptEngine):
         for site, ((ok, size),) in zip(sites, attempts):
             if not ok:
                 # A buddy replica (if any) can take over from the very
-                # first round — its prepare is billed inside _promote.
-                promoted = yield from self._failover_script(site.site_id)
-                if promoted is None:
+                # first round — its prepare is billed by the convergence.
+                converged = yield from self._failover_script(site.site_id)
+                if converged is None:
                     continue
-                _endpoint, size, _factors = promoted
+                size, _factors = converged
             else:
                 self._prepared.add(site.site_id)
                 self.stats.bill(MessageKind.PREPARE_REPLY, self._name(site), _SERVER)
@@ -249,10 +252,9 @@ class Coordinator(ScriptEngine):
         if verdict is None:
             live = self._live_endpoint(site)
             if live is None:
-                promoted = yield from self._failover_script(site.site_id)
-                if promoted is None:
+                if (yield from self._failover_script(site.site_id)) is None:
                     return None
-                live = promoted[0]
+                live = self._site_by_id[site.site_id]
             if request:
                 self.stats.bill(MessageKind.NEXT_REQUEST, _SERVER, self._name(live))
             verdict = yield _Rpc(live, "pop_representative")
@@ -261,10 +263,10 @@ class Coordinator(ScriptEngine):
             # Died on the pop: promote a replica (which fast-forwards
             # past everything already delivered) and re-issue the pop
             # against it — the To-Server phase continues exactly.
-            promoted = yield from self._failover_script(site.site_id)
-            if promoted is None:
+            if (yield from self._failover_script(site.site_id)) is None:
                 return None
-            ok, quaternion = yield _Rpc(promoted[0], "pop_representative")
+            replica = self._site_by_id[site.site_id]
+            ok, quaternion = yield _Rpc(replica, "pop_representative")
             if not ok:
                 return None
         if quaternion is None:
@@ -419,14 +421,14 @@ class Coordinator(ScriptEngine):
                 factors = [reply.factor for ok, reply in results if ok]
             if not factors:
                 # Mid-round casualty: a promoted replica supplies the
-                # whole batch's factors through the replay inside
-                # _promote (billed there as FAILOVER_PROBE/PROBE_REPLY
-                # and already contributed to the coverage books).
-                promoted = yield from self._failover_script(site.site_id)
-                if promoted is None:
+                # whole batch's factors through the convergence replay
+                # (billed there as FAILOVER_PROBE/PROBE_REPLY and
+                # already contributed to the coverage books).
+                converged = yield from self._failover_script(site.site_id)
+                if converged is None:
                     continue  # factors stay missing in the coverage books
                 for index in indices:
-                    factor = promoted[2].get(quaternions[index].tuple.key)
+                    factor = converged[1].get(quaternions[index].tuple.key)
                     if factor is not None:
                         out.append((site.site_id, index, factor))
                 continue
@@ -519,7 +521,7 @@ class Coordinator(ScriptEngine):
         )
 
     # ------------------------------------------------------------------
-    # recovery and reintegration
+    # convergence: recovery, failover and failback
     # ------------------------------------------------------------------
 
     def _poll_recoveries_script(
@@ -529,37 +531,42 @@ class Coordinator(ScriptEngine):
 
         Free while the cluster is healthy (a single flag check).  Each
         DOWN site gets one unretried liveness probe (a CONTROL
-        message); if it answers, the site is re-probed for every Eq.-9
-        factor it owes — tightening, and possibly retracting, degraded
-        results — and returned so the iteration policy can resume
-        fetching its candidates.  A site that stays dead *and* has a
-        buddy replica is failed over instead: the replica is promoted
-        as the logical site's endpoint and likewise returned.  (Most
-        failovers happen earlier, inline at the faulting RPC; this path
-        catches sites whose reintegration attempt failed.)  Finally,
-        each failed-over primary gets its own liveness probe — on an
-        answer it is re-synced and promoted back (failback).
+        message); if it answers, it converges — re-probed for every
+        Eq.-9 factor it owes, tightening and possibly retracting
+        degraded results.  A site that stays dead *and* has a buddy
+        replica is failed over instead (most failovers happen earlier,
+        inline at the faulting RPC; this catches sites whose recovery
+        failed).  Either way the site is returned so the iteration
+        policy can resume fetching its candidates.  Then each
+        failed-over primary that answers its own liveness probe is
+        re-synced and converged back in (failback); that is invisible
+        to the run loops, so nothing more is returned.
         """
         if not self.health.any_down and not self._failed_over:
             return []
         recovered: List[SiteEndpoint] = []
         for site_id in self.health.down_sites():
             site = self._site_by_id[site_id]
-            alive = yield from self._probe_liveness_script(site)
-            if not alive:
-                promoted = yield from self._failover_script(site_id)
-                if promoted is not None:
-                    recovered.append(promoted[0])
-                continue
-            self.health.mark_recovering(site_id, "liveness probe answered")
-            reintegrated = yield from self._reintegrate_script(site)
-            if reintegrated:
-                self.health.mark_up(site_id, "reintegration complete")
-                self.stats.sites_recovered += 1
-                recovered.append(site)
+            if (yield from self._probe_liveness_script(site)):
+                self.health.mark_recovering(site_id, "liveness probe answered")
+                converged = yield from self._converge_script(site_id, site)
+                if converged is not None:
+                    self.health.mark_up(site_id, "reintegration complete")
+                    self.stats.sites_recovered += 1
             else:
-                self.health.mark_down(site_id, "reintegration failed")
-        yield from self._poll_failbacks_script()
+                converged = yield from self._failover_script(site_id)
+            if converged is not None:
+                recovered.append(self._site_by_id[site_id])
+        for site_id in sorted(self._failed_over):
+            primary = self._failed_over[site_id]
+            if not (yield from self._probe_liveness_script(primary, kind="primary")):
+                continue
+            # Writes may have been forwarded while the primary was away.
+            self.replica_manager.resync_primary(site_id)
+            if (yield from self._converge_script(site_id, primary)) is not None:
+                del self._failed_over[site_id]
+                self.stats.failbacks += 1
+                self.stats.sites_recovered += 1
         return recovered
 
     def _probe_liveness_script(
@@ -587,58 +594,20 @@ class Coordinator(ScriptEngine):
             book.record(key, alive)
         return alive
 
-    def _reintegrate_script(
-        self, site: SiteEndpoint
-    ) -> Generator[Optional[_Request], Any, bool]:
-        """Bring one RECOVERING site back into the query.
-
-        Prepares it if it never completed PREPARE, then replays every
-        broadcast it missed via probe_and_prune — collecting its exact
-        factors (tightening the Corollary-1 bounds) *and* delivering
-        the feedback its Local-Pruning phase never saw.
-        """
-        site_id = site.site_id
-        if site_id not in self._prepared:
-            self.stats.bill(MessageKind.PREPARE, _SERVER, self._name(site))
-            ok, _size = yield _Rpc(site, "prepare", (self.threshold,))
-            if not ok:
-                return False
-            self._prepared.add(site_id)
-            self.stats.bill(MessageKind.PREPARE_REPLY, self._name(site), _SERVER)
-        owed = self.coverage.missing_from(site_id)
-        for cov in owed:
-            self.stats.bill(MessageKind.FEEDBACK, _SERVER, self._name(site))
-            ok, reply = yield _Rpc(site, "probe_and_prune", (cov.tuple,))
-            if not ok:
-                return False
-            self.stats.bill(MessageKind.PROBE_REPLY, self._name(site), _SERVER)
-            # contribute() notifies the tighten hooks for watched keys:
-            # reported results re-score (possibly retract) and buffered
-            # top-k entries re-score through their shared TupleCoverage.
-            self.coverage.contribute(cov.key, site_id, reply.factor)
-        if owed:
-            self.stats.record_round(tuples_in_round=len(owed))
-        return True
-
-    # ------------------------------------------------------------------
-    # replica failover and failback
-    # ------------------------------------------------------------------
-
     def _failover_script(
         self, site_id: int
-    ) -> Generator[
-        Optional[_Request], Any, Optional[Tuple[SiteEndpoint, int, Dict[int, float]]]
-    ]:
+    ) -> Generator[Optional[_Request], Any, Optional[Tuple[int, Dict[int, float]]]]:
         """Re-target a DOWN logical site at its buddy replica.
 
-        Returns ``(endpoint, |SKY(D_i)|, replayed factors by key)`` on
-        success — the logical site is UP again, served by the replica,
-        and every Eq.-9 factor the dead primary owed has been recovered
-        (so ``coverage`` is exact again and the top-k drain stops
-        holding tuples back).  ``None`` when no replication is
-        configured, the site already failed over once (the replica
-        itself died — with one buddy there is no second failover), or
-        promotion failed.
+        The policy half of failover: which replica, and the
+        ``_failed_over`` entry that later drives failback.  Returns what
+        :meth:`_converge_script` returns — on success the logical site
+        is UP again, served by the replica (read it from
+        ``_site_by_id``), with every Eq.-9 factor the dead primary owed
+        recovered.  ``None`` when no replication is configured, the
+        site already failed over once (one failover per logical site
+        per query, to the first buddy), or the convergence failed (its
+        failing RPC already marked the site DOWN again).
         """
         if self.replica_manager is None or site_id in self._failed_over:
             return None
@@ -649,112 +618,82 @@ class Coordinator(ScriptEngine):
             return None
         primary = self._site_by_id[site_id]
         self.health.mark_recovering(site_id, "failover: promoting buddy replica")
-        promoted = yield from self._promote_script(site_id, replica)
-        if promoted is None:
-            # _promote's failing RPC already journalled the fault and
-            # marked the site DOWN again; the query stays degraded.
-            return None
-        size, factors = promoted
-        self._failed_over[site_id] = primary
-        self.stats.failovers += 1
-        return replica, size, factors
+        converged = yield from self._converge_script(site_id, replica)
+        if converged is not None:
+            self._failed_over[site_id] = primary
+            self.stats.failovers += 1
+        return converged
 
-    def _promote_script(
+    def _converge_script(
         self, site_id: int, endpoint: SiteEndpoint
     ) -> Generator[Optional[_Request], Any, Optional[Tuple[int, Dict[int, float]]]]:
-        """Converge a replacement endpoint onto the serving state and swap it in.
+        """Replay the query's broadcast log onto ``endpoint``; swap it in if new.
 
-        Shared by failover (a replica replaces its dead primary) and
-        failback (the re-synced primary replaces the replica).  Three
-        steps, each billed:
+        ``coverage`` is the log.  Recovery converges the endpoint that
+        already serves ``site_id``; failover and failback converge a
+        *replacement* (``swap``).  Every step is billed:
 
-        1. ``prepare(q)`` rebuilds the candidate queue from the
-           replacement's (identical) partition copy — deterministic, so
-           the queue matches the twin's initial queue exactly.
-        2. Every broadcast the query ever sent to this logical site is
-           replayed, in broadcast order, as a tuple-bearing
-           ``FAILOVER_PROBE``: the ``probe_and_prune`` replies rebuild
-           the Local-Pruning state bit-for-bit (same factors, same
-           multiplication order as a never-failed twin) and — via
-           ``coverage.contribute`` — recover any Eq.-9 factor still
-           owed, firing the tighten hooks that re-score reported
-           results and buffered top-k entries back to exactness.
-        3. ``fast_forward`` over the representatives already
-           surrendered (keys only: one zero-tuple CONTROL message, the
-           §3.2 metric counts tuples) so the replacement never
-           re-serves a delivered candidate.
+        1. ``prepare(q)`` when swapping, or when the site never finished
+           PREPARE — deterministic, so a replacement's queue matches its
+           twin's initial queue exactly.
+        2. The replay, in broadcast order, of every ``probe_and_prune``
+           the site missed (``FEEDBACK``) or — for a replacement, which
+           saw none — of every broadcast from another origin
+           (``FAILOVER_PROBE``).  The replies rebuild the Local-Pruning
+           state bit-for-bit and, via ``coverage.contribute`` (a no-op
+           for factors already supplied), recover any Eq.-9 factor
+           still owed, firing the tighten hooks that re-score reported
+           results and buffered top-k entries.
+        3. For a replacement, ``fast_forward`` over the representatives
+           already surrendered (keys only: one zero-tuple CONTROL
+           message) so it never re-serves a delivered candidate; then
+           the swap.
 
-        Returns ``(|SKY(D_i)|, replayed factors by key)``; ``None`` if
-        the replacement itself faulted (the site is then DOWN again).
+        While a replica serves the logical site (failback), the calls
+        are unretried and leave the FSM alone: the primary's fault is
+        not the logical site's, and the next poll is the retry.
+
+        Returns ``(|SKY(D_i)|, replayed factors by key)`` — the size is
+        0 when nothing was prepared; ``None`` if an RPC failed.
         """
+        swap = endpoint is not self._site_by_id[site_id]
+        raw = site_id in self._failed_over
         name = self._name(endpoint)
-        self.stats.bill(MessageKind.PREPARE, _SERVER, name)
-        ok, size = yield _Rpc(endpoint, "prepare", (self.threshold,))
-        if not ok:
-            return None
-        self._prepared.add(site_id)
-        self.stats.bill(MessageKind.PREPARE_REPLY, name, _SERVER)
+        size = 0
+        if swap or site_id not in self._prepared:
+            self.stats.bill(MessageKind.PREPARE, _SERVER, name)
+            ok, size = yield _Rpc(endpoint, "prepare", (self.threshold,), raw=raw)
+            if not ok:
+                return None
+            self._prepared.add(site_id)
+            self.stats.bill(MessageKind.PREPARE_REPLY, name, _SERVER)
+        if swap:
+            replay = [c for c in self.coverage.entries() if c.origin != site_id]
+        else:
+            replay = self.coverage.missing_from(site_id)
         factors: Dict[int, float] = {}
-        replayed = [cov for cov in self.coverage.entries() if cov.origin != site_id]
-        for cov in replayed:
-            self.stats.bill(MessageKind.FAILOVER_PROBE, _SERVER, name)
-            ok, reply = yield _Rpc(endpoint, "probe_and_prune", (cov.tuple,))
+        for cov in replay:
+            self.stats.bill(
+                MessageKind.FAILOVER_PROBE if swap else MessageKind.FEEDBACK, _SERVER, name
+            )
+            ok, reply = yield _Rpc(endpoint, "probe_and_prune", (cov.tuple,), raw=raw)
             if not ok:
                 return None
             self.stats.bill(MessageKind.PROBE_REPLY, name, _SERVER)
             factors[cov.key] = reply.factor
-            # contribute() is a no-op for factors the dead twin already
-            # supplied, and restores exactness for the owed ones.
             self.coverage.contribute(cov.key, site_id, reply.factor)
-        delivered = self._delivered_keys[site_id]
-        if delivered:
-            self.stats.bill(MessageKind.CONTROL, _SERVER, name)
-            ok, _skipped = yield _Rpc(endpoint, "fast_forward", (delivered,))
-            if not ok:
-                return None
-        self._site_by_id[site_id] = endpoint
-        for i, s in enumerate(self.sites):
-            if s.site_id == site_id:
-                self.sites[i] = endpoint
-                break
-        if replayed:
-            self.stats.record_round(tuples_in_round=len(replayed))
+        if swap:
+            delivered = self._delivered_keys[site_id]
+            if delivered:
+                self.stats.bill(MessageKind.CONTROL, _SERVER, name)
+                ok, _ = yield _Rpc(endpoint, "fast_forward", (delivered,), raw=raw)
+                if not ok:
+                    return None
+            self._site_by_id[site_id] = endpoint
+            self.sites[:] = [endpoint if s.site_id == site_id else s for s in self.sites]
+        if replay:
+            self.stats.record_round(tuples_in_round=len(replay))
         return int(size), factors
-
-    def _poll_failbacks_script(self) -> Generator[Optional[_Request], Any, None]:
-        """Probe each failed-over primary; re-sync and re-target on answer.
-
-        The replica keeps serving until its primary both answers a
-        liveness probe (one CONTROL message per iteration, mirroring
-        the DOWN-site cadence) and survives a full promotion: an
-        anti-entropy re-sync of its partition (digest exchange — writes
-        may have been forwarded while it was away) followed by the same
-        prepare/replay/fast-forward convergence a failover runs.
-        Failback is invisible to the run loops — the logical site was
-        never out of rotation — so nothing is returned.
-        """
-        if not self._failed_over or self.replica_manager is None:
-            return
-        for site_id in sorted(self._failed_over):
-            primary = self._failed_over[site_id]
-            alive = yield from self._probe_liveness_script(primary, kind="primary")
-            if not alive:
-                continue
-            # Partition re-sync runs in-process against replica state —
-            # replicas are always local endpoints, never remote proxies.
-            self.replica_manager.resync_primary(site_id)
-            promoted = yield from self._promote_script(site_id, primary)
-            if promoted is None:
-                # The primary died again mid-promotion: the funnel marked the
-                # logical site DOWN, but the replica is still serving —
-                # restore UP through the legal RECOVERING hop.
-                if self.health.is_down(site_id):
-                    self.health.mark_recovering(site_id, "failback aborted")
-                    self.health.mark_up(site_id, "buddy replica still serving")
-                continue
-            del self._failed_over[site_id]
-            self.stats.failbacks += 1
-            self.stats.sites_recovered += 1
 
     def _tighten_result(self, key: int, bound: float) -> None:
         """Apply a re-probed, tighter bound to an already-reported tuple.

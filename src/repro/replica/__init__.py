@@ -10,8 +10,9 @@ write-forwarding plus anti-entropy digest exchange
 (:class:`~repro.replica.manager.ReplicaManager`), and served to the
 coordinator as a drop-in replacement endpoint when the primary goes
 DOWN — so a query under chaos returns the fault-free answer instead of
-a degraded one, up to ``replication_factor - 1`` failures per
-partition.
+a degraded one.  A logical site fails over once per query, to its first
+buddy; further copies are provisioned and write-forwarded, but serve
+only once replicas become faultable endpoints of their own.
 """
 
 from .manager import ReplicaManager

@@ -120,11 +120,14 @@ class ReplicaManager:
         self._provisioned = True
 
     def replica_for(self, site_id: int) -> Optional[LocalSite]:
-        """A live replica endpoint able to serve ``site_id``, if any.
+        """The first buddy's replica of ``site_id``, if any.
 
         The replica is a full :class:`LocalSite` constructed with the
         primary's ``site_id``, so quaternions it surrenders carry the
         correct origin and the coordinator can swap it in untouched.
+        Only the first buddy ever serves — one failover per logical
+        site per query; the further copies of rf ≥ 3 are provisioned
+        and write-forwarded but never handed out.
         """
         self.ensure_provisioned()
         pairs = self._replicas.get(site_id, [])
@@ -184,24 +187,18 @@ class ReplicaManager:
     def anti_entropy_round(self) -> int:
         """One digest exchange per (primary, replica) pair; repair drift.
 
-        Each pair costs two zero-tuple ``DIGEST`` messages (the
-        partition fingerprints cross); only a mismatch triggers a
-        tuple-bearing repair shipment.  Returns the number of replicas
-        repaired — zero on a cluster where every write was forwarded.
+        Only a mismatch triggers a tuple-bearing repair shipment (see
+        :meth:`_sync`).  Returns the number of replicas repaired — zero
+        on a cluster where every write was forwarded.
         """
         self.ensure_provisioned()
         repaired = 0
         for sid in sorted(self._replicas):
-            primary = self._primaries[sid]
-            want = primary.partition_digest()
             for host, replica in self._replicas[sid]:
-                name = self._replica_name(sid, host)
-                self.stats.bill(MessageKind.DIGEST, f"site-{sid}", name)
-                self.stats.bill(MessageKind.DIGEST, name, f"site-{sid}")
-                if replica.partition_digest() == want:
-                    continue
-                self._repair(primary, replica, f"site-{sid}", name)
-                repaired += 1
+                repaired += self._sync(
+                    self._primaries[sid], replica,
+                    f"site-{sid}", self._replica_name(sid, host),
+                )
         if self._replicas:
             self.stats.record_round()
         return repaired
@@ -212,22 +209,36 @@ class ReplicaManager:
         The failback prelude: before the coordinator re-targets the
         primary, its partition must match the copy that served in its
         absence (writes may have been forwarded while it was DOWN).
-        Digest exchange first; only a mismatch ships tuples.  Returns
-        True when the partitions agree afterwards.
+        Returns True when the primary had drifted and was repaired.
         """
         self.ensure_provisioned()
         pairs = self._replicas.get(site_id, [])
         if not pairs:
-            return True
+            return False
         host, replica = pairs[0]
-        primary = self._primaries[site_id]
-        pname = f"site-{site_id}"
-        rname = self._replica_name(site_id, host)
-        self.stats.bill(MessageKind.DIGEST, pname, rname)
-        self.stats.bill(MessageKind.DIGEST, rname, pname)
-        if primary.partition_digest() != replica.partition_digest():
-            self._repair(replica, primary, rname, pname)
-        return primary.partition_digest() == replica.partition_digest()
+        return self._sync(
+            replica, self._primaries[site_id],
+            self._replica_name(site_id, host), f"site-{site_id}",
+        )
+
+    def _sync(
+        self,
+        source: SiteEndpoint,
+        target: SiteEndpoint,
+        source_name: str,
+        target_name: str,
+    ) -> bool:
+        """One digest exchange; :meth:`_repair` ``target`` on a mismatch.
+
+        The partition fingerprints cross as two zero-tuple ``DIGEST``
+        messages.  Returns True when a repair was shipped.
+        """
+        self.stats.bill(MessageKind.DIGEST, source_name, target_name)
+        self.stats.bill(MessageKind.DIGEST, target_name, source_name)
+        if source.partition_digest() == target.partition_digest():
+            return False
+        self._repair(source, target, source_name, target_name)
+        return True
 
     def _repair(
         self,
@@ -235,12 +246,11 @@ class ReplicaManager:
         target: SiteEndpoint,
         source_name: str,
         target_name: str,
-    ) -> int:
+    ) -> None:
         """Ship the diff that converges ``target`` onto ``source``.
 
         Deletions travel as keys (zero tuples); inserted or changed
-        tuples bear their §3.2 cost in one ``REPLICA_SYNC``.  Returns
-        the number of tuples shipped.
+        tuples bear their §3.2 cost in one ``REPLICA_SYNC``.
         """
         want = {t.key: t for t in source.ship_all()}
         have = {t.key: t for t in target.ship_all()}
@@ -260,4 +270,3 @@ class ReplicaManager:
             MessageKind.REPLICA_SYNC, source_name, target_name, tuples=shipped
         )
         self.stats.record_round(tuples_in_round=shipped)
-        return shipped

@@ -9,20 +9,24 @@ query's result keys, probabilities, **emission order**, and
 Corollary-1 upper bounds, no ``[buffered]`` top-k holds.
 
 Also here: the §5.4 write-forwarding regression (a delete applied only
-to the primary must not be resurrected by a failover) and the rf=1
+to the primary must not be resurrected by a failover), the rf=1
 bit-identity guarantee (the replication layer is invisible until a
-second copy actually exists).
+second copy actually exists), and the one convergence path that
+recovery, failover and failback share — an aborted failback, a site
+recovering before it ever finished PREPARE, and rf=3's single failover.
 """
 
 import pytest
 
 from repro.core.tuples import UncertainTuple
+from repro.distributed.dsud import DSUD
 from repro.distributed.edsud import EDSUD
 from repro.distributed.query import build_sites, distributed_skyline
 from repro.distributed.updates import IncrementalMaintainer
 from repro.fault.injection import FaultyEndpoint
 from repro.fault.retry import RetryPolicy
 from repro.fault.schedule import FaultSchedule
+from repro.net.transport import RecordingEndpoint
 from repro.replica.manager import ReplicaManager
 
 from ..conftest import make_random_database
@@ -206,3 +210,81 @@ class TestWriteForwardingRegression:
         result = self._chaos_query(sites, manager)
         assert result.stats.failovers == 1
         assert fresh.key in {m.key for m in result.answer}
+
+
+@pytest.mark.parametrize("algorithm", ["dsud", "edsud"])
+class TestConvergence:
+    """Recovery, failover and failback are one replay of the broadcast log."""
+
+    def test_aborted_failback_is_not_a_lost_site(self, algorithm):
+        # The primary answers every liveness probe (``queue_size`` is
+        # not gated) but faults on every convergence call, so each
+        # poll's failback aborts while the buddy keeps serving.
+        partitions = make_partitions()
+        baseline = distributed_skyline(partitions, Q, algorithm=algorithm)
+        schedule = FaultSchedule(seed=0).crash(
+            VICTIM, at_call=5,
+            methods=["prepare", "pop_representative", "probe_and_prune",
+                     "probe_and_prune_batch"],
+        )
+        result = distributed_skyline(
+            partitions, Q, algorithm=algorithm,
+            fault_schedule=schedule,
+            retry_policy=fast_retries(),
+            replication_factor=2,
+        )
+        assert result.stats.by_kind.get("digest", 0) > 0  # failback was tried
+        assert result.stats.sites_lost == 1
+        assert result.stats.failovers == 1
+        assert result.stats.failbacks == 0
+        hops = [t.split(" (")[0] for t in result.coverage.transitions]
+        assert hops == [
+            f"site-{VICTIM}: up -> suspect",
+            f"site-{VICTIM}: suspect -> down",
+            f"site-{VICTIM}: down -> recovering",
+            f"site-{VICTIM}: recovering -> up",
+        ]
+        assert emission(result) == emission(baseline)
+
+    def test_recovery_prepares_a_site_that_never_finished_prepare(self, algorithm):
+        partitions = make_partitions()
+        baseline = distributed_skyline(partitions, Q, algorithm=algorithm)
+        # The victim refuses its PREPARE and the retry, then two dead
+        # liveness probes while two broadcasts pass it by; the third
+        # probe answers, and it must be prepared before their replay.
+        schedule = FaultSchedule(seed=0).crash(VICTIM, at_call=1, until_call=5)
+        log = []
+        sites = [
+            FaultyEndpoint(RecordingEndpoint(s, log) if s.site_id == VICTIM else s, schedule)
+            for s in build_sites(partitions)
+        ]
+        coordinator = {"dsud": DSUD, "edsud": EDSUD}[algorithm]
+        result = coordinator(sites, Q, retry_policy=fast_retries()).run()
+        assert result.stats.sites_recovered == 1
+        assert result.stats.by_kind["prepare"] == SITES + 1
+        # The missed broadcasts were replayed as FEEDBACK, none lost.
+        assert "failover_probe" not in result.stats.by_kind
+        assert result.stats.by_kind["feedback"] == baseline.stats.by_kind["feedback"]
+        methods = [call.method for call in log]
+        assert methods[:4] == ["queue_size", "prepare", "probe_and_prune", "probe_and_prune"]
+        assert result.coverage.complete
+        assert emission(result) == emission(baseline)
+
+    def test_rf3_fails_over_once_to_the_first_buddy(self, algorithm):
+        # The third copy is provisioned but never serves: one failover
+        # per logical site per query, billed exactly as at rf=2.
+        partitions = make_partitions()
+        baseline = distributed_skyline(partitions, Q, algorithm=algorithm)
+        runs = {
+            rf: distributed_skyline(
+                partitions, Q, algorithm=algorithm,
+                fault_schedule=FaultSchedule(seed=0).crash(VICTIM, at_call=5),
+                retry_policy=fast_retries(),
+                replication_factor=rf,
+            )
+            for rf in (2, 3)
+        }
+        assert runs[3].stats.failovers == 1
+        assert runs[3].stats.by_kind == runs[2].stats.by_kind
+        assert runs[3].stats.tuples_transmitted == runs[2].stats.tuples_transmitted
+        assert emission(runs[3]) == emission(baseline)
