@@ -8,15 +8,17 @@ and §4 notes the whole framework extends to any user-chosen subspace of
 ``k ≤ d`` attributes.  Both generalisations live here as a
 :class:`Preference` object that every algorithm in the library accepts.
 
-A ``Preference`` is normalised once into a tuple of ``(dim, sign)``
-pairs so the hot dominance loop stays a couple of comparisons per
-dimension with no per-call branching on configuration.
+Every dominance test in the library is one function,
+:func:`dominates_point`, over points already projected into canonical
+min-space (see :meth:`Preference.project`): the index, BBS, e-DSUD and
+the synopsis project once and call it directly.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import le
 from typing import Optional, Sequence, Tuple
 
 from .tuples import UncertainTuple
@@ -25,8 +27,8 @@ __all__ = [
     "Direction",
     "Preference",
     "dominates",
+    "dominates_point",
     "dominates_values",
-    "strictly_dominates_region",
 ]
 
 
@@ -118,11 +120,6 @@ class Preference:
             )
         return tuple(d.sign for d in self.directions)
 
-    def plan(self, dimensionality: int) -> Tuple[Tuple[int, float], ...]:
-        """Normalised ``(dim, sign)`` pairs for the dominance hot loop."""
-        signs = self.signs(dimensionality)
-        return tuple((dim, signs[dim]) for dim in self.effective_dims(dimensionality))
-
     def to_dict(self) -> dict:
         """JSON-compatible form (see :meth:`from_dict`)."""
         return {
@@ -159,6 +156,19 @@ class Preference:
         return tuple(values[dim] * signs[dim] for dim in self.effective_dims(len(values)))
 
 
+def dominates_point(a: Tuple[float, ...], b: Tuple[float, ...]) -> bool:
+    """Min-space dominance between two projected points: ``a ≺ b``.
+
+    ``a ≤ b`` on every dimension and ``a < b`` on at least one.  For
+    finite floats (which :class:`~repro.core.tuples.UncertainTuple`
+    guarantees) a point that is ``≤`` everywhere and unequal is strictly
+    smaller somewhere, so the test is one tuple comparison and one
+    ``map`` — both run in C.  ``-0.0 == 0.0``, as with ``<``.  Both
+    arguments must be tuples: a tuple never equals a list.
+    """
+    return a != b and all(map(le, a, b))
+
+
 def dominates_values(
     a: Sequence[float],
     b: Sequence[float],
@@ -167,27 +177,14 @@ def dominates_values(
     """Return True iff value vector ``a`` dominates ``b``.
 
     With no preference this is the paper's definition: ``a ≤ b`` on
-    every dimension with at least one strict ``<``.
+    every dimension with at least one strict ``<``.  A preference
+    projects both vectors once, then the same test runs.
     """
     if len(a) != len(b):
         raise ValueError(f"dimensionality mismatch: {len(a)} vs {len(b)}")
     if preference is None:
-        strict = False
-        for x, y in zip(a, b):
-            if x > y:
-                return False
-            if x < y:
-                strict = True
-        return strict
-    strict = False
-    for dim, sign in preference.plan(len(a)):
-        x = a[dim] * sign
-        y = b[dim] * sign
-        if x > y:
-            return False
-        if x < y:
-            strict = True
-    return strict
+        return dominates_point(tuple(a), tuple(b))
+    return dominates_point(preference.project(a), preference.project(b))
 
 
 def dominates(
@@ -197,28 +194,3 @@ def dominates(
 ) -> bool:
     """Return True iff tuple ``a`` dominates tuple ``b`` (``a ≺ b``)."""
     return dominates_values(a.values, b.values, preference)
-
-
-def strictly_dominates_region(
-    point: Sequence[float],
-    lower: Sequence[float],
-    upper: Sequence[float],
-) -> bool:
-    """True iff ``point`` dominates *every* point of the box ``[lower, upper]``.
-
-    Used by index-level pruning: if a seen object dominates a node's
-    whole MBR, every tuple in that subtree inherits the object's
-    non-occurrence factor.  ``point`` must be ≤ ``lower`` on every
-    dimension and < on at least one — the strict dimension guarantees
-    strictness against every box point, including ``lower`` itself.
-
-    All coordinates are assumed to already live in canonical min-space
-    (see :meth:`Preference.project`).
-    """
-    strict = False
-    for p, lo in zip(point, lower):
-        if p > lo:
-            return False
-        if p < lo:
-            strict = True
-    return strict

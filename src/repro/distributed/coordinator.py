@@ -26,8 +26,9 @@ did contribute.  Bringing a logical site back is one operation,
 endpoint.  *Recovery* replays what a returning site missed onto the
 site itself; *failover* (with a ``replica_manager``) replays the whole
 log onto a buddy replica and swaps it in; *failback* does the same for
-the re-synced primary, unretried, so a primary that dies again only
-costs the next poll another try — the replica never stopped serving.
+the re-synced primary, unretried; a failback that aborts is not
+tried again in that query — the replica never stopped serving, and its
+answers are exact.
 Run loops call :meth:`_poll_recoveries_script` once per iteration; on
 a healthy run none of this sends a single extra message, so accounting
 stays bit-identical to the fault-oblivious protocol.
@@ -156,8 +157,8 @@ class Coordinator(ScriptEngine):
         self._rode: Dict[int, Tuple[bool, object]] = {}
         #: Logical sites currently served by a promoted replica, mapped
         #: to their original primary endpoint (the failback probe
-        #: target).
-        self._failed_over: Dict[int, SiteEndpoint] = {}
+        #: target), or to ``None`` once that primary's failback aborted.
+        self._failed_over: Dict[int, Optional[SiteEndpoint]] = {}
         #: Optional shared liveness snapshot (the serving layer hands
         #: the same book to every in-flight query so a dead shared site
         #: is probed once per epoch, not once per query).  ``None`` —
@@ -540,7 +541,11 @@ class Coordinator(ScriptEngine):
         policy can resume fetching its candidates.  Then each
         failed-over primary that answers its own liveness probe is
         re-synced and converged back in (failback); that is invisible
-        to the run loops, so nothing more is returned.
+        to the run loops, so nothing more is returned.  A failback that
+        aborts is not retried: that primary stays behind its replica
+        for the rest of the query, with no further liveness probe,
+        digest exchange or ``prepare`` — the replica's answers are
+        already exact, so retrying would only bill the same calls again.
         """
         if not self.health.any_down and not self._failed_over:
             return []
@@ -559,7 +564,9 @@ class Coordinator(ScriptEngine):
                 recovered.append(self._site_by_id[site_id])
         for site_id in sorted(self._failed_over):
             primary = self._failed_over[site_id]
-            if not (yield from self._probe_liveness_script(primary, kind="primary")):
+            if primary is None or not (
+                yield from self._probe_liveness_script(primary, kind="primary")
+            ):
                 continue
             # Writes may have been forwarded while the primary was away.
             self.replica_manager.resync_primary(site_id)
@@ -567,6 +574,8 @@ class Coordinator(ScriptEngine):
                 del self._failed_over[site_id]
                 self.stats.failbacks += 1
                 self.stats.sites_recovered += 1
+            else:
+                self._failed_over[site_id] = None  # aborted: no further failback
         return recovered
 
     def _probe_liveness_script(

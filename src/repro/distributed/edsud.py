@@ -31,9 +31,9 @@ It defaults off to stay faithful; the ablation benchmark measures it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.dominance import Preference, dominates
+from ..core.dominance import Preference, dominates_point
 from ..core.probability import observation2_bound
 from ..fault.liveness import LivenessBook
 from ..fault.retry import RetryPolicy
@@ -71,9 +71,14 @@ class EDSUDConfig:
 
 @dataclass
 class _Resident:
-    """A server-resident candidate with its per-site bound factors."""
+    """A server-resident candidate with its per-site bound factors.
+
+    ``point`` is the tuple's min-space projection, computed once on
+    arrival for every dominance test it takes part in.
+    """
 
     quaternion: Quaternion
+    point: Tuple[float, ...]
     factors: Dict[int, float] = field(default_factory=dict)
 
     @property
@@ -89,6 +94,7 @@ class _SeenTuple:
     """Everything ever shipped to the server (the paper's 'tuples in L')."""
 
     quaternion: Quaternion
+    point: Tuple[float, ...]
     exact_factors: Dict[int, float] = field(default_factory=dict)
 
 
@@ -133,7 +139,7 @@ class EDSUD(ProgressiveCoordinator):
         r = resident.quaternion
         if q.tuple.key == r.tuple.key:
             return
-        if not dominates(q.tuple, r.tuple, self.preference):
+        if not dominates_point(seen.point, resident.point):
             return
         if q.site != r.site:
             factor = observation2_bound(q.local_probability, q.tuple.probability)
@@ -148,12 +154,17 @@ class EDSUD(ProgressiveCoordinator):
                 if prev is None or exact < prev:
                     resident.factors[site_id] = exact
 
+    def _point(self, quaternion: Quaternion) -> Tuple[float, ...]:
+        values = quaternion.tuple.values
+        return values if self.preference is None else self.preference.project(values)
+
     def _admit(self, quaternion: Quaternion) -> None:
         """Install a freshly fetched quaternion as its site's resident."""
-        resident = _Resident(quaternion=quaternion)
+        point = self._point(quaternion)
+        resident = _Resident(quaternion=quaternion, point=point)
         for seen in self._seen:
             self._apply_seen_to(resident, seen)
-        entry = _SeenTuple(quaternion=quaternion)
+        entry = _SeenTuple(quaternion=quaternion, point=point)
         if self.config.eager_bound_refresh:
             for other in self._residents.values():
                 self._apply_seen_to(other, entry)
@@ -220,7 +231,9 @@ class EDSUD(ProgressiveCoordinator):
                 seen.exact_factors = factors
                 break
         if self.config.eager_bound_refresh:
-            entry = _SeenTuple(quaternion=quaternion, exact_factors=factors)
+            entry = _SeenTuple(
+                quaternion=quaternion, point=self._point(quaternion), exact_factors=factors
+            )
             for other in self._residents.values():
                 self._apply_seen_to(other, entry)
 

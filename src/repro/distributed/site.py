@@ -295,7 +295,9 @@ class LocalSite:
         Parallel to ``_cands`` run a cursor (``_q_head``), an alive mask,
         a bound vector and the kernel's view of the candidates.
         Front-pops advance the cursor in O(1); feedback pruning flips
-        alive bits instead of rebuilding lists.
+        alive bits instead of rebuilding lists.  ``_q_live`` counts the
+        alive bits: every place that clears one decrements it, so
+        :meth:`queue_size` never sums the mask.
         """
         self.threshold = threshold
         self._cands: List[_Candidate] = [
@@ -304,6 +306,7 @@ class LocalSite:
         ]
         self._q_head = 0
         self._q_alive = np.ones(len(self._cands), dtype=bool)
+        self._q_live = len(self._cands)
         self._q_bounds = np.array([c.local_probability for c in self._cands], dtype=np.float64)
         tuples = [c.tuple for c in self._cands]
         self._q_view: Any = self.kernel.queue_view(tuples) if tuples else None
@@ -399,6 +402,7 @@ class LocalSite:
             if not self._q_alive[idx]:
                 continue  # pruned or deleted earlier; already accounted
             self._q_alive[idx] = False  # consumed either way
+            self._q_live -= 1
             cand = self._cands[idx]
             if float(self._q_bounds[idx]) < self.threshold:
                 self.pruned_total += 1
@@ -412,7 +416,7 @@ class LocalSite:
         return None
 
     def queue_size(self) -> int:
-        return int(self._q_alive.sum())
+        return self._q_live
 
     def fast_forward(self, keys: Sequence[int]) -> int:
         """Mark candidates as already delivered (failover catch-up).
@@ -432,6 +436,7 @@ class LocalSite:
                 self._q_alive[idx] = False
                 self._popped_keys.add(self._cands[idx].tuple.key)
                 skipped += 1
+        self._q_live -= skipped
         return skipped
 
     def ship_all(self) -> List[UncertainTuple]:
@@ -489,7 +494,7 @@ class LocalSite:
         self._feedback.append(t)
         if not self.config.feedback_pruning:
             return 0
-        if not self._q_alive.any():
+        if not self._q_live:
             return 0
         dominated = self.kernel.dominated(t, self._q_view, self._q_alive)
         if not dominated.any():
@@ -499,6 +504,7 @@ class LocalSite:
         pruned = int(dead.sum())
         if pruned:
             self._q_alive[dead] = False
+            self._q_live -= pruned
             self.pruned_total += pruned
         return pruned
 
@@ -560,6 +566,7 @@ class LocalSite:
         for idx in range(self._q_head, len(self._cands)):
             if self._q_alive[idx] and self._cands[idx].tuple.key == key:
                 self._q_alive[idx] = False
+                self._q_live -= 1
         return t
 
     def local_skyline_probability(self, t: UncertainTuple, floor: float = 0.0) -> float:

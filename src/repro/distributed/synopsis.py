@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
-from ..core.dominance import Preference
+from ..core.dominance import Preference, dominates_point
 from ..net.message import MessageKind, Quaternion
 from ..net.stats import LatencyModel
 from ..net.transport import SiteEndpoint
@@ -73,20 +73,11 @@ class GridSynopsis:
         Conservative (boundary cells are skipped), which is the right
         bias for a selection heuristic.
         """
-        total = 0
-        for cell, (count, _mean_p) in self.cells.items():
-            corner = self.cell_lower_corner(cell)
-            strict = False
-            dominated = True
-            for p, c in zip(point, corner):
-                if p > c:
-                    dominated = False
-                    break
-                if p < c:
-                    strict = True
-            if dominated and strict:
-                total += count
-        return total
+        return sum(
+            count
+            for cell, (count, _mean_p) in self.cells.items()
+            if dominates_point(point, self.cell_lower_corner(cell))
+        )
 
 
 def build_site_synopsis(site: LocalSite, cells_per_dim: int = 8) -> GridSynopsis:
@@ -175,12 +166,8 @@ class SynopsisEDSUD(EDSUD):
 
     def _reach(self, resident: _Resident) -> int:
         """How many histogrammed candidates at other sites it would dominate."""
-        values = resident.quaternion.tuple.values
-        if self.preference is not None:
-            values = self.preference.project(values)
-        point = tuple(values)
         return sum(
-            synopsis.estimated_dominated(point)
+            synopsis.estimated_dominated(resident.point)
             for site_id, synopsis in self.synopses.items()
             if site_id != resident.quaternion.site
         )

@@ -46,9 +46,9 @@ import heapq
 import itertools
 from typing import Iterator, List
 
-from ..core.dominance import strictly_dominates_region
+from ..core.dominance import dominates_point
 from ..core.prob_skyline import ProbabilisticSkyline, SkylineMember
-from .prtree import PRTree, _point_dominates
+from .prtree import PRTree
 from .rtree import IndexedItem, Node
 
 __all__ = ["bbs_prob_skyline", "bbs_prob_skyline_progressive"]
@@ -82,8 +82,9 @@ def bbs_prob_skyline_progressive(
             # One pass over the window: the bound, and whether it joins.
             bound = entry.probability
             dominated = False
+            point = entry.values
             for w in pruners:
-                if _point_dominates(w.values, entry.values):
+                if dominates_point(w.values, point):
                     dominated = True
                     bound *= 1.0 - w.probability
                     if bound < threshold:
@@ -124,7 +125,9 @@ def _node_pruned(pruners: List[IndexedItem], node: Node, threshold: float) -> bo
         return True
     lower = node.rect.lower
     for w in pruners:
-        if strictly_dominates_region(w.values, lower, node.rect.upper):
+        # Dominating the lower corner is dominating the whole box: the
+        # strict dimension stays strict against every box point.
+        if dominates_point(w.values, lower):
             bound *= 1.0 - w.probability
             if bound < threshold:
                 return True

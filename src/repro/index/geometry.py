@@ -1,16 +1,16 @@
 """Axis-aligned rectangle (MBR) geometry for the R-tree family.
 
-Everything is plain tuples of floats — deliberately no numpy in the
-per-node hot path, and this stays true even now that columnar kernels
-exist: tree traversal touches one small fixed-``d`` box at a time,
-where interpreter-level tuple comparisons beat numpy's per-call
-dispatch overhead by a wide margin.  Vectorization pays only at
-partition granularity, and that lives in :mod:`repro.core.kernels`
-(the PR-tree's batched ``dominators_products`` loops these scalar
-traversals rather than columnising nodes).  Rectangles are immutable
-values, which keeps node updates explicit: a node's MBR is only ever
-*recomputed*, never mutated in place, so a stale bound is a bug the
-invariant checker can catch.
+Everything is plain tuples of floats, with no numpy: tree traversal
+touches one small fixed-``d`` box at a time, where a per-call numpy
+dispatch costs more than the comparison itself.  The §6.3 window query
+and BBS test a box against a point with the one min-space dominance
+test, :func:`repro.core.dominance.dominates_point`, on the box's
+corners — its tuple compare and ``map`` run in C, so a node test costs
+no interpreted per-dimension loop.  Vectorization pays only at
+partition granularity, and that lives in :mod:`repro.core.kernels`.
+Rectangles are immutable values, which keeps node updates explicit: a
+node's MBR is only ever *recomputed*, never mutated in place, so a
+stale bound is a bug the invariant checker can catch.
 Coordinates are assumed to live in canonical min-space (preferences are
 applied before anything reaches the index; see
 :meth:`repro.core.dominance.Preference.project`).
@@ -109,30 +109,3 @@ class Rect:
         lower corner.
         """
         return float(sum(self.lower))
-
-    def fully_inside_dominance_region(self, target: Sequence[float]) -> bool:
-        """True iff *every* point of the box dominates ``target``.
-
-        Requires ``upper ≤ target`` everywhere and strictly ``<`` on at
-        least one dimension — the strict dimension makes every box
-        point strictly better somewhere, including the box's own upper
-        corner.
-        """
-        strict = False
-        for up, t in zip(self.upper, target):
-            if up > t:
-                return False
-            if up < t:
-                strict = True
-        return strict
-
-    def disjoint_from_dominance_region(self, target: Sequence[float]) -> bool:
-        """True iff *no* point of the box can dominate ``target``.
-
-        A dominating point must be ≤ ``target`` on every dimension, so
-        a box whose lower corner exceeds the target anywhere is out.
-        The remaining boxes may still contain only the target point
-        itself (which does not dominate); leaf-level exact checks
-        handle that case.
-        """
-        return any(lo > t for lo, t in zip(self.lower, target))

@@ -25,9 +25,10 @@ queries need no special handling anywhere in the index code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import le
+from typing import Iterable, Iterator, List, Optional, Sequence
 
-from ..core.dominance import Preference
+from ..core.dominance import Preference, dominates_point
 from ..core.tuples import UncertainTuple
 from .bulk import str_bulk_load
 from .rtree import IndexedItem, Node, RTree
@@ -192,30 +193,34 @@ class PRTree(RTree):
         product = 1.0
         if self.root.rect is None:
             return product
+        store_products = self.store_products
+        accesses = 0
         stack: List[Node] = [self.root]
         while stack:
             node = stack.pop()
-            self.node_accesses += 1
+            accesses += 1
             rect = node.rect
-            if rect is None or rect.disjoint_from_dominance_region(point):
+            # Disjoint: some lower coordinate exceeds the target, so no
+            # box point can be ≤ it everywhere.
+            if rect is None or not all(map(le, rect.lower, point)):
                 continue
-            # A box fully inside the *strict* dominance region is below
-            # ``point`` on some dimension, so it cannot hold the target
-            # itself: its whole product counts.
-            if self.store_products and rect.fully_inside_dominance_region(point):
+            # A box whose upper corner dominates ``point`` lies inside
+            # the *strict* dominance region: it is below ``point`` on
+            # some dimension, so it cannot hold the target itself and
+            # its whole product counts.
+            if store_products and dominates_point(rect.upper, point):
                 product *= node.aggregate.non_occurrence
             elif node.is_leaf:
                 for item in node.entries:
-                    if item.key == exclude_key:
-                        continue
-                    if _point_dominates(item.values, point):
+                    if item.key != exclude_key and dominates_point(item.values, point):
                         product *= 1.0 - item.probability
                         if product < floor:
-                            return product
+                            break
             else:
                 stack.extend(node.entries)
             if product < floor:
-                return product
+                break
+        self.node_accesses += accesses
         return product
 
     def dominators_products(
@@ -229,13 +234,3 @@ class PRTree(RTree):
         """
         return [self.dominators_product(t, floor=floor) for t in targets]
 
-
-def _point_dominates(a: Tuple[float, ...], b: Tuple[float, ...]) -> bool:
-    """Min-space dominance between projected points."""
-    strict = False
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-        if x < y:
-            strict = True
-    return strict

@@ -8,8 +8,8 @@ from repro.core.dominance import (
     Direction,
     Preference,
     dominates,
+    dominates_point,
     dominates_values,
-    strictly_dominates_region,
 )
 from repro.core.tuples import UncertainTuple
 
@@ -151,23 +151,61 @@ class TestPreferenceSerialization:
 
 
 class TestRegionDominance:
+    """A point dominates every point of a box iff it dominates the box's
+    lower corner: BBS's subtree pruning runs ``dominates_point`` on it."""
+
     def test_point_dominating_whole_box(self):
-        assert strictly_dominates_region((0, 0), (1, 1), (2, 2))
+        assert dominates_point((0, 0), (1, 1))
 
     def test_point_equal_to_lower_corner_does_not(self):
-        assert not strictly_dominates_region((1, 1), (1, 1), (2, 2))
+        assert not dominates_point((1, 1), (1, 1))
 
     def test_point_below_on_one_dim_suffices(self):
-        assert strictly_dominates_region((0, 1), (1, 1), (2, 2))
+        assert dominates_point((0, 1), (1, 1))
 
     def test_point_above_lower_fails(self):
-        assert not strictly_dominates_region((2, 0), (1, 1), (3, 3))
+        assert not dominates_point((2, 0), (1, 1))
 
     @given(vectors, vectors, vectors)
     def test_region_dominance_implies_point_dominance(self, p, lo, hi):
         lower = tuple(min(a, b) for a, b in zip(lo, hi))
         upper = tuple(max(a, b) for a, b in zip(lo, hi))
-        if strictly_dominates_region(p, lower, upper):
+        if dominates_point(tuple(p), lower):
             # every corner of the box must be dominated; check extremes
             assert dominates_values(p, lower)
             assert dominates_values(p, upper)
+
+
+def _reference_point_dominates(a, b):
+    """The hand-rolled loop every dominance test in the library used to be."""
+    strict = False
+    for x, y in zip(a, b):
+        if x > y:
+            return False
+        if x < y:
+            strict = True
+    return strict
+
+
+# A coarse grid with both signed zeros, so ties and ``-0.0`` against
+# ``0.0`` are common.
+grid = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
+
+
+@st.composite
+def point_pairs(draw):
+    d = draw(st.integers(min_value=1, max_value=5))
+    a = draw(st.tuples(*[grid] * d))
+    b = draw(st.tuples(*[grid] * d))
+    return a, b
+
+
+class TestDominatesPoint:
+    @given(point_pairs())
+    def test_matches_the_reference_loop(self, pair):
+        a, b = pair
+        assert dominates_point(a, b) == _reference_point_dominates(a, b)
+
+    def test_signed_zeros_tie(self):
+        assert not dominates_point((-0.0, 1.0), (0.0, 1.0))
+        assert dominates_point((-0.0, 0.5), (0.0, 1.0))

@@ -1,11 +1,15 @@
 """LocalSite: local skyline queue, probes, and feedback pruning."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.prob_skyline import prob_skyline_sfs
 from repro.core.probability import foreign_skyline_probability, skyline_probability
 from repro.core.tuples import UncertainTuple
-from repro.distributed.site import LocalSite, SiteConfig
+from repro.distributed.site import KERNELS, LocalSite, SiteConfig
 
 from ..conftest import make_random_database
 
@@ -168,6 +172,31 @@ class TestFeedbackPruning:
         reply = site.probe_and_prune(UncertainTuple(100, (0.5, 0.5), 0.99))
         assert reply.pruned == 0
         assert site.queue_size() == 2
+
+
+class TestLiveCount:
+    """``queue_size()`` is a live count kept beside the alive mask; it
+    must equal the mask's sum after every step that flips a bit."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_the_alive_mask(self, kernel, seed):
+        site, db = make_site(n=80, seed=seed % 50, config=SiteConfig(kernel=kernel))
+        rng = random.Random(seed)
+        site.prepare(rng.choice([0.2, 0.3, 0.5]))
+        foreign = make_random_database(20, 2, seed=seed, grid=10, start_key=9000)
+        for _ in range(40):
+            step = rng.choice(["pop", "feedback", "fast_forward", "delete"])
+            if step == "pop":
+                site.pop_representative()
+            elif step == "feedback":
+                site.apply_feedback(rng.choice(foreign))
+            elif step == "fast_forward":
+                site.fast_forward(rng.sample([t.key for t in db], 3))
+            elif site.database:
+                site.delete_tuple(rng.choice(sorted(site.database)))
+            assert site.queue_size() == int(site._q_alive.sum())
 
 
 class TestShipping:

@@ -218,8 +218,9 @@ class TestConvergence:
 
     def test_aborted_failback_is_not_a_lost_site(self, algorithm):
         # The primary answers every liveness probe (``queue_size`` is
-        # not gated) but faults on every convergence call, so each
-        # poll's failback aborts while the buddy keeps serving.
+        # not gated) but faults on every convergence call, so its first
+        # failback aborts while the buddy keeps serving — and is never
+        # tried again in this query.
         partitions = make_partitions()
         baseline = distributed_skyline(partitions, Q, algorithm=algorithm)
         schedule = FaultSchedule(seed=0).crash(
@@ -233,7 +234,13 @@ class TestConvergence:
             retry_policy=fast_retries(),
             replication_factor=2,
         )
-        assert result.stats.by_kind.get("digest", 0) > 0  # failback was tried
+        # One failback attempt: one liveness probe, one resync digest
+        # exchange, one aborted prepare.  The other CONTROL is the
+        # failover's fast_forward, the other extra prepare the buddy's.
+        by_kind = result.stats.by_kind
+        assert by_kind["control"] == 2
+        assert by_kind["digest"] == 2
+        assert by_kind["prepare"] == SITES + 2
         assert result.stats.sites_lost == 1
         assert result.stats.failovers == 1
         assert result.stats.failbacks == 0

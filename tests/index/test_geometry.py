@@ -1,9 +1,12 @@
 """MBR geometry unit and property tests."""
 
+from operator import le
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.dominance import dominates_point
 from repro.index.geometry import Rect
 
 coords = st.lists(st.integers(min_value=-5, max_value=5).map(float), min_size=2, max_size=2)
@@ -97,38 +100,45 @@ class TestPredicates:
         assert r1.intersects(r2) == r2.intersects(r1)
 
 
+def fully_inside(r, target):
+    """The window query's inside test: the upper corner dominates ``target``."""
+    return dominates_point(r.upper, tuple(target))
+
+
+def disjoint(r, target):
+    """The window query's skip test: the lower corner exceeds ``target`` somewhere."""
+    return not all(map(le, r.lower, target))
+
+
 class TestDominanceRegionPredicates:
     def test_fully_inside(self):
         r = Rect((0.0, 0.0), (1.0, 1.0))
-        assert r.fully_inside_dominance_region((2.0, 2.0))
-        assert r.fully_inside_dominance_region((1.0, 2.0))  # tie on one dim OK
+        assert fully_inside(r, (2.0, 2.0))
+        assert fully_inside(r, (1.0, 2.0))  # tie on one dim OK
 
     def test_equal_upper_not_fully_inside(self):
         r = Rect((0.0, 0.0), (1.0, 1.0))
-        assert not r.fully_inside_dominance_region((1.0, 1.0))
+        assert not fully_inside(r, (1.0, 1.0))
 
     def test_disjoint_from_region(self):
         r = Rect((3.0, 0.0), (4.0, 1.0))
-        assert r.disjoint_from_dominance_region((2.0, 9.0))
+        assert disjoint(r, (2.0, 9.0))
 
     def test_boundary_overlap_not_disjoint(self):
         # lower corner exactly at the target: only equal points, but the
         # conservative test must keep it (leaf check refines).
         r = Rect((2.0, 2.0), (3.0, 3.0))
-        assert not r.disjoint_from_dominance_region((2.0, 2.0))
+        assert not disjoint(r, (2.0, 2.0))
 
     @given(coords, coords, coords)
     def test_fully_inside_never_contains_the_target(self, a, b, target):
         # Why a window query may take a fully-inside subtree's whole
         # product without looking for the target's own key in it.
         r = rect_from(a, b)
-        if r.fully_inside_dominance_region(target):
+        if fully_inside(r, target):
             assert not r.contains_point(target)
 
     @given(coords, coords, coords)
     def test_predicates_never_both_true(self, a, b, target):
         r = rect_from(a, b)
-        assert not (
-            r.fully_inside_dominance_region(target)
-            and r.disjoint_from_dominance_region(target)
-        )
+        assert not (fully_inside(r, target) and disjoint(r, target))

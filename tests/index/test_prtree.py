@@ -1,17 +1,93 @@
 """PR-tree: probability aggregates and the §6.3 dominator-product probe."""
 
 import random
+from typing import List, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dominance import Preference
+from repro.core.dominance import Direction, Preference
 from repro.core.probability import non_occurrence_product
 from repro.core.tuples import UncertainTuple
 from repro.index.prtree import PRTree
+from repro.index.rtree import Node
 
 from ..conftest import make_random_database
+
+
+# The window query as it stood before it moved onto
+# ``repro.core.dominance.dominates_point``: the method body verbatim
+# (``self`` → ``tree``), with the box and point tests it called copied
+# beside it.  The test below holds the new traversal to its exact bits
+# and node count.
+
+
+def _reference_dominators_product(
+    tree: PRTree,
+    target: UncertainTuple,
+    floor: float = 0.0,
+    exclude_key: Optional[int] = None,
+) -> float:
+    if exclude_key is None:
+        exclude_key = target.key
+    point = (
+        tree.preference.project(target.values)
+        if tree.preference is not None
+        else tuple(target.values)
+    )
+    product = 1.0
+    if tree.root.rect is None:
+        return product
+    stack: List[Node] = [tree.root]
+    while stack:
+        node = stack.pop()
+        tree.node_accesses += 1
+        rect = node.rect
+        if rect is None or _disjoint_from_dominance_region(rect, point):
+            continue
+        # A box fully inside the *strict* dominance region is below
+        # ``point`` on some dimension, so it cannot hold the target
+        # itself: its whole product counts.
+        if tree.store_products and _fully_inside_dominance_region(rect, point):
+            product *= node.aggregate.non_occurrence
+        elif node.is_leaf:
+            for item in node.entries:
+                if item.key == exclude_key:
+                    continue
+                if _point_dominates(item.values, point):
+                    product *= 1.0 - item.probability
+                    if product < floor:
+                        return product
+        else:
+            stack.extend(node.entries)
+        if product < floor:
+            return product
+    return product
+
+
+def _fully_inside_dominance_region(rect, target) -> bool:
+    strict = False
+    for up, t in zip(rect.upper, target):
+        if up > t:
+            return False
+        if up < t:
+            strict = True
+    return strict
+
+
+def _disjoint_from_dominance_region(rect, target) -> bool:
+    return any(lo > t for lo, t in zip(rect.lower, target))
+
+
+def _point_dominates(a: Tuple[float, ...], b: Tuple[float, ...]) -> bool:
+    strict = False
+    for x, y in zip(a, b):
+        if x > y:
+            return False
+        if x < y:
+            strict = True
+    return strict
 
 
 class TestAggregates:
@@ -130,6 +206,65 @@ class TestDominatorsProduct:
         before = tree.node_accesses
         tree.dominators_product(db[0])
         assert tree.node_accesses > before
+
+
+# A coarse grid with both signed zeros, so ties, duplicates and
+# ``-0.0`` against ``0.0`` all occur.
+GRID = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5])
+PROBS = st.sampled_from([0.05, 0.3, 0.5, 0.7, 0.95, 1.0])
+
+
+@st.composite
+def probe_cases(draw):
+    d = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(min_value=0, max_value=300))
+    rows = draw(st.lists(st.tuples(*[GRID] * d), min_size=n, max_size=n))
+    probs = draw(st.lists(PROBS, min_size=n, max_size=n))
+    db = [UncertainTuple(k, row, p) for k, (row, p) in enumerate(zip(rows, probs))]
+    preference = draw(
+        st.sampled_from(
+            [
+                None,
+                Preference(directions=(Direction.MAX,) + (Direction.MIN,) * (d - 1)),
+                Preference(
+                    directions=(Direction.MIN,) * (d - 1) + (Direction.MAX,),
+                    subspace=(d - 1, 0),
+                ),
+            ]
+        )
+    )
+    tree = PRTree.build(
+        db,
+        preference=preference,
+        max_entries=draw(st.sampled_from([4, 6, 16])),
+        store_products=draw(st.booleans()),
+    )
+    # Every stored point is a target: the inside test differs from a
+    # non-strict one only at a box whose upper corner is the target.
+    targets = [(t, None) for t in db]
+    foreign = draw(st.lists(st.tuples(*[GRID] * d), max_size=4))
+    targets += [(UncertainTuple(10_000 + i, row, 0.5), None) for i, row in enumerate(foreign)]
+    if db:  # a stored point probed on behalf of another key
+        targets.append((db[-1], -1))
+    floor = draw(st.sampled_from([0.0, draw(st.floats(min_value=0.0, max_value=1.0))]))
+    return tree, targets, floor
+
+
+class TestReferenceTraversal:
+    @given(probe_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identical_to_the_reference_traversal(self, case):
+        tree, targets, floor = case
+        for target, exclude_key in targets:
+            tree.node_accesses = 0
+            expected = _reference_dominators_product(
+                tree, target, floor=floor, exclude_key=exclude_key
+            )
+            expected_accesses = tree.node_accesses
+            tree.node_accesses = 0
+            got = tree.dominators_product(target, floor=floor, exclude_key=exclude_key)
+            assert got.hex() == expected.hex()
+            assert tree.node_accesses == expected_accesses
 
 
 class TestDominators:
