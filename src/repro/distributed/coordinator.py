@@ -25,10 +25,10 @@ did contribute.  Bringing a logical site back is one operation,
 :meth:`_converge_script`: replay part of that broadcast log onto an
 endpoint.  *Recovery* replays what a returning site missed onto the
 site itself; *failover* (with a ``replica_manager``) replays the whole
-log onto a buddy replica and swaps it in; *failback* does the same for
-the re-synced primary, unretried; a failback that aborts is not
-tried again in that query — the replica never stopped serving, and its
-answers are exact.
+log onto the site's next unused buddy replica and swaps it in;
+*failback* does the same for the re-synced primary, unretried; a
+failback that aborts is not tried again in that query — the replica
+never stopped serving, and its answers are exact.
 Run loops call :meth:`_poll_recoveries_script` once per iteration; on
 a healthy run none of this sends a single extra message, so accounting
 stays bit-identical to the fault-oblivious protocol.
@@ -133,17 +133,12 @@ class Coordinator(ScriptEngine):
         self._site_tail_cap: Dict[int, float] = {
             s.site_id: 1.0 for s in self.sites
         }
-        #: Optional replication subsystem: with buddy replicas a
-        #: primary that goes DOWN is *failed over* (a replica is
-        #: promoted as the logical site's endpoint, the in-flight round
-        #: replayed) instead of degrading the query to Corollary-1
-        #: bounds.  Provisioning happens before the query books are
-        #: bound, so a healthy replicated run bills exactly like an
-        #: unreplicated one.
+        #: Optional replication subsystem: a logical site that goes DOWN
+        #: is *failed over* to its next unused replica (the in-flight
+        #: round replayed) instead of degrading to Corollary-1 bounds.
         self.replica_manager = replica_manager
-        if replica_manager is not None:
-            replica_manager.ensure_provisioned()
-            replica_manager.bind_stats(self.stats)
+        #: Replicas of each logical site tried since its last failback.
+        self._buddies_used: Dict[int, int] = {s.site_id: 0 for s in self.sites}
         #: Representative keys each logical site already surrendered —
         #: the catch-up list a promoted replacement fast-forwards over
         #: so it never re-serves a delivered candidate.
@@ -156,9 +151,11 @@ class Coordinator(ScriptEngine):
         #: point the sequential protocol would have popped.
         self._rode: Dict[int, Tuple[bool, object]] = {}
         #: Logical sites currently served by a promoted replica, mapped
-        #: to their original primary endpoint (the failback probe
-        #: target), or to ``None`` once that primary's failback aborted.
-        self._failed_over: Dict[int, Optional[SiteEndpoint]] = {}
+        #: to their original primary (the failback target), kept across
+        #: a second failover; ``_failback_aborted`` holds those whose
+        #: primary is probed again only once the logical site is DOWN.
+        self._failed_over: Dict[int, SiteEndpoint] = {}
+        self._failback_aborted: set = set()
         #: Optional shared liveness snapshot (the serving layer hands
         #: the same book to every in-flight query so a dead shared site
         #: is probed once per epoch, not once per query).  ``None`` —
@@ -534,18 +531,16 @@ class Coordinator(ScriptEngine):
         DOWN site gets one unretried liveness probe (a CONTROL
         message); if it answers, it converges — re-probed for every
         Eq.-9 factor it owes, tightening and possibly retracting
-        degraded results.  A site that stays dead *and* has a buddy
-        replica is failed over instead (most failovers happen earlier,
-        inline at the faulting RPC; this catches sites whose recovery
-        failed).  Either way the site is returned so the iteration
-        policy can resume fetching its candidates.  Then each
+        degraded results.  A site that stays dead is failed over to its
+        next unused buddy instead (most failovers happen earlier, inline
+        at the faulting RPC).  Either way the site is returned so the
+        iteration policy can resume fetching its candidates.  Then each
         failed-over primary that answers its own liveness probe is
-        re-synced and converged back in (failback); that is invisible
-        to the run loops, so nothing more is returned.  A failback that
-        aborts is not retried: that primary stays behind its replica
-        for the rest of the query, with no further liveness probe,
-        digest exchange or ``prepare`` — the replica's answers are
-        already exact, so retrying would only bill the same calls again.
+        re-synced and converged back in: a failback, invisible to the
+        run loops — or, once every buddy is lost, a recovery, returned.
+        A failback that aborts is not retried while the replica serves
+        (no further probe, digest exchange or ``prepare``: the replica
+        is exact); only a later DOWN gets that primary probed again.
         """
         if not self.health.any_down and not self._failed_over:
             return []
@@ -564,18 +559,26 @@ class Coordinator(ScriptEngine):
                 recovered.append(self._site_by_id[site_id])
         for site_id in sorted(self._failed_over):
             primary = self._failed_over[site_id]
-            if primary is None or not (
+            down = self.health.is_down(site_id)  # every buddy lost: a recovery
+            if (site_id in self._failback_aborted and not down) or not (
                 yield from self._probe_liveness_script(primary, kind="primary")
             ):
                 continue
             # Writes may have been forwarded while the primary was away.
-            self.replica_manager.resync_primary(site_id)
+            self.replica_manager.resync(site_id, self._site_by_id[site_id], primary, self.stats)
+            if down:
+                self.health.mark_recovering(site_id, "primary answered")
             if (yield from self._converge_script(site_id, primary)) is not None:
                 del self._failed_over[site_id]
-                self.stats.failbacks += 1
+                self._failback_aborted.discard(site_id)
+                self._buddies_used[site_id] = 0
                 self.stats.sites_recovered += 1
-            else:
-                self._failed_over[site_id] = None  # aborted: no further failback
+                if down:
+                    recovered.append(primary)
+                else:
+                    self.stats.failbacks += 1
+            elif not down:
+                self._failback_aborted.add(site_id)
         return recovered
 
     def _probe_liveness_script(
@@ -606,32 +609,29 @@ class Coordinator(ScriptEngine):
     def _failover_script(
         self, site_id: int
     ) -> Generator[Optional[_Request], Any, Optional[Tuple[int, Dict[int, float]]]]:
-        """Re-target a DOWN logical site at its buddy replica.
+        """Re-target a DOWN logical site at its next unused buddy replica.
 
-        The policy half of failover: which replica, and the
-        ``_failed_over`` entry that later drives failback.  Returns what
-        :meth:`_converge_script` returns — on success the logical site
-        is UP again, served by the replica (read it from
-        ``_site_by_id``), with every Eq.-9 factor the dead primary owed
-        recovered.  ``None`` when no replication is configured, the
-        site already failed over once (one failover per logical site
-        per query, to the first buddy), or the convergence failed (its
-        failing RPC already marked the site DOWN again).
+        Walk the site's replica list in placement order from the first
+        buddy not tried since its last failback, until one converges;
+        ``_failed_over`` keeps the original primary (the failback
+        target).  Returns what :meth:`_converge_script` returns — on
+        success the site is UP, served by the replica (``_site_by_id``),
+        every Eq.-9 factor the dead endpoint owed recovered; ``None``
+        when the site is not DOWN or no unused buddy converges.
         """
-        if self.replica_manager is None or site_id in self._failed_over:
+        if self.replica_manager is None or not self.health.is_down(site_id):
             return None
-        if not self.health.is_down(site_id):
-            return None
-        replica = self.replica_manager.replica_for(site_id)
-        if replica is None:
-            return None
-        primary = self._site_by_id[site_id]
-        self.health.mark_recovering(site_id, "failover: promoting buddy replica")
-        converged = yield from self._converge_script(site_id, replica)
-        if converged is not None:
-            self._failed_over[site_id] = primary
-            self.stats.failovers += 1
-        return converged
+        serving = self._site_by_id[site_id]
+        buddies = self.replica_manager.replicas.get(site_id, [])
+        for _host, replica in buddies[self._buddies_used[site_id]:]:
+            self._buddies_used[site_id] += 1
+            self.health.mark_recovering(site_id, "failover: promoting buddy replica")
+            converged = yield from self._converge_script(site_id, replica)
+            if converged is not None:
+                self._failed_over.setdefault(site_id, serving)
+                self.stats.failovers += 1
+                return converged
+        return None
 
     def _converge_script(
         self, site_id: int, endpoint: SiteEndpoint
@@ -658,15 +658,15 @@ class Coordinator(ScriptEngine):
            message) so it never re-serves a delivered candidate; then
            the swap.
 
-        While a replica serves the logical site (failback), the calls
-        are unretried and leave the FSM alone: the primary's fault is
-        not the logical site's, and the next poll is the retry.
+        When ``endpoint`` is the failed-over primary of an UP site
+        (failback), the calls are unretried and leave the FSM alone: a
+        replica keeps serving the logical site.
 
         Returns ``(|SKY(D_i)|, replayed factors by key)`` — the size is
         0 when nothing was prepared; ``None`` if an RPC failed.
         """
         swap = endpoint is not self._site_by_id[site_id]
-        raw = site_id in self._failed_over
+        raw = endpoint is self._failed_over.get(site_id) and self.health.lifecycle(site_id).is_up
         name = self._name(endpoint)
         size = 0
         if swap or site_id not in self._prepared:

@@ -156,11 +156,10 @@ def build_coordinator(
         # primaries via ship_all — a maintenance path the fault
         # schedule does not gate — onto plain LocalSite copies; the
         # provisioning cost lands on the manager's standing books.
-        replica_manager = ReplicaManager(
+        replica_manager = ReplicaManager.provision(
             sites, replication_factor,
             preference=preference, site_config=site_config,
         )
-        replica_manager.ensure_provisioned()
     return assemble_coordinator(
         sites, threshold, algorithm=algorithm, preference=preference,
         latency_model=latency_model, edsud_config=edsud_config, limit=limit,
@@ -234,11 +233,11 @@ def distributed_skyline(
         stays exact — equal to the fault-free run — instead of
         degrading to Corollary-1 bounds (see docs/failure-model.md).
     replica_manager:
-        Optionally supply a pre-built (already provisioned, possibly
-        update-forwarded) :class:`~repro.replica.manager.ReplicaManager`
-        instead of ``replication_factor``; its replica traffic is
-        billed to this query's books from the moment the coordinator
-        binds it.
+        Optionally supply a pre-built (possibly update-forwarded)
+        :class:`~repro.replica.manager.ReplicaManager` instead of
+        ``replication_factor``; failover and failback traffic is
+        billed to this query's books, provisioning and forwarded
+        writes to the manager's standing book.
 
     Returns the :class:`RunResult` with the answer, exact bandwidth
     accounting, the progressiveness timeline, and the coverage report.

@@ -44,7 +44,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from ..core.dominance import Preference, dominates
-from ..core.kernels import ColumnStore, _project_matrix
+from ..core.kernels import ColumnStore
 from ..core.kernels import prob_skyline_sfs as columnar_prob_skyline_sfs
 from ..core.prob_skyline import ProbabilisticSkyline, SkylineMember, prob_skyline_sfs
 from ..core.probability import feedback_pruning_bound, non_occurrence_product
@@ -139,9 +139,8 @@ class SiteKernel:
 
     def _point(self, t: UncertainTuple) -> np.ndarray:
         """One tuple's canonical min-space coordinates."""
-        return _project_matrix(
-            np.asarray(t.values, dtype=np.float64).reshape(1, -1), self.preference
-        )[0]
+        values = t.values if self.preference is None else self.preference.project(t.values)
+        return np.asarray(values, dtype=np.float64)
 
     def skyline(self, threshold: float) -> ProbabilisticSkyline:
         """``SKY(D_i) = { t : P_sky(t, D_i) ≥ q }`` (sort-filter-skyline)."""
@@ -444,7 +443,7 @@ class LocalSite:
         return list(self.database.values())
 
     def partition_digest(self) -> str:
-        """A deterministic fingerprint of ``D_i`` for anti-entropy checks.
+        """A deterministic fingerprint of ``D_i`` for replica resync checks.
 
         Computed site-side; only the hex digest travels the wire, so a
         digest exchange costs zero tuples under the §3.2 metric.

@@ -43,7 +43,7 @@ class MessageKind(enum.Enum):
     DATA = "data"                        # S_i → H : raw tuple shipment (baselines)
     CONTROL = "control"                  # anything else bookkeeping-ish
     REPLICA_SYNC = "replica_sync"        # S_i → R_i : tuple shipment to a replica
-    DIGEST = "digest"                    # H ↔ R_i : anti-entropy partition digest
+    DIGEST = "digest"                    # H ↔ R_i : failback resync partition digest
     FAILOVER_PROBE = "failover_probe"    # H → R_i : replayed broadcast after failover
     SUBSCRIBE = "subscribe"              # client ↔ H ↔ S_i : standing-query (de)registration
     DELTA = "delta"                      # S_i → H : stream digest (1 tuple per new candidate)

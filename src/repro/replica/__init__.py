@@ -6,13 +6,12 @@ needs every site's Eq.-9 factor to stay *exact*.  This package closes
 that gap: every partition ``D_i`` is copied onto
 ``replication_factor - 1`` buddy hosts chosen by a seed-deterministic
 ring placement (:mod:`~repro.replica.placement`), kept consistent by
-write-forwarding plus anti-entropy digest exchange
-(:class:`~repro.replica.manager.ReplicaManager`), and served to the
-coordinator as a drop-in replacement endpoint when the primary goes
-DOWN — so a query under chaos returns the fault-free answer instead of
-a degraded one.  A logical site fails over once per query, to its first
-buddy; further copies are provisioned and write-forwarded, but serve
-only once replicas become faultable endpoints of their own.
+write-forwarding (:class:`~repro.replica.manager.ReplicaManager`), and
+held as a placement-ordered list of ready endpoints per logical site.
+When the serving endpoint goes DOWN, the coordinator promotes the next
+unused buddy on that list — so a query under chaos returns the
+fault-free answer instead of a degraded one, through as many failovers
+per logical site as it has buddies.
 """
 
 from .manager import ReplicaManager

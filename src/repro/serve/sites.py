@@ -14,12 +14,14 @@ only needs its own *candidate queue* over them.
   at the same threshold cost one local-skyline computation, not N.
 * :class:`StandingReplicaBook` plays the same trick for replication:
   instead of re-shipping every partition to its buddies per query, a
-  session's :class:`~repro.replica.manager.ReplicaManager` is injected
-  with pre-provisioned replica forks.  Placement and replica contents
-  are bit-identical to solo provisioning (a solo replica is built from
-  ``primary.ship_all()`` — the same tuples, in the same order, as the
-  host template), so query-visible accounting does not change: solo
-  provisioning bills the manager's *standing* ledger, never the query.
+  session's :class:`~repro.replica.manager.ReplicaManager` is built
+  over forks of the host templates — ready replicas, nothing to ship.
+  Placement and replica contents are bit-identical to
+  :meth:`~repro.replica.manager.ReplicaManager.provision` (a solo
+  replica is built from ``primary.ship_all()`` — the same tuples, in
+  the same order, as the host template), and solo provisioning bills
+  the manager's *standing* book, never the query, so query-visible
+  accounting does not change.
 
 Hosts serve reads.  §5.4 maintenance must be applied to the templates
 (which clears their shared skyline caches) between queries, never to a
@@ -35,6 +37,7 @@ from ..core.tuples import UncertainTuple
 from ..distributed.site import LocalSite, SiteConfig
 from ..net.transport import SiteEndpoint
 from ..replica.manager import ReplicaManager
+from ..replica.placement import assign_buddies
 
 __all__ = ["SharedSiteHost", "StandingReplicaBook"]
 
@@ -107,12 +110,10 @@ class StandingReplicaBook:
     A solo replicated run ships each partition to its buddies once per
     query.  The book amortizes that: a session gets a normal
     :class:`ReplicaManager` (same placement seed, so the same buddy
-    assignment and the same ``replica-i@site-j`` wire names) whose
-    replica set is *injected* as forks of the standing host templates —
-    already provisioned, nothing to ship.  The query-side books cannot
-    tell the difference, because solo provisioning happens before
-    :meth:`~repro.replica.manager.ReplicaManager.bind_stats` re-points
-    billing at the query.
+    assignment and the same ``replica-i@site-j`` wire names) built over
+    forks of the standing host templates — already provisioned, so its
+    standing book stays empty.  The query-side books cannot tell the
+    difference, because solo provisioning never bills the query.
     """
 
     def __init__(self, hosts: Sequence[SharedSiteHost], seed: int = 0) -> None:
@@ -127,21 +128,12 @@ class StandingReplicaBook:
         preference: Optional[Preference] = None,
     ) -> ReplicaManager:
         """A per-session manager over pre-provisioned replica forks."""
-        site_config = next(iter(self._hosts.values())).site_config
-        manager = ReplicaManager(
-            session_sites,
-            replication_factor,
-            preference=preference,
-            site_config=site_config,
-            seed=self.seed,
+        placement = assign_buddies(
+            (s.site_id for s in session_sites), replication_factor, seed=self.seed
         )
         replicas: Dict[int, List[Tuple[int, LocalSite]]] = {}
-        for sid in sorted(manager.placement):
+        for sid in sorted(placement):
             template = self._hosts[sid].template(preference)
-            replicas[sid] = [
-                (buddy, template.fork()) for buddy in manager.placement[sid]
-            ]
-        manager._replicas = replicas
-        manager._provisioned = True
+            replicas[sid] = [(buddy, template.fork()) for buddy in placement[sid]]
         self.managers_issued += 1
-        return manager
+        return ReplicaManager(replicas)

@@ -78,7 +78,7 @@ def build(cell, outermost=lambda site: site):
             max_attempts=2, base_backoff=1e-4, max_backoff=1e-3
         )
     if scenario == "rf2-failover":
-        kwargs["replica_manager"] = ReplicaManager(sites, 2)
+        kwargs["replica_manager"] = ReplicaManager.provision(sites, 2)
     return ALGORITHMS[algorithm](list(map(outermost, sites)), Q, **kwargs), log
 
 

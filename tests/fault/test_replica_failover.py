@@ -13,8 +13,14 @@ to the primary must not be resurrected by a failover), the rf=1
 bit-identity guarantee (the replication layer is invisible until a
 second copy actually exists), and the one convergence path that
 recovery, failover and failback share — an aborted failback, a site
-recovering before it ever finished PREPARE, and rf=3's single failover.
+recovering before it ever finished PREPARE, a failback that repairs a
+drifted primary, rf=3 walking its buddy list past a dead buddy, a
+primary that fails over again after its failback, and a primary that
+returns after its last buddy died (a recovery, not a failback) — also
+after its own failback had aborted.
 """
+
+import asyncio
 
 import pytest
 
@@ -26,6 +32,7 @@ from repro.distributed.updates import IncrementalMaintainer
 from repro.fault.injection import FaultyEndpoint
 from repro.fault.retry import RetryPolicy
 from repro.fault.schedule import FaultSchedule
+from repro.net.message import MessageKind
 from repro.net.transport import RecordingEndpoint
 from repro.replica.manager import ReplicaManager
 
@@ -163,8 +170,7 @@ class TestWriteForwardingRegression:
     def _cluster(self):
         partitions = make_partitions(seed=23)
         sites = build_sites(partitions)
-        manager = ReplicaManager(sites, 2)
-        manager.ensure_provisioned()  # replicas exist before any update
+        manager = ReplicaManager.provision(sites, 2)  # before any update
         maintainer = IncrementalMaintainer(sites, Q, replica_manager=manager)
         return sites, manager, maintainer
 
@@ -182,6 +188,21 @@ class TestWriteForwardingRegression:
         members = [m for m in maintainer.skyline().members if m.key in owned]
         assert members, "fixture needs a skyline member on the victim site"
         return max(members, key=lambda m: m.probability)
+
+    def test_forwarded_writes_bill_the_standing_book_not_a_finished_query(self):
+        sites, manager, maintainer = self._cluster()
+        result = EDSUD(sites, Q, replica_manager=manager).run()
+        books = (result.stats.messages, result.stats.tuples_transmitted,
+                 dict(result.stats.by_kind))
+        assert books[:2] == (232, 99)
+        standing = manager.stats.messages, manager.stats.tuples_transmitted
+        maintainer.insert(VICTIM, UncertainTuple(9100, (0.0, 0.0, 0.0), 0.99))
+        maintainer.delete(VICTIM, 9100)
+        assert (result.stats.messages, result.stats.tuples_transmitted,
+                dict(result.stats.by_kind)) == books
+        assert (manager.stats.messages, manager.stats.tuples_transmitted) == (
+            standing[0] + 2, standing[1] + 1
+        )
 
     def test_forwarded_delete_survives_failover(self):
         sites, manager, maintainer = self._cluster()
@@ -278,8 +299,9 @@ class TestConvergence:
         assert emission(result) == emission(baseline)
 
     def test_rf3_fails_over_once_to_the_first_buddy(self, algorithm):
-        # The third copy is provisioned but never serves: one failover
-        # per logical site per query, billed exactly as at rf=2.
+        # While the first buddy stays healthy it serves out the query:
+        # the third copy is never needed, and the failover bills
+        # exactly as at rf=2.
         partitions = make_partitions()
         baseline = distributed_skyline(partitions, Q, algorithm=algorithm)
         runs = {
@@ -295,3 +317,146 @@ class TestConvergence:
         assert runs[3].stats.by_kind == runs[2].stats.by_kind
         assert runs[3].stats.tuples_transmitted == runs[2].stats.tuples_transmitted
         assert emission(runs[3]) == emission(baseline)
+
+    @pytest.mark.parametrize(
+        "buddy_crash_at,primary_back_at,failovers,failbacks",
+        [(1, None, 1, 0), (10, None, 2, 0), (10, 16, 2, 1)],
+    )
+    @pytest.mark.parametrize("pump", ["run", "asteps"])
+    def test_rf3_walks_past_a_dead_first_buddy(
+        self, algorithm, buddy_crash_at, primary_back_at, failovers, failbacks, pump
+    ):
+        # The first buddy crashes for good: on its promotion (call 1,
+        # skipped within the one failover) or after serving for a while
+        # (call 10, a second failover).  Either way the second buddy
+        # takes over with the fault-free answer — and a primary that
+        # comes back after both fails back, as the original primary.
+        # The second buddy times out once while it converges: a
+        # failover's calls are retried, second failover or not.
+        partitions = make_partitions()
+        baseline = distributed_skyline(partitions, Q, algorithm=algorithm)
+        schedule = FaultSchedule(seed=0).crash(VICTIM, at_call=5, until_call=primary_back_at)
+        sites = [FaultyEndpoint(s, schedule) for s in build_sites(partitions)]
+        provisioned = ReplicaManager.provision(sites, 3)
+        (host, first), (next_host, second) = provisioned.replicas[VICTIM]
+        dying = FaultyEndpoint(
+            first, FaultSchedule(seed=0).crash(VICTIM, at_call=buddy_crash_at)
+        )
+        blip = FaultyEndpoint(
+            second, FaultSchedule(seed=0).timeout(VICTIM, at_call=2, until_call=3)
+        )
+        manager = ReplicaManager(
+            {**provisioned.replicas, VICTIM: [(host, dying), (next_host, blip)]}
+        )
+        coordinator = {"dsud": DSUD, "edsud": EDSUD}[algorithm](
+            sites, Q, retry_policy=fast_retries(), replica_manager=manager
+        )
+        if pump == "run":
+            result = coordinator.run()
+        else:
+            async def drive():
+                async for _ in coordinator.asteps():
+                    pass
+                return await coordinator.afinish()
+
+            result = asyncio.run(drive())
+        assert dying.injected and blip.injected
+        assert result.stats.failovers == failovers
+        assert result.stats.failbacks == failbacks
+        assert result.coverage.complete
+        assert emission(result) == emission(baseline)
+
+    def test_rf2_fails_over_again_after_a_failback(self, algorithm):
+        # The primary crashes, fails back, and crashes again: a failback
+        # hands the buddy list back, so the same healthy buddy is
+        # promoted a second time and the answer stays exact.
+        partitions = make_partitions()
+        baseline = distributed_skyline(partitions, Q, algorithm=algorithm)
+        schedule = (
+            FaultSchedule(seed=0)
+            .crash(VICTIM, at_call=4, until_call=10)
+            .crash(VICTIM, at_call=20)
+        )
+        result = distributed_skyline(
+            partitions, Q, algorithm=algorithm,
+            fault_schedule=schedule,
+            retry_policy=fast_retries(),
+            replication_factor=2,
+        )
+        assert result.stats.failovers == 2
+        assert result.stats.failbacks == 1
+        assert result.coverage.complete
+        assert emission(result) == emission(baseline)
+
+    @pytest.mark.parametrize("case", ["crash-window", "aborted-failback"])
+    def test_primary_back_after_its_last_buddy_died_is_a_recovery(self, algorithm, case):
+        # The only buddy dies while serving, so the logical site is DOWN
+        # when its primary answers again: that return is one recovery
+        # (the site is UP and fetched from at once), not a failback.
+        # "crash-window": the primary's first ``prepare`` back (call 17)
+        # times out, so a recovery must be retried.  "aborted-failback":
+        # the primary answers probes but faults on convergence until call
+        # 9, so its failback aborts and the buddy serves on until call 12.
+        partitions = make_partitions()
+        baseline = distributed_skyline(partitions, Q, algorithm=algorithm)
+        if case == "crash-window":
+            schedule = (
+                FaultSchedule(seed=0)
+                .crash(VICTIM, at_call=5, until_call=16)
+                .timeout(VICTIM, at_call=17, until_call=18)
+            )
+            buddy_dies_at = 6
+        else:
+            schedule = FaultSchedule(seed=0).crash(
+                VICTIM, at_call=5, until_call=9,
+                methods=["prepare", "pop_representative", "probe_and_prune",
+                         "probe_and_prune_batch"],
+            )
+            buddy_dies_at = 12
+        sites = [FaultyEndpoint(s, schedule) for s in build_sites(partitions)]
+        provisioned = ReplicaManager.provision(sites, 2)
+        ((host, buddy),) = provisioned.replicas[VICTIM]
+        dying = FaultyEndpoint(buddy, FaultSchedule(seed=0).crash(VICTIM, at_call=buddy_dies_at))
+        manager = ReplicaManager({**provisioned.replicas, VICTIM: [(host, dying)]})
+        result = {"dsud": DSUD, "edsud": EDSUD}[algorithm](
+            sites, Q, retry_policy=fast_retries(), replica_manager=manager
+        ).run()
+        assert dying.injected
+        assert sites[VICTIM].injected[-1].method == "prepare"
+        assert result.stats.failovers == 1
+        assert result.stats.failbacks == 0
+        assert result.stats.sites_recovered == 1
+        assert result.coverage.transitions[-2:] == (
+            f"site-{VICTIM}: down -> recovering (primary answered)",
+            f"site-{VICTIM}: recovering -> up (prepare succeeded)",
+        )
+        assert result.coverage.complete
+        assert {m.key for m in result.answer} == {m.key for m in baseline.answer}
+
+    def test_failback_repairs_a_drifted_primary(self, algorithm):
+        sites = build_sites(make_partitions())
+        manager = ReplicaManager.provision(sites, 2)
+        replica = manager.replicas[VICTIM][0][1]
+        # The primary loses a tuple its replica keeps.
+        sites[VICTIM].delete_tuple(sorted(sites[VICTIM].database)[0])
+        assert sites[VICTIM].partition_digest() != replica.partition_digest()
+        schedule = FaultSchedule(seed=0).crash(VICTIM, at_call=4, until_call=8)
+        coordinator = {"dsud": DSUD, "edsud": EDSUD}[algorithm](
+            [FaultyEndpoint(s, schedule) for s in sites], Q,
+            retry_policy=fast_retries(), replica_manager=manager,
+        )
+        syncs = []
+        bill = coordinator.stats.bill
+
+        def recording_bill(kind, sender, receiver, tuples=None):
+            if kind is MessageKind.REPLICA_SYNC:
+                syncs.append(tuples)
+            bill(kind, sender, receiver, tuples)
+
+        coordinator.stats.bill = recording_bill
+        result = coordinator.run()
+        assert result.stats.failovers == 1
+        assert result.stats.failbacks == 1
+        assert result.stats.by_kind["digest"] == 2
+        assert syncs == [1]
+        assert sites[VICTIM].partition_digest() == replica.partition_digest()

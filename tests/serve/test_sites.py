@@ -82,8 +82,12 @@ def test_standing_book_reproduces_solo_placement():
     book = StandingReplicaBook(sites, seed=0)
     session_sites = [host.view() for host in sites]
     issued = book.manager_for(session_sites, replication_factor=2)
-    solo = ReplicaManager(build_sites(PARTITIONS), 2, seed=0)
-    assert issued.placement == solo.placement
+    solo = ReplicaManager.provision(build_sites(PARTITIONS), 2, seed=0)
+
+    def placement(manager):
+        return {sid: [host for host, _ in pairs] for sid, pairs in manager.replicas.items()}
+
+    assert placement(issued) == placement(solo)
     assert book.managers_issued == 1
 
 
@@ -93,14 +97,14 @@ def test_standing_book_injects_pre_provisioned_template_forks():
     manager = book.manager_for(
         [host.view() for host in sites], replication_factor=2
     )
-    for sid, copies in manager._replicas.items():
+    for sid, copies in manager.replicas.items():
         template = sites[sid].template()
         for _buddy, replica in copies:
             # A fork of the standing template: same data, private queue.
             assert replica is not template
             assert replica.database is template.database
-    # Nothing left to ship: provisioning is marked done up front.
-    assert manager._provisioned
+    # Nothing shipped: the manager's standing book stays empty.
+    assert manager.stats.messages == 0
 
 
 # ----------------------------------------------------------------------
