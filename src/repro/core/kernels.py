@@ -14,15 +14,16 @@ matrix of canonical min-space coordinates plus aligned probability and
 ``1 − P`` vectors — and exposes:
 
 * :meth:`ColumnStore.dominators_mask` — the boolean dominator set of one
-  point in a single broadcast (replaces ``n`` calls to
-  ``dominates_values``).
+  point: a column of :func:`dominance_matrix`, the probes' dominance
+  test, which is built one coordinate column at a time.
 * :meth:`ColumnStore.dominator_product` — Eq. 9 as a masked product.
 * :meth:`ColumnStore.dominator_products` — the batched form: many probe
-  points against the whole partition in one comparison.
-* :func:`prob_skyline_sfs` — the sort-first local skyline evaluated
-  against a prefix matrix block by block, preserving the scalar
-  version's threshold early exit (factors are ≤ 1, so a partial product
-  below the floor is already a verdict).
+  points in one mask, bit-identical to the single products.
+* :meth:`ColumnStore.prob_skyline` (:func:`prob_skyline_sfs` over
+  tuples) — the sort-first local skyline evaluated against a prefix
+  matrix block by block, preserving the scalar version's threshold
+  early exit (factors are ≤ 1, so a partial product below the floor is
+  already a verdict).
 
 All kernels are exact re-expressions of the scalar arithmetic — the
 same IEEE-754 multiplications in the same monotone setting — and the
@@ -44,7 +45,7 @@ from .dominance import Preference
 from .prob_skyline import ProbabilisticSkyline, SkylineMember, _check_threshold
 from .tuples import UncertainTuple
 
-__all__ = ["ColumnStore", "prob_skyline_sfs"]
+__all__ = ["ColumnStore", "dominance_matrix", "prob_skyline_sfs"]
 
 #: Initial rows per block in the cascaded scan of
 #: :func:`prob_skyline_sfs`.  The first block alone disqualifies most
@@ -56,6 +57,17 @@ _SFS_BLOCK = 32
 
 #: Largest block the cascade grows to.
 _SFS_BLOCK_CAP = 4096
+
+
+def dominance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(len(a), len(b))`` mask: row ``a[i]`` dominates row ``b[j]`` (min-space),
+    built one column at a time, never as an ``(n, k, d)`` temporary."""
+    le = a[:, 0, None] <= b[None, :, 0]
+    lt = a[:, 0, None] < b[None, :, 0]
+    for j in range(1, a.shape[1]):
+        le &= a[:, j, None] <= b[None, :, j]
+        lt |= a[:, j, None] < b[None, :, j]
+    return le & lt
 
 
 class ColumnStore:
@@ -75,7 +87,7 @@ class ColumnStore:
         values: np.ndarray,
         probabilities: np.ndarray,
         keys: np.ndarray,
-        tuples: Optional[List[UncertainTuple]] = None,
+        tuples: List[UncertainTuple],
     ) -> None:
         self.values = np.asarray(values, dtype=np.float64)
         self.probabilities = np.asarray(probabilities, dtype=np.float64)
@@ -125,14 +137,12 @@ class ColumnStore:
     ) -> np.ndarray:
         """Boolean ``(n,)`` mask of stored rows dominating ``point``.
 
-        One broadcasted comparison: a row dominates iff it is ``<=``
-        everywhere and ``<`` somewhere (min-space).  ``exclude_key``
-        removes the target's own row when it is stored here.
+        One :func:`dominance_matrix` column.  ``exclude_key`` removes
+        the target's own row when it is stored here.
         """
         if len(self) == 0:
             return np.zeros(0, dtype=bool)
-        le = self.values <= point
-        mask = le.all(axis=1) & (self.values < point).any(axis=1)
+        mask = dominance_matrix(self.values, point.reshape(1, -1))[:, 0]
         if exclude_key is not None:
             mask &= self.keys != exclude_key
         return mask
@@ -164,9 +174,9 @@ class ColumnStore:
     ) -> np.ndarray:
         """Batched Eq. 9: one product per probe point, ``(k,)`` out.
 
-        The broadcast allocates an ``(n, k)`` mask per block of probe
-        points; ``block`` caps that footprint so a very fat batch never
-        materialises gigabytes.
+        ``block`` caps the ``(n, k)`` mask so a very fat batch never
+        materialises gigabytes.  Each column folds in row order, as
+        :meth:`dominator_product` does, so the two give the same bits.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim == 1:
@@ -182,16 +192,94 @@ class ColumnStore:
             )
         for start in range(0, k, block):
             stop = min(k, start + block)
-            chunk = pts[start:stop]  # (b, d)
-            le = self.values[:, None, :] <= chunk[None, :, :]
-            lt = self.values[:, None, :] < chunk[None, :, :]
-            mask = le.all(axis=2) & lt.any(axis=2)  # (n, b)
+            mask = dominance_matrix(self.values, pts[start:stop])  # (n, b)
             if excl is not None:
                 mask &= self.keys[:, None] != excl[None, start:stop]
             out[start:stop] = np.prod(
                 np.where(mask, self.non_occurrence[:, None], 1.0), axis=0
             )
         return out
+
+    def prob_skyline(self, threshold: float, block: int = _SFS_BLOCK) -> ProbabilisticSkyline:
+        """Vectorized sort-first probabilistic skyline (Eq. 3 with early exit).
+
+        Behaviourally identical to the scalar
+        :func:`repro.core.prob_skyline.prob_skyline_sfs` — same membership,
+        same probabilities, same factor order — but evaluated as a
+        *candidate-filtered cascade* so the early exit vectorizes instead
+        of fighting it:
+
+        * Rows are sorted by min-space coordinate sum (ties kept stable).
+          A row dominates a candidate iff it is ``<=`` on every kept
+          dimension **and** its sum is strictly smaller — componentwise
+          ``<=`` with equal sums forces equality — which both replaces the
+          per-pair strictness test with one cheap 1-D comparison and makes
+          the per-candidate prefix limit implicit (later rows can never
+          have smaller sums).
+        * The row matrix is scanned once in geometrically growing blocks
+          (``block`` rows first, doubling to a cap).  Each block is tested
+          against *every still-alive candidate* in a single broadcast, each
+          alive candidate's running product absorbs its dominators in the
+          block, and candidates whose product sinks below ``q / P(t)`` are
+          retired — exactly the scalar early exit, amortised across the
+          whole database.  The first block alone (the globally smallest
+          rows, which dominate nearly everything) retires most of them.
+
+        A candidate still alive after the last block has absorbed every one
+        of its dominators in ascending-sum order, so its product — and its
+        reported probability — is the scalar path's, multiplication for
+        multiplication.
+        """
+        _check_threshold(threshold)
+        n = len(self)
+        if not n:
+            return ProbabilisticSkyline(threshold, [])
+        sums = self.values.sum(axis=1)
+        order = np.argsort(sums, kind="stable")
+        values = self.values[order]
+        omp = self.non_occurrence[order]
+        probs = self.probabilities[order]
+        sums = sums[order]
+
+        # Existential-probability skip (P_sky(t) ≤ P(t) < q) seeds the
+        # alive set; floors are only meaningful where alive.
+        alive = probs >= threshold
+        floors = np.divide(
+            threshold, probs, out=np.ones_like(probs), where=probs > 0.0
+        )
+        product = np.ones(n, dtype=np.float64)
+
+        start = 0
+        width = max(1, block)
+        d = values.shape[1]
+        while start < n:
+            # A candidate before ``start`` has already seen every row with a
+            # strictly smaller sum — its product is final, so only positions
+            # ≥ start still participate.
+            active = start + np.nonzero(alive[start:])[0]
+            if active.size == 0:
+                break
+            stop = min(n, start + width)
+            rows = values[start:stop]  # (b, d)
+            cand = values[active]  # (k, d)
+            # Sum test first (cheapest and most selective), then one (b, k)
+            # comparison per dimension — never materialising a (b, k, d)
+            # temporary.
+            dominated = sums[start:stop, None] < sums[active][None, :]
+            for dim in range(d):
+                dominated &= rows[:, dim, None] <= cand[None, :, dim]
+            product[active] *= np.prod(
+                np.where(dominated, omp[start:stop, None], 1.0), axis=0
+            )
+            alive[active] = product[active] >= floors[active]
+            start = stop
+            width = min(width * 2, _SFS_BLOCK_CAP)
+
+        members = [
+            SkylineMember(self.tuples[order[i]], float(probs[i] * product[i]))
+            for i in np.nonzero(alive)[0]
+        ]
+        return ProbabilisticSkyline(threshold, members)
 
 
 def prob_skyline_sfs(
@@ -200,87 +288,8 @@ def prob_skyline_sfs(
     preference: Optional[Preference] = None,
     block: int = _SFS_BLOCK,
 ) -> ProbabilisticSkyline:
-    """Vectorized sort-first probabilistic skyline (Eq. 3 with early exit).
-
-    Behaviourally identical to the scalar
-    :func:`repro.core.prob_skyline.prob_skyline_sfs` — same membership,
-    same probabilities, same factor order — but evaluated as a
-    *candidate-filtered cascade* so the early exit vectorizes instead
-    of fighting it:
-
-    * Rows are sorted by min-space coordinate sum (ties kept stable).
-      A row dominates a candidate iff it is ``<=`` on every kept
-      dimension **and** its sum is strictly smaller — componentwise
-      ``<=`` with equal sums forces equality — which both replaces the
-      per-pair strictness test with one cheap 1-D comparison and makes
-      the per-candidate prefix limit implicit (later rows can never
-      have smaller sums).
-    * The row matrix is scanned once in geometrically growing blocks
-      (``block`` rows first, doubling to a cap).  Each block is tested
-      against *every still-alive candidate* in a single broadcast, each
-      alive candidate's running product absorbs its dominators in the
-      block, and candidates whose product sinks below ``q / P(t)`` are
-      retired — exactly the scalar early exit, amortised across the
-      whole database.  The first block alone (the globally smallest
-      rows, which dominate nearly everything) retires most of them.
-
-    A candidate still alive after the last block has absorbed every one
-    of its dominators in ascending-sum order, so its product — and its
-    reported probability — is the scalar path's, multiplication for
-    multiplication.
-    """
-    _check_threshold(threshold)
-    tuples = list(database)
-    if not tuples:
-        return ProbabilisticSkyline(threshold, [])
-    store = ColumnStore.from_tuples(tuples, preference)
-    sums = store.values.sum(axis=1)
-    order = np.argsort(sums, kind="stable")
-    values = store.values[order]
-    omp = store.non_occurrence[order]
-    probs = store.probabilities[order]
-    sums = sums[order]
-    n = len(tuples)
-
-    # Existential-probability skip (P_sky(t) ≤ P(t) < q) seeds the
-    # alive set; floors are only meaningful where alive.
-    alive = probs >= threshold
-    floors = np.divide(
-        threshold, probs, out=np.ones_like(probs), where=probs > 0.0
-    )
-    product = np.ones(n, dtype=np.float64)
-
-    start = 0
-    width = max(1, block)
-    d = values.shape[1]
-    while start < n:
-        # A candidate before ``start`` has already seen every row with a
-        # strictly smaller sum — its product is final, so only positions
-        # ≥ start still participate.
-        active = start + np.nonzero(alive[start:])[0]
-        if active.size == 0:
-            break
-        stop = min(n, start + width)
-        rows = values[start:stop]  # (b, d)
-        cand = values[active]  # (k, d)
-        # Sum test first (cheapest and most selective), then one (b, k)
-        # comparison per dimension — never materialising a (b, k, d)
-        # temporary.
-        dominated = sums[start:stop, None] < sums[active][None, :]
-        for dim in range(d):
-            dominated &= rows[:, dim, None] <= cand[None, :, dim]
-        product[active] *= np.prod(
-            np.where(dominated, omp[start:stop, None], 1.0), axis=0
-        )
-        alive[active] = product[active] >= floors[active]
-        start = stop
-        width = min(width * 2, _SFS_BLOCK_CAP)
-
-    members = [
-        SkylineMember(tuples[order[i]], float(probs[i] * product[i]))
-        for i in np.nonzero(alive)[0]
-    ]
-    return ProbabilisticSkyline(threshold, members)
+    """:meth:`ColumnStore.prob_skyline` over ``database`` under ``preference``."""
+    return ColumnStore.from_tuples(database, preference).prob_skyline(threshold, block)
 
 
 def _project_matrix(

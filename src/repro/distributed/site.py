@@ -45,7 +45,6 @@ import numpy as np
 
 from ..core.dominance import Preference, dominates
 from ..core.kernels import ColumnStore
-from ..core.kernels import prob_skyline_sfs as columnar_prob_skyline_sfs
 from ..core.prob_skyline import ProbabilisticSkyline, SkylineMember, prob_skyline_sfs
 from ..core.probability import feedback_pruning_bound, non_occurrence_product
 from ..core.tuples import UncertainTuple, validate_database
@@ -143,8 +142,8 @@ class SiteKernel:
         return np.asarray(values, dtype=np.float64)
 
     def skyline(self, threshold: float) -> ProbabilisticSkyline:
-        """``SKY(D_i) = { t : P_sky(t, D_i) ≥ q }`` (sort-filter-skyline)."""
-        return columnar_prob_skyline_sfs(list(self.database.values()), threshold, self.preference)
+        """``SKY(D_i) = { t : P_sky(t, D_i) ≥ q }``."""
+        raise NotImplementedError
 
     def factor(self, t: UncertainTuple, floor: float = 0.0) -> float:
         """Eq. 9: ``∏ (1 − P(t'))`` over stored ``t' ≺ t``, ``t`` itself excluded.
@@ -199,7 +198,7 @@ class PRTreeKernel(SiteKernel):
 
 
 class ColumnarKernel(SiteKernel):
-    """Flat scans of a column store, rebuilt lazily after an update."""
+    """Flat scans of one column store (skyline and probes), rebuilt lazily after an update."""
 
     _store: Optional[ColumnStore] = None
 
@@ -208,14 +207,15 @@ class ColumnarKernel(SiteKernel):
             self._store = ColumnStore.from_tuples(list(self.database.values()), self.preference)
         return self._store
 
+    def skyline(self, threshold: float) -> ProbabilisticSkyline:
+        return self.store().prob_skyline(threshold)
+
     def factor(self, t: UncertainTuple, floor: float = 0.0) -> float:
         return float(self.store().dominator_product(self._point(t), exclude_key=t.key))
 
     def factors(self, ts: Sequence[UncertainTuple]) -> List[float]:
-        if not ts:
-            return []
-        points, keys = np.stack([self._point(t) for t in ts]), [t.key for t in ts]
-        return [float(f) for f in self.store().dominator_products(points, exclude_keys=keys)]
+        points = ColumnStore.from_tuples(ts, self.preference).values  # one projection
+        return self.store().dominator_products(points, [t.key for t in ts]).tolist()
 
     def add(self, t: UncertainTuple) -> None:
         self._store = None  # any update: rebuild on next use

@@ -173,6 +173,8 @@ class ContinuousCoordinator:
                 site.drop_group(book.group_id)
             return
         q_min = self._q_min(book)
+        if query.threshold >= q_min:
+            return  # q_min did not move: the edge bound stands
         for site in self.sites:
             self.stats.bill(MessageKind.SUBSCRIBE, _SERVER, self._name(site))
             site.register_group(book.group_id, q_min, book.preference)

@@ -19,15 +19,16 @@ arXiv 2008.07159's edge-side candidate reduction):
 * a candidate ships its full tuple exactly once (``entered``); later
   local re-scores travel as key + probability (``rescored``, zero
   tuples under the paper's §3.2 bandwidth metric);
-* for the replicated foreign candidates this site can influence, a
-  probe factor is pushed only when its value actually changed
-  (``factors``) — quiet windows cost nothing.
+* the replicated foreign candidates are probed as one batch, and a
+  factor is pushed only when its value actually changed (``factors``)
+  — quiet windows cost nothing.
 
 The default streaming :class:`~repro.distributed.site.SiteConfig`
 (columnar, unindexed) recomputes local skylines and probes directly
-from the window contents, which makes every digest value bit-identical
-to what a fresh site built over the same live tuples would compute —
-the property the epoch-equivalence suite pins end-to-end.
+from the window contents, one column store per window change, which
+makes every digest value bit-identical to what a fresh site built over
+the same live tuples would compute — the property the
+epoch-equivalence suite pins end-to-end.
 """
 
 from __future__ import annotations
@@ -183,8 +184,9 @@ class StreamSite:
                 digest.rescored.append((key, probability))
         digest.departed = sorted(k for k in group.shipped if k not in local)
         group.shipped = local
-        for key in sorted(group.replicas):
-            factor = group.engine.probe(group.replicas[key])
+        keys = sorted(group.replicas)
+        probes = group.engine.probe_batch([group.replicas[key] for key in keys])
+        for key, factor in zip(keys, probes):
             if group.factors.get(key) != factor:  # skylint: ignore[SKY301] bitwise on purpose: the exactness contract pushes a factor iff its bits changed
                 group.factors[key] = factor
                 digest.factors.append((key, factor))
@@ -208,10 +210,8 @@ class StreamSite:
         for key in removed:
             group.replicas.pop(key, None)
             group.factors.pop(key, None)
-        replies: List[Tuple[int, float]] = []
-        for t in entries:
+        factors = group.engine.probe_batch(entries)
+        for t, factor in zip(entries, factors):
             group.replicas[t.key] = t
-            factor = group.engine.probe(t)
             group.factors[t.key] = factor
-            replies.append((t.key, factor))
-        return replies
+        return [(t.key, factor) for t, factor in zip(entries, factors)]

@@ -4,6 +4,9 @@ The vectorized paths (ColumnStore + the columnar SFS) must reproduce
 the scalar arithmetic within 1e-9 on *any* input — random preferences
 (directions and subspaces), duplicate coordinates (the grid strategy
 forces ties), and boundary probabilities (exactly 1.0 and near-zero).
+The scalar reference folds its factors in another order, hence the
+tolerance; a single and a batched ``ColumnStore`` probe fold the same
+factors in the same row order, so those two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.dominance import Direction, Preference, dominates
-from repro.core.kernels import ColumnStore, prob_skyline_sfs
+from repro.core.dominance import Direction, Preference, dominates, dominates_values
+from repro.core.kernels import ColumnStore, dominance_matrix, prob_skyline_sfs
 from repro.core.prob_skyline import all_skyline_probabilities
 from repro.core.prob_skyline import prob_skyline_sfs as scalar_sfs
 from repro.core.probability import non_occurrence_product
@@ -112,7 +115,7 @@ class TestDominatorKernels:
             want = store.dominator_product(
                 store.project_point(t, pref), exclude_key=t.key
             )
-            assert got == pytest.approx(want, abs=TOL)
+            assert float(got).hex() == want.hex()
 
     def test_exclude_key_none_keeps_every_dominator(self):
         db = make_random_database(40, 2, seed=3, grid=5)
@@ -123,7 +126,25 @@ class TestDominatorKernels:
         batched = store.dominator_products(point.reshape(1, -1))[0]
         want = non_occurrence_product(foreign, db)
         assert with_none == pytest.approx(want, abs=TOL)
-        assert batched == pytest.approx(want, abs=TOL)
+        assert float(batched).hex() == with_none.hex()
+
+    @given(database_and_preference(), st.data())
+    def test_dominance_matrix_matches_pairwise_dominates_values(self, case, data):
+        _d, db, pref = case
+        if not db:
+            return
+        # Every stored row probed again, some twice: equal rows on the
+        # integer grid exercise the strict half of the test.
+        probes = db + data.draw(st.lists(st.sampled_from(db), max_size=6))
+        got = dominance_matrix(
+            ColumnStore.from_tuples(db, pref).values,
+            ColumnStore.from_tuples(probes, pref).values,
+        )
+        assert got.shape == (len(db), len(probes))
+        expected = [
+            [dominates_values(s.values, t.values, pref) for t in probes] for s in db
+        ]
+        assert got.tolist() == expected
 
     def test_empty_store_is_neutral(self):
         store = ColumnStore.from_tuples([])

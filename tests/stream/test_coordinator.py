@@ -4,7 +4,7 @@ ordering, billing, and delta-stream replay."""
 from __future__ import annotations
 
 import random
-from typing import Dict, List
+from typing import Dict
 
 import pytest
 
@@ -65,6 +65,21 @@ class TestRegistration:
         # A *looser* query lowers q_min, which must reach every edge.
         hub.register(StandingQuery(threshold=0.2))
         assert hub.stats.by_kind["subscribe"] == baseline + 2 + 3
+
+    def test_unregister_re_fans_only_when_q_min_moves(self):
+        hub = _coordinator(sites=3)
+        loose = hub.register(StandingQuery(threshold=0.2))
+        hub.register(StandingQuery(threshold=0.6))
+        baseline = hub.stats.by_kind["subscribe"]
+        # The tighter query never set the group bound: nothing to fan.
+        tight = hub.register(StandingQuery(threshold=0.5))
+        hub.unregister(tight)
+        assert hub.stats.by_kind["subscribe"] == baseline + 1
+        # The query that set q_min leaves: the raised bound reaches
+        # every site.
+        hub.unregister(loose)
+        assert hub.stats.by_kind["subscribe"] == baseline + 1 + 3
+        assert all(site._groups[0].threshold == 0.6 for site in hub.sites)
 
     def test_preferences_get_their_own_groups(self):
         hub = _coordinator(sites=2)
