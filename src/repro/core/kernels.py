@@ -185,16 +185,17 @@ class ColumnStore:
         out = np.ones(k, dtype=np.float64)
         if len(self) == 0 or k == 0:
             return out
-        excl = None
+        excl = spared = None
         if exclude_keys is not None:
-            excl = np.array(
-                [-1 if key is None else key for key in exclude_keys], dtype=np.int64
-            )
+            excl = np.array([0 if key is None else key for key in exclude_keys], dtype=np.int64)
+            if None in exclude_keys:  # a None key excludes no row
+                spared = np.array([key is None for key in exclude_keys])
         for start in range(0, k, block):
             stop = min(k, start + block)
             mask = dominance_matrix(self.values, pts[start:stop])  # (n, b)
             if excl is not None:
-                mask &= self.keys[:, None] != excl[None, start:stop]
+                keep = self.keys[:, None] != excl[None, start:stop]
+                mask &= keep if spared is None else keep | spared[None, start:stop]
             out[start:stop] = np.prod(
                 np.where(mask, self.non_occurrence[:, None], 1.0), axis=0
             )

@@ -124,12 +124,12 @@ class SiteKernel:
     The qualified local skyline (§6.2), the Eq. 9 factor of a tuple
     (the §6.3 window query), their upkeep under §5.4 updates, and the
     dominance test Local-Pruning runs over the candidate queue — and no
-    per-query state: a site and all its forks share one kernel, so an
-    update through the template is what every fork probes next.
-    ``database`` is the site's live ``key → tuple`` dict, held by
-    reference: the site mutates it, then reports the change through
-    :meth:`add` / :meth:`remove`.  The defaults are the columnar ones
-    every kernel but the scalar oracle shares.
+    per-query state: a site and all its forks share one kernel, which
+    is why a forked site refuses updates.  ``database`` is the site's
+    live ``key → tuple`` dict, held by reference: an unshared site
+    mutates it, then reports the change through :meth:`add` /
+    :meth:`remove`.  The defaults are the columnar ones every kernel
+    but the scalar oracle shares.
     """
 
     def __init__(self, database: Partition, preference: Optional[Preference]) -> None:
@@ -281,9 +281,10 @@ class LocalSite:
         #: The serving layer installs one dict on a template site and
         #: every :meth:`fork` shares it, so repeated ``prepare(q)``
         #: across sessions costs one local skyline per distinct
-        #: threshold.  §5.4 updates clear it (in place, so every fork
-        #: sees the invalidation).
+        #: threshold.
         self._skyline_cache: Optional[Dict[float, ProbabilisticSkyline]] = None
+        #: Forked or memoised: §5.4 updates are refused, so readers see one version.
+        self._frozen = False
         self._reset()
 
     def _reset(
@@ -341,8 +342,10 @@ class LocalSite:
 
         Meant for standing sites serving many queries; forks created
         afterwards share the cache, so one computation serves every
-        session at the same threshold.
+        session at the same threshold.  A memo holds only while the
+        partition does, so the site refuses §5.4 updates from now on.
         """
+        self._frozen = True
         if self._skyline_cache is None:
             self._skyline_cache = {}
 
@@ -356,9 +359,10 @@ class LocalSite:
         empty ``SKY(H)`` replica.  Two forks therefore run concurrent
         queries over one partition without observing each other, each
         bit-identical to a fresh :class:`LocalSite` over the same data.
-        Forks serve reads: §5.4 updates go to the template, never a
-        fork, and every outstanding fork probes the updated partition.
+        Forking freezes the site and its forks: both refuse §5.4
+        updates, so a fork reads the partition as it was when forked.
         """
+        self._frozen = True
         clone = object.__new__(LocalSite)
         clone.__dict__.update(self.__dict__)
         clone.sky_h_replica = {}
@@ -541,9 +545,11 @@ class LocalSite:
 
     def insert_tuple(self, t: UncertainTuple) -> None:
         """Add ``t`` to ``D_i`` (index included); candidacy is handled
-        by the maintenance protocol, not here.  A duplicate key or a
-        dimensionality other than the stored tuples' is refused before
-        anything changes."""
+        by the maintenance protocol, not here.  A shared site, a
+        duplicate key or a dimensionality other than the stored
+        tuples' is refused before anything changes."""
+        if self._frozen:
+            raise RuntimeError(f"site {self.site_id} is shared and refuses updates")
         if t.key in self.database:
             raise ValueError(f"tuple {t.key} already stored at site {self.site_id}")
         d = len(next(iter(self.database.values()), t).values)
@@ -551,17 +557,15 @@ class LocalSite:
             raise ValueError(f"tuple {t.key} has dimensionality {len(t.values)}, site stores {d}")
         self.database[t.key] = t
         self.kernel.add(t)
-        if self._skyline_cache is not None:
-            self._skyline_cache.clear()
 
     def delete_tuple(self, key: int) -> UncertainTuple:
-        """Remove the tuple with ``key`` from ``D_i`` (index included)."""
+        """Remove the tuple with ``key`` from ``D_i`` (index included); a shared site refuses."""
+        if self._frozen:
+            raise RuntimeError(f"site {self.site_id} is shared and refuses updates")
         t = self.database.pop(key, None)
         if t is None:
             raise KeyError(f"tuple {key} not stored at site {self.site_id}")
         self.kernel.remove(t)
-        if self._skyline_cache is not None:
-            self._skyline_cache.clear()
         for idx in range(self._q_head, len(self._cands)):
             if self._q_alive[idx] and self._cands[idx].tuple.key == key:
                 self._q_alive[idx] = False

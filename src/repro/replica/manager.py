@@ -12,7 +12,8 @@ unused buddy); the manager keeps only what outlives a query:
   the constructor forks of its standing templates instead;
 * **write-forwarding** — :meth:`~ReplicaManager.forward_insert` /
   :meth:`~ReplicaManager.forward_delete` keep every copy in step with
-  §5.4 maintenance;
+  §5.4 maintenance.  A book-issued manager's copies are forks, which
+  refuse writes: nothing is written and nothing billed;
 * **resync** — :meth:`~ReplicaManager.resync` converges one endpoint's
   partition onto another's: the failback prelude.
 
@@ -109,14 +110,14 @@ class ReplicaManager:
         """Apply one §5.4 insert to every replica of ``site_id``.
 
         One tuple-bearing ``REPLICA_SYNC`` per copy — the forwarded
-        write is real wide-area traffic.
+        write is real wide-area traffic — billed once the copy took it.
         """
         for host, replica in self.replicas.get(site_id, []):
+            replica.insert_tuple(t)
             self.stats.bill(
                 MessageKind.REPLICA_SYNC, f"site-{site_id}", _replica_name(site_id, host),
                 tuples=1,
             )
-            replica.insert_tuple(t)
 
     def forward_delete(self, site_id: int, key: int) -> None:
         """Apply one §5.4 delete to every replica of ``site_id``.
@@ -126,11 +127,11 @@ class ReplicaManager:
         resurrect a deleted tuple.
         """
         for host, replica in self.replicas.get(site_id, []):
+            replica.delete_tuple(key)
             self.stats.bill(
                 MessageKind.REPLICA_SYNC, f"site-{site_id}", _replica_name(site_id, host),
                 tuples=0,
             )
-            replica.delete_tuple(key)
 
     # ------------------------------------------------------------------
     # resync

@@ -80,10 +80,8 @@ class SkylineService:
         policy: Optional[AdmissionPolicy] = None,
         tenant_budgets: Optional[Mapping[str, float]] = None,
         latency_model: Optional[LatencyModel] = None,
-        replica_seed: int = 0,
         remote_sites: Optional[Sequence[Tuple[int, Tuple[str, int]]]] = None,
         remote_timeout: float = 30.0,
-        remote_retries: int = 0,
         overlap_steps: bool = True,
         stream_windows: Optional[Sequence[Window]] = None,
         auto_publish: bool = True,
@@ -108,17 +106,12 @@ class SkylineService:
             None if remote_sites is None else list(remote_sites)
         )
         self.remote_timeout = remote_timeout
-        self.remote_retries = remote_retries
         self.overlap_steps = overlap_steps
         self.site_config = site_config
         self.policy = policy or AdmissionPolicy()
         self.ledger = TenantLedger(tenant_budgets)
         self.latency_model = latency_model
-        self.replica_book = (
-            StandingReplicaBook(self.hosts, seed=replica_seed)
-            if self.hosts
-            else None
-        )
+        self.replica_book = StandingReplicaBook(self.hosts) if self.hosts else None
         self.liveness_book = LivenessBook()
         #: The continuous-query plane: present iff stream_windows= was
         #: given.  Standing queries subscribe against it; epochs are
@@ -413,11 +406,7 @@ class SkylineService:
                 "remote site servers bake their preference at hosting "
                 "time; per-spec preference= is in-process only"
             )
-        proxies = await connect_async_sites(
-            self.remote_sites,
-            timeout=self.remote_timeout,
-            retries=self.remote_retries,
-        )
+        proxies = await connect_async_sites(self.remote_sites, timeout=self.remote_timeout)
         # Async proxies satisfy the endpoint contract awaitably; the
         # coordinator's async driver awaits whatever they return.
         sites: List[SiteEndpoint] = list(proxies)  # type: ignore[arg-type]

@@ -23,9 +23,10 @@ only needs its own *candidate queue* over them.
   the manager's *standing* book, never the query, so query-visible
   accounting does not change.
 
-Hosts serve reads.  §5.4 maintenance must be applied to the templates
-(which clears their shared skyline caches) between queries, never to a
-session fork.
+§5.4 maintenance writes a host's partition, the one written copy of
+D_i, and drops its templates; the next view builds a fresh one.  Forks
+and templates refuse writes, so a session (replica forks included)
+reads the partition it was forked from.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.dominance import Preference
-from ..core.tuples import UncertainTuple
+from ..core.tuples import UncertainTuple, validate_database
 from ..distributed.site import LocalSite, SiteConfig
 from ..net.transport import SiteEndpoint
 from ..replica.manager import ReplicaManager
@@ -55,8 +56,8 @@ class SharedSiteHost:
         self._partition = list(partition)
         self.site_config = site_config
         self._templates: Dict[Optional[Preference], LocalSite] = {}
-        #: Observability: forks handed out and template (index + cache)
-        #: builds actually paid.
+        #: Observability: forks handed out, and templates (index +
+        #: cache) standing now.
         self.forks_served = 0
 
     def __len__(self) -> int:
@@ -67,7 +68,7 @@ class SharedSiteHost:
         return len(self._templates)
 
     def template(self, preference: Optional[Preference] = None) -> LocalSite:
-        """The standing site for one dominance preference (built once).
+        """The standing site for one dominance preference (built once per write).
 
         Bit-identical to ``LocalSite(site_id, partition, preference,
         config)`` — the constructor a solo run uses — plus the shared
@@ -92,16 +93,19 @@ class SharedSiteHost:
         return self.template(preference).fork()
 
     def apply_insert(self, t: UncertainTuple) -> None:
-        """§5.4 insert against every standing template (cache-clearing)."""
+        """§5.4 insert for the next :meth:`view`; a duplicate key or a wrong
+        dimensionality raises ``ValueError`` before anything changes."""
+        validate_database(self._partition + [t])
         self._partition.append(t)
-        for site in self._templates.values():
-            site.insert_tuple(t)
+        self._templates.clear()
 
     def apply_delete(self, key: int) -> None:
-        """§5.4 delete against every standing template (cache-clearing)."""
-        self._partition = [t for t in self._partition if t.key != key]
-        for site in self._templates.values():
-            site.delete_tuple(key)
+        """§5.4 delete; an absent ``key`` raises ``KeyError`` before anything changes."""
+        kept = [t for t in self._partition if t.key != key]
+        if len(kept) == len(self._partition):
+            raise KeyError(f"tuple {key} not stored at site {self.site_id}")
+        self._partition = kept
+        self._templates.clear()
 
 
 class StandingReplicaBook:

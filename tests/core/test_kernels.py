@@ -127,6 +127,13 @@ class TestDominatorKernels:
         want = non_occurrence_product(foreign, db)
         assert with_none == pytest.approx(want, abs=TOL)
         assert float(batched).hex() == with_none.hex()
+        # A stored key of -1 is a key like any other: None spares it.
+        keyed = ColumnStore.from_tuples(
+            [UncertainTuple(-1, (0.0, 0.0), 0.5), UncertainTuple(2, (1.0, 1.0), 0.5)]
+        )
+        probe = np.array([[3.0, 3.0], [3.0, 3.0]])
+        assert keyed.dominator_product(probe[0]) == 0.25
+        assert keyed.dominator_products(probe, exclude_keys=[None, -1]).tolist() == [0.25, 0.5]
 
     @given(database_and_preference(), st.data())
     def test_dominance_matrix_matches_pairwise_dominates_values(self, case, data):

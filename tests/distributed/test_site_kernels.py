@@ -153,27 +153,33 @@ def test_forks_share_the_kernel_and_no_query_state(kernel):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_template_updates_reach_forks_issued_before_them(kernel):
+def test_a_shared_site_refuses_writes(kernel):
     db = make_random_database(100, 3, seed=34, grid=6)
     foreign = [
         UncertainTuple(90_000, (3.0, 3.0, 3.0), 0.7),
         UncertainTuple(90_001, (1.0, 4.0, 2.0), 0.4),
     ]
+    dominating = UncertainTuple(5_001, (0.0, 0.0, 0.0), 0.9)
+
+    def bits(s):
+        probes = [s.probe(t).hex() for t in foreign] + [f.hex() for f in s.probe_batch(foreign)]
+        return dict(s.database), probes, s.prepare(Q), drain(s)
+
+    def refuses(s):
+        before = bits(s)
+        with pytest.raises(RuntimeError, match="refuses updates"):
+            s.insert_tuple(dominating)
+        with pytest.raises(RuntimeError, match="refuses updates"):
+            s.delete_tuple(db[0].key)
+        assert bits(s) == before
+
     template = site(kernel, db)
     early = template.fork()
-    early.prepare(Q)
-    early.probe(foreign[0])  # the fork has read the old partition
-    dominating = UncertainTuple(5_001, (0.0, 0.0, 0.0), 0.9)
-    template.insert_tuple(dominating)
-    template.delete_tuple(db[0].key)
-    fresh = site(kernel, [t for t in db if t.key != db[0].key] + [dominating])
-    for fork in (early, template.fork()):
-        same_as_rebuilt(kernel, [fork.probe(t) for t in foreign], [fresh.probe(t) for t in foreign])
-        same_as_rebuilt(kernel, fork.probe_batch(foreign), fresh.probe_batch(foreign))
-        assert fork.prepare(Q) == fresh.prepare(Q)
-        pf, pw = drain(fork), drain(fresh)
-        assert [k for k, _ in pf] == [k for k, _ in pw]
-        same_as_rebuilt(kernel, [p for _, p in pf], [p for _, p in pw])
+    for s in (template, early, early.fork()):
+        refuses(s)
+    memoised = site(kernel, db)
+    memoised.enable_skyline_cache()
+    refuses(memoised)
 
 
 def _observed(s, foreign):

@@ -1,5 +1,7 @@
 """ReplicaManager contracts: provisioning, forwarding, digests, repair."""
 
+import pytest
+
 from repro.core.tuples import UncertainTuple
 from repro.distributed.query import build_sites
 from repro.net.stats import NetworkStats
@@ -79,6 +81,16 @@ class TestWriteForwarding:
         mgr.forward_delete(0, 0)
         assert mgr.stats.tuples_transmitted == before  # keys cost 0 (§3.2)
         assert mgr.stats.messages == msgs + 1  # but the message is real
+
+    def test_a_refused_forwarded_write_is_not_billed(self):
+        sites, mgr = make_cluster()
+        standing = mgr.stats.snapshot()
+        stored = next(iter(sites[1].database.values()))
+        with pytest.raises(ValueError, match="already stored"):
+            mgr.forward_insert(1, stored)
+        with pytest.raises(KeyError):
+            mgr.forward_delete(1, 9_999)
+        assert mgr.stats.snapshot() == standing
 
 
 class TestAntiEntropy:

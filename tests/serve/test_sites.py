@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.core.dominance import Preference
+from repro.core.tuples import UncertainTuple
 from repro.distributed.dsud import DSUD
-from repro.distributed.query import build_sites
+from repro.distributed.query import assemble_coordinator, build_sites, distributed_skyline
+from repro.distributed.site import LocalSite
 from repro.fault.injection import FaultyEndpoint
 from repro.fault.liveness import LivenessBook
 from repro.fault.schedule import FaultSchedule
@@ -17,6 +21,9 @@ from ..conftest import make_random_database
 
 DB = make_random_database(120, 3, seed=23)
 PARTITIONS = [DB[i::4] for i in range(4)]
+Q = 0.3
+#: Dominates every stored tuple: a session that sees it loses its answer.
+DOMINATING = UncertainTuple(90_000, (0.0, 0.0, 0.0), 0.9)
 
 
 # ----------------------------------------------------------------------
@@ -73,6 +80,100 @@ def test_maintenance_applies_to_templates_and_future_views():
     assert extra.key not in host.template().database
 
 
+def _observed(host):
+    view = host.view()
+    size = view.prepare(Q)
+    pops = [(q.key, q.local_probability.hex()) for q in iter(view.pop_representative, None)]
+    return len(host), view.ship_all(), size, pops
+
+
+@pytest.mark.parametrize("built", [False, True])
+def test_a_refused_host_write_changes_nothing(built):
+    host = SharedSiteHost(0, PARTITIONS[0])
+    if built:
+        host.template()
+    before = _observed(SharedSiteHost(0, PARTITIONS[0]))  # a never-written twin
+    stored = PARTITIONS[0][3]
+    with pytest.raises(ValueError, match="duplicate tuple key"):
+        host.apply_insert(stored)
+    with pytest.raises(ValueError, match="dimensionality"):
+        host.apply_insert(UncertainTuple(9_000, (0.0, 0.0), 0.5))
+    with pytest.raises(KeyError):
+        host.apply_delete(9_999)
+    assert _observed(host) == before
+
+
+def _seen(result):
+    return (
+        [(m.key, m.probability.hex()) for m in result.answer],
+        result.stats.messages,
+        result.stats.tuples_transmitted,
+        result.stats.failovers,
+    )
+
+
+def _finish_across(coordinator, pump, writes, after=2):
+    """Draw ``after`` scheduling points, run ``writes``, finish the query."""
+    if pump == "steps":
+        steps = coordinator.steps()
+        for _ in range(after):
+            next(steps)
+        writes()
+        for _ in steps:
+            pass
+        return coordinator.finish()
+
+    async def drive():
+        steps = coordinator.asteps()
+        for _ in range(after):
+            await steps.__anext__()
+        writes()
+        async for _ in steps:
+            pass
+        return await coordinator.afinish()
+
+    return asyncio.run(drive())
+
+
+def _host_writes(hosts, inserted_at, deleted_at):
+    def writes():
+        hosts[inserted_at].apply_insert(DOMINATING)
+        hosts[deleted_at].apply_delete(PARTITIONS[deleted_at][0].key)
+
+    return writes
+
+
+@pytest.mark.parametrize("pump", ["steps", "asteps"])
+@pytest.mark.parametrize("algorithm", ["dsud", "edsud"])
+def test_a_session_reads_the_version_it_was_forked_from(algorithm, pump):
+    hosts = [SharedSiteHost(i, p) for i, p in enumerate(PARTITIONS)]
+    coordinator = assemble_coordinator([h.view() for h in hosts], Q, algorithm=algorithm)
+    result = _finish_across(coordinator, pump, _host_writes(hosts, 0, 2))
+    assert _seen(result) == _seen(distributed_skyline(PARTITIONS, Q, algorithm=algorithm))
+
+
+def test_a_view_after_host_writes_is_a_fresh_site():
+    partition = make_random_database(300, 3, seed=41)
+    inserts = make_random_database(20, 3, seed=42, start_key=10_000)
+    deletes = [t.key for t in partition[::30]]
+    host = SharedSiteHost(0, partition)
+    host.view().prepare(Q)  # a template standing before the writes
+    for t in inserts:
+        host.apply_insert(t)
+    for key in deletes:
+        host.apply_delete(key)
+    now = [t for t in partition + inserts if t.key not in deletes]
+    probes = make_random_database(50, 3, seed=43, start_key=20_000)
+    got = host.view().probe_batch(probes)
+    assert [f.hex() for f in got] == [f.hex() for f in LocalSite(0, now).probe_batch(probes)]
+    # A session built after the writes answers over the new partition.
+    hosts = [SharedSiteHost(i, p) for i, p in enumerate(PARTITIONS)]
+    _host_writes(hosts, 0, 2)()
+    after = [PARTITIONS[0] + [DOMINATING], PARTITIONS[1], PARTITIONS[2][1:], PARTITIONS[3]]
+    result = assemble_coordinator([h.view() for h in hosts], Q, algorithm="edsud").run()
+    assert _seen(result) == _seen(distributed_skyline(after, Q, algorithm="edsud"))
+
+
 # ----------------------------------------------------------------------
 # StandingReplicaBook
 
@@ -105,6 +206,40 @@ def test_standing_book_injects_pre_provisioned_template_forks():
             assert replica.database is template.database
     # Nothing shipped: the manager's standing book stays empty.
     assert manager.stats.messages == 0
+
+
+def test_a_book_issued_manager_refuses_forwarded_writes():
+    hosts = [SharedSiteHost(i, p) for i, p in enumerate(PARTITIONS)]
+    manager = StandingReplicaBook(hosts, seed=0).manager_for(
+        [h.view() for h in hosts], replication_factor=3
+    )
+    template = hosts[1].template()
+    stored = dict(template.database)
+    with pytest.raises(RuntimeError, match="refuses updates"):
+        manager.forward_insert(1, UncertainTuple(99_003, (2.0, 2.0, 2.0), 0.6))
+    with pytest.raises(RuntimeError, match="refuses updates"):
+        manager.forward_delete(1, PARTITIONS[1][0].key)
+    assert hosts[1].template() is template and template.database == stored
+    assert len(hosts[1]) == len(PARTITIONS[1])
+    assert manager.stats.snapshot() == ReplicaManager({}).stats.snapshot()
+
+
+@pytest.mark.parametrize("algorithm", ["dsud", "edsud"])
+def test_a_failover_after_host_writes_reads_the_forked_version(algorithm):
+    def crash():
+        return FaultSchedule().crash(1, at_call=3)
+
+    hosts = [SharedSiteHost(i, p) for i, p in enumerate(PARTITIONS)]
+    schedule = crash()
+    sites = [FaultyEndpoint(h.view(), schedule) for h in hosts]
+    manager = StandingReplicaBook(hosts, seed=0).manager_for(sites, replication_factor=2)
+    coordinator = assemble_coordinator(sites, Q, algorithm=algorithm, replica_manager=manager)
+    result = _finish_across(coordinator, "steps", _host_writes(hosts, 1, 3), after=1)
+    solo = distributed_skyline(
+        PARTITIONS, Q, algorithm=algorithm, fault_schedule=crash(), replication_factor=2
+    )
+    assert result.stats.failovers >= 1
+    assert _seen(result) == _seen(solo)
 
 
 # ----------------------------------------------------------------------
