@@ -75,7 +75,6 @@ class ReplicaManager:
         replication_factor: int,
         preference: Optional[Preference] = None,
         site_config: Optional[SiteConfig] = None,
-        seed: int = 0,
     ) -> "ReplicaManager":
         """Copy every partition onto its buddies, billed to a new standing book.
 
@@ -84,7 +83,7 @@ class ReplicaManager:
         bearing ``|D_i|`` tuples — the §3.2 cost of placing a copy.
         """
         primaries = {s.site_id: s for s in sites}
-        placement = assign_buddies(primaries, replication_factor, seed=seed)
+        placement = assign_buddies(primaries, replication_factor)
         manager = cls({})
         for sid, hosts in sorted(placement.items()):
             if not hosts:

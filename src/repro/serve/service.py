@@ -33,7 +33,7 @@ Use as an async context manager::
 
     async with SkylineService(partitions, policy=AdmissionPolicy(4)) as svc:
         sessions = [await svc.submit(spec) for spec in specs]
-        await svc.drain()
+        await svc.drain()  # the sessions are the caller's; svc keeps none
 
 or, against site servers hosted elsewhere (addresses as produced by
 :func:`~repro.net.sockets.host_sites_in_processes`)::
@@ -134,7 +134,6 @@ class SkylineService:
         self._subscription_ids = 0
         self._pending: Deque[QuerySession] = deque()
         self._running: List[QuerySession] = []
-        self._finished: List[QuerySession] = []
         self._ids = 0
         self._passes = 0
         #: Wakes the scheduler when work arrives; wakes submitters when
@@ -175,9 +174,8 @@ class SkylineService:
         self._work.set()
         task, self._scheduler_task = self._scheduler_task, None
         await task
-        for subscription in self._subscriptions:
-            if subscription.active:
-                self._cancel_subscription(subscription, "service closed")
+        for subscription in list(self._subscriptions):
+            self._cancel_subscription(subscription, "service closed")
 
     # ------------------------------------------------------------------
     # the client surface
@@ -190,10 +188,6 @@ class SkylineService:
     @property
     def inflight(self) -> int:
         return len(self._running)
-
-    @property
-    def finished(self) -> List[QuerySession]:
-        return list(self._finished)
 
     @property
     def passes(self) -> int:
@@ -229,19 +223,18 @@ class SkylineService:
         self._work.set()
         return session
 
-    async def drain(self) -> List[QuerySession]:
-        """Wait until nothing is queued or running; returns all sessions."""
+    async def drain(self) -> None:
+        """Wait until nothing is queued or running.
+
+        The service keeps no finished session: each belongs to the
+        caller, who already holds every one that :meth:`submit` returned.
+        """
         while self._pending or self._running:
             await asyncio.sleep(0)
-        return self.finished
 
     # ------------------------------------------------------------------
     # the continuous surface: standing queries over the stream plane
     # ------------------------------------------------------------------
-
-    @property
-    def subscriptions(self) -> List[SubscriptionSession]:
-        return list(self._subscriptions)
 
     def _require_stream(self) -> ContinuousCoordinator:
         if self.stream is None:
@@ -267,8 +260,7 @@ class SkylineService:
             raise AdmissionRejected(
                 f"tenant {query.tenant!r} is over its bandwidth budget"
             )
-        active = sum(1 for s in self._subscriptions if s.active)
-        if active >= self.policy.max_subscriptions:
+        if len(self._subscriptions) >= self.policy.max_subscriptions:
             raise AdmissionRejected(
                 f"subscription cap reached ({self.policy.max_subscriptions} active)"
             )
@@ -291,6 +283,7 @@ class SkylineService:
                 self.stream.unregister(session.query_id)
             except KeyError:
                 pass
+        self._subscriptions.remove(session)
         session._cancel(reason)
 
     def ingest(
@@ -321,7 +314,7 @@ class SkylineService:
         deltas = stream.close_epoch()
         traffic = stream.stats.tuples_transmitted - self._stream_billed
         self._stream_billed = stream.stats.tuples_transmitted
-        active = [s for s in self._subscriptions if s.active]
+        active = list(self._subscriptions)  # a budget cancel below removes from the list
         if active and traffic:
             share = traffic / len(active)
             for session in active:
@@ -452,7 +445,6 @@ class SkylineService:
                     f"tenant {session.spec.tenant!r} over budget before start"
                 )
                 await session.release_endpoints()
-                self._finished.append(session)
                 continue
             session.start()
             self._running.append(session)
@@ -484,7 +476,6 @@ class SkylineService:
                 done = True
             if done:
                 await session.release_endpoints()
-                self._finished.append(session)
             else:
                 still_running.append(session)
         self._running = still_running
@@ -493,7 +484,7 @@ class SkylineService:
         return (
             self.auto_publish
             and self._stream_dirty
-            and any(s.active for s in self._subscriptions)
+            and bool(self._subscriptions)
         )
 
     async def _scheduler(self) -> None:

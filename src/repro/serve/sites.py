@@ -113,16 +113,15 @@ class StandingReplicaBook:
 
     A solo replicated run ships each partition to its buddies once per
     query.  The book amortizes that: a session gets a normal
-    :class:`ReplicaManager` (same placement seed, so the same buddy
-    assignment and the same ``replica-i@site-j`` wire names) built over
+    :class:`ReplicaManager` (the same :func:`assign_buddies` placement,
+    so the same ``replica-i@site-j`` wire names) built over
     forks of the standing host templates — already provisioned, so its
     standing book stays empty.  The query-side books cannot tell the
     difference, because solo provisioning never bills the query.
     """
 
-    def __init__(self, hosts: Sequence[SharedSiteHost], seed: int = 0) -> None:
+    def __init__(self, hosts: Sequence[SharedSiteHost]) -> None:
         self._hosts = {host.site_id: host for host in hosts}
-        self.seed = seed
         self.managers_issued = 0
 
     def manager_for(
@@ -132,9 +131,7 @@ class StandingReplicaBook:
         preference: Optional[Preference] = None,
     ) -> ReplicaManager:
         """A per-session manager over pre-provisioned replica forks."""
-        placement = assign_buddies(
-            (s.site_id for s in session_sites), replication_factor, seed=self.seed
-        )
+        placement = assign_buddies((s.site_id for s in session_sites), replication_factor)
         replicas: Dict[int, List[Tuple[int, LocalSite]]] = {}
         for sid in sorted(placement):
             template = self._hosts[sid].template(preference)

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import asyncio
+import gc
+import tracemalloc
+import weakref
 from typing import List
 
 import pytest
 
+from repro.core.tuples import UncertainTuple
+from repro.fault.retry import RetryPolicy
+from repro.fault.schedule import FaultSchedule
 from repro.serve import (
     AdmissionPolicy,
     AdmissionRejected,
@@ -15,6 +21,7 @@ from repro.serve import (
     SkylineService,
     TenantLedger,
 )
+from repro.stream import CountWindow, StandingQuery
 
 from ..conftest import make_random_database
 
@@ -66,12 +73,11 @@ def test_inflight_never_exceeds_the_admission_cap():
         policy = AdmissionPolicy(max_inflight=2, max_queued=16)
         peak = 0
         async with SkylineService(PARTITIONS, policy=policy) as service:
-            for _ in range(6):
-                await service.submit(SPEC)
+            sessions = [await service.submit(SPEC) for _ in range(6)]
             while service.queue_depth or service.inflight:
                 peak = max(peak, service.inflight)
                 await asyncio.sleep(0)
-            assert len(service.finished) == 6
+            assert all(session.done for session in sessions)
         return peak
 
     peak = asyncio.run(drive())
@@ -183,5 +189,101 @@ def test_aborted_sessions_release_their_coordinator():
             # coordinator's finally: close() — no half-open pools.
             assert session.result is None
             assert session.latency is not None
+
+    asyncio.run(drive())
+
+
+# ----------------------------------------------------------------------
+# what a standing service keeps: live work only
+
+
+def _lifecycle_spec(i: int) -> QuerySpec:
+    """Cycle plain, top-k, crash-and-return chaos and failover queries."""
+    kind = i % 4
+    if kind == 0:
+        return QuerySpec(threshold=0.4, algorithm="dsud")
+    if kind == 1:
+        return QuerySpec(threshold=0.4, algorithm="edsud", limit=3)
+    retry = RetryPolicy(max_attempts=2, base_backoff=1e-4, max_backoff=1e-3)
+    if kind == 2:
+        schedule = FaultSchedule(seed=i).crash(1, at_call=6, until_call=24)
+        return QuerySpec(
+            threshold=0.3, algorithm="dsud", fault_schedule=schedule, retry_policy=retry
+        )
+    return QuerySpec(
+        threshold=0.3,
+        algorithm="dsud",
+        replication_factor=2,
+        fault_schedule=FaultSchedule(seed=i).crash(0, at_call=0),
+        retry_policy=retry,
+    )
+
+
+def test_a_standing_service_forgets_the_sessions_it_finished():
+    async def drive() -> None:
+        async with SkylineService(PARTITIONS) as service:
+            for i in range(20):  # warm-up: templates, memos, replica forks
+                await service.submit(_lifecycle_spec(i))
+            await service.drain()
+            refs: List[weakref.ref] = []
+            sites_lost = failovers = 0
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for first in range(0, 200, 4):
+                    sessions = [
+                        await service.submit(_lifecycle_spec(i))
+                        for i in range(first, first + 4)
+                    ]
+                    await service.drain()
+                    for session in sessions:
+                        assert session.state is SessionState.FINISHED
+                        assert session.result is not None
+                        sites_lost += session.result.stats.sites_lost
+                        failovers += session.result.stats.failovers
+                        refs.append(weakref.ref(session.coordinator))
+                        refs.extend(weakref.ref(s) for s in session.coordinator.sites)
+                    del sessions, session  # the caller drops what it was served
+                gc.collect()
+                grown = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert sites_lost >= 100 and failovers >= 50  # the chaos bit
+            assert len(refs) == 200 * (1 + SITES)
+            assert [ref for ref in refs if ref() is not None] == []
+            assert grown < 1 << 20, f"{grown / 2**20:.2f} MB retained over 200 queries"
+
+    asyncio.run(drive())
+
+
+def test_cancelled_subscriptions_are_forgotten_and_active_ones_keep_receiving():
+    async def drive() -> None:
+        service = SkylineService(stream_windows=[CountWindow(16)], auto_publish=False)
+        async with service:
+            live = await service.subscribe(StandingQuery(threshold=0.3))
+            dropped = await service.subscribe(StandingQuery(threshold=0.3))
+            service.unsubscribe(dropped)
+            unsubscribed = weakref.ref(dropped)
+            del dropped
+            for key in range(3):
+                service.ingest(0, UncertainTuple(key, (float(key), 3.0 - key), 0.9))
+                await service.publish()
+                assert await live.next_batch()
+            closing = weakref.ref(await service.subscribe(StandingQuery(threshold=0.5)))
+        # close() cancelled the third subscription; nobody else holds it.
+        gc.collect()
+        assert unsubscribed() is None and closing() is None
+        assert not live.active
+
+    asyncio.run(drive())
+
+
+def test_drain_returns_nothing():
+    async def drive() -> None:
+        async with SkylineService(PARTITIONS) as service:
+            session = await service.submit(SPEC)
+            assert await service.drain() is None
+            assert session.state is SessionState.FINISHED
 
     asyncio.run(drive())

@@ -180,10 +180,10 @@ def test_a_view_after_host_writes_is_a_fresh_site():
 
 def test_standing_book_reproduces_solo_placement():
     sites = [SharedSiteHost(i, p) for i, p in enumerate(PARTITIONS)]
-    book = StandingReplicaBook(sites, seed=0)
+    book = StandingReplicaBook(sites)
     session_sites = [host.view() for host in sites]
     issued = book.manager_for(session_sites, replication_factor=2)
-    solo = ReplicaManager.provision(build_sites(PARTITIONS), 2, seed=0)
+    solo = ReplicaManager.provision(build_sites(PARTITIONS), 2)
 
     def placement(manager):
         return {sid: [host for host, _ in pairs] for sid, pairs in manager.replicas.items()}
@@ -194,7 +194,7 @@ def test_standing_book_reproduces_solo_placement():
 
 def test_standing_book_injects_pre_provisioned_template_forks():
     sites = [SharedSiteHost(i, p) for i, p in enumerate(PARTITIONS)]
-    book = StandingReplicaBook(sites, seed=0)
+    book = StandingReplicaBook(sites)
     manager = book.manager_for(
         [host.view() for host in sites], replication_factor=2
     )
@@ -210,7 +210,7 @@ def test_standing_book_injects_pre_provisioned_template_forks():
 
 def test_a_book_issued_manager_refuses_forwarded_writes():
     hosts = [SharedSiteHost(i, p) for i, p in enumerate(PARTITIONS)]
-    manager = StandingReplicaBook(hosts, seed=0).manager_for(
+    manager = StandingReplicaBook(hosts).manager_for(
         [h.view() for h in hosts], replication_factor=3
     )
     template = hosts[1].template()
@@ -232,7 +232,7 @@ def test_a_failover_after_host_writes_reads_the_forked_version(algorithm):
     hosts = [SharedSiteHost(i, p) for i, p in enumerate(PARTITIONS)]
     schedule = crash()
     sites = [FaultyEndpoint(h.view(), schedule) for h in hosts]
-    manager = StandingReplicaBook(hosts, seed=0).manager_for(sites, replication_factor=2)
+    manager = StandingReplicaBook(hosts).manager_for(sites, replication_factor=2)
     coordinator = assemble_coordinator(sites, Q, algorithm=algorithm, replica_manager=manager)
     result = _finish_across(coordinator, "steps", _host_writes(hosts, 1, 3), after=1)
     solo = distributed_skyline(
@@ -306,7 +306,7 @@ def test_book_keys_separate_site_and_primary_probes():
 def test_hosts_survive_replicated_and_plain_sessions(replication_factor):
     # Regression guard: issuing managers must not mutate host templates.
     sites = [SharedSiteHost(i, p) for i, p in enumerate(PARTITIONS)]
-    book = StandingReplicaBook(sites, seed=0)
+    book = StandingReplicaBook(sites)
     if replication_factor > 1:
         book.manager_for([h.view() for h in sites], replication_factor)
     counts = [len(h.template().database) for h in sites]
