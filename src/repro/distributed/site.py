@@ -38,7 +38,7 @@ coordinator, exactly as in the paper.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -106,6 +106,47 @@ class _Candidate:
     tuple: UncertainTuple
     local_probability: float
     bound: float  # local probability × accumulated feedback factors
+
+
+class _PreparedQueue:
+    """One threshold's queue as :meth:`LocalSite.prepare` starts it, never written
+    after, so forks share it and copy only ``bounds``.  ``rows`` memoises each
+    feedback tuple's Local-Pruning dominance over the whole queue as bool-mask
+    bytes; a fork ands a row with its own alive mask."""
+
+    def __init__(
+        self, answer: Iterable[SkylineMember] = (), kernel: Optional[SiteKernel] = None
+    ) -> None:
+        self.skyline = answer
+        self.cands = [
+            _Candidate(tuple=m.tuple, local_probability=m.probability, bound=m.probability)
+            for m in answer  # ProbabilisticSkyline iterates descending
+        ]
+        self.bounds = np.array([c.local_probability for c in self.cands], dtype=np.float64)
+        tuples = [c.tuple for c in self.cands]
+        self.view: Any = kernel.queue_view(tuples) if kernel is not None and tuples else None
+        self.rows: Dict[UncertainTuple, bytes] = {}
+
+    def row(self, kernel: SiteKernel, t: UncertainTuple) -> np.ndarray:
+        row = self.rows.get(t)
+        if row is None:
+            everyone = np.ones(len(self.cands), dtype=bool)
+            row = self.rows[t] = kernel.dominated(t, self.view, everyone).tobytes()
+        return np.frombuffer(row, dtype=bool)
+
+
+@dataclass
+class _TemplateMemo:
+    """A forked template's pure answers, each computed once: exact Eq.-9
+    factors by foreign tuple (value equality: a tuple sent under a stored
+    key is an entry of its own) and prepared queues by threshold.  Forks
+    in threads may race to fill one entry; both write the same answer."""
+
+    factors: Dict[UncertainTuple, float] = field(default_factory=dict)
+    queues: Dict[float, _PreparedQueue] = field(default_factory=dict)
+
+
+_NO_QUEUE = _PreparedQueue()  # before any prepare; nothing in it is ever written
 
 
 # ----------------------------------------------------------------------
@@ -276,40 +317,29 @@ class LocalSite:
         #: every participant is what lets most updates resolve without
         #: touching the network.
         self.sky_h_replica: Dict[int, "tuple[UncertainTuple, float]"] = {}
-        #: Optional shared ``threshold → ProbabilisticSkyline`` cache.
-        #: ``None`` (the solo default) recomputes on every ``prepare``.
-        #: The serving layer installs one dict on a template site and
-        #: every :meth:`fork` shares it, so repeated ``prepare(q)``
-        #: across sessions costs one local skyline per distinct
-        #: threshold.
-        self._skyline_cache: Optional[Dict[float, ProbabilisticSkyline]] = None
-        #: Forked or memoised: §5.4 updates are refused, so readers see one version.
-        self._frozen = False
+        #: Set by the first :meth:`fork`, shared by every fork: the site is
+        #: then frozen (it refuses §5.4 updates) and answers each pure
+        #: question once.  ``None`` (never forked) computes afresh.
+        self._memo: Optional[_TemplateMemo] = None
         self._reset()
 
-    def _reset(
-        self, threshold: Optional[float] = None, answer: Iterable[SkylineMember] = ()
-    ) -> int:
-        """Start a query: enqueue ``answer``, forget feedback and accounting.
+    def _reset(self, threshold: Optional[float] = None, queue: _PreparedQueue = _NO_QUEUE) -> int:
+        """Start a query over ``queue``, forget feedback and accounting.
 
-        Parallel to ``_cands`` run a cursor (``_q_head``), an alive mask,
-        a bound vector and the kernel's view of the candidates.
+        Parallel to ``_cands`` (the queue's, shared with the kernel's view
+        of them) run a cursor (``_q_head``), an alive mask and bounds.
         Front-pops advance the cursor in O(1); feedback pruning flips
         alive bits instead of rebuilding lists.  ``_q_live`` counts the
         alive bits: every place that clears one decrements it, so
         :meth:`queue_size` never sums the mask.
         """
         self.threshold = threshold
-        self._cands: List[_Candidate] = [
-            _Candidate(tuple=m.tuple, local_probability=m.probability, bound=m.probability)
-            for m in answer  # ProbabilisticSkyline iterates descending
-        ]
+        self._prepared = queue
+        self._cands = queue.cands
         self._q_head = 0
         self._q_alive = np.ones(len(self._cands), dtype=bool)
         self._q_live = len(self._cands)
-        self._q_bounds = np.array([c.local_probability for c in self._cands], dtype=np.float64)
-        tuples = [c.tuple for c in self._cands]
-        self._q_view: Any = self.kernel.queue_view(tuples) if tuples else None
+        self._q_bounds = queue.bounds.copy()
         self._feedback: List[UncertainTuple] = []
         self._popped_keys: set = set()
         self.pruned_total = 0
@@ -327,42 +357,33 @@ class LocalSite:
         """
         if not 0.0 < threshold <= 1.0:
             raise ValueError(f"threshold q must be in (0, 1], got {threshold!r}")
-        return self._reset(threshold, self._local_skyline(threshold))
+        return self._reset(threshold, self._queue_at(threshold))
 
-    def _local_skyline(self, threshold: float) -> ProbabilisticSkyline:
-        cache = self._skyline_cache
-        if cache is None:
-            return self.kernel.skyline(threshold)
-        if threshold not in cache:
-            cache[threshold] = self.kernel.skyline(threshold)
-        return cache[threshold]
-
-    def enable_skyline_cache(self) -> None:
-        """Memoize ``prepare``'s local skyline per threshold.
-
-        Meant for standing sites serving many queries; forks created
-        afterwards share the cache, so one computation serves every
-        session at the same threshold.  A memo holds only while the
-        partition does, so the site refuses §5.4 updates from now on.
-        """
-        self._frozen = True
-        if self._skyline_cache is None:
-            self._skyline_cache = {}
+    def _queue_at(self, threshold: float) -> _PreparedQueue:
+        memo = self._memo
+        queue = None if memo is None else memo.queues.get(threshold)
+        if queue is None:
+            queue = _PreparedQueue(self.kernel.skyline(threshold), self.kernel)
+            if memo is not None:
+                memo.queues[threshold] = queue
+        return queue
 
     def fork(self) -> "LocalSite":
         """A per-session view over this site's partition.
 
         The fork shares everything a query only *reads* — the database
         dict, the kernel (with its index or column store) and the
-        skyline cache — and owns everything a query *mutates*: the
-        candidate queue, feedback history, pop/prune accounting, and an
-        empty ``SKY(H)`` replica.  Two forks therefore run concurrent
-        queries over one partition without observing each other, each
-        bit-identical to a fresh :class:`LocalSite` over the same data.
-        Forking freezes the site and its forks: both refuse §5.4
-        updates, so a fork reads the partition as it was when forked.
+        template memo — and owns everything a query *mutates*: queue
+        bounds and alive mask, feedback history, pop/prune accounting,
+        and an empty ``SKY(H)`` replica.  Two forks therefore run
+        concurrent queries over one partition without observing each
+        other, each bit-identical to a fresh :class:`LocalSite` over the
+        same data.  Forking freezes the site and its forks: both refuse
+        §5.4 updates, so the memo's factors, queues and dominance rows
+        hold for as long as the template lives.
         """
-        self._frozen = True
+        if self._memo is None:
+            self._memo = _TemplateMemo()
         clone = object.__new__(LocalSite)
         clone.__dict__.update(self.__dict__)
         clone.sky_h_replica = {}
@@ -465,7 +486,10 @@ class LocalSite:
         and transmit all of it, ordered by descending local skyline
         probability.
         """
-        answer = self._local_skyline(threshold)
+        if self._memo is None:
+            answer: Iterable[SkylineMember] = self.kernel.skyline(threshold)
+        else:
+            answer = self._queue_at(threshold).skyline
         return [
             Quaternion(site=self.site_id, tuple=m.tuple, local_probability=m.probability)
             for m in answer
@@ -477,11 +501,23 @@ class LocalSite:
 
     def probe(self, t: UncertainTuple) -> float:
         """Eq. 9: the exact factor this site contributes for foreign ``t``."""
-        return self.kernel.factor(t)
+        if self._memo is None:
+            return self.kernel.factor(t)
+        known = self._memo.factors
+        factor = known.get(t)
+        if factor is None:
+            factor = known[t] = self.kernel.factor(t)
+        return factor
 
     def probe_batch(self, ts: Sequence[UncertainTuple]) -> List[float]:
-        """Eq. 9 for many foreign tuples at once (one kernel dispatch)."""
-        return self.kernel.factors(list(ts))
+        """Eq. 9 for many foreign tuples at once (one kernel dispatch, of memo misses)."""
+        if self._memo is None:
+            return self.kernel.factors(list(ts))
+        known = self._memo.factors
+        misses = [t for t in dict.fromkeys(ts) if t not in known]
+        if misses:
+            known.update(zip(misses, self.kernel.factors(misses)))
+        return [known[t] for t in ts]
 
     def apply_feedback(self, t: UncertainTuple) -> int:
         """Local-Pruning phase: expunge candidates the feedback disqualifies.
@@ -499,7 +535,10 @@ class LocalSite:
             return 0
         if not self._q_live:
             return 0
-        dominated = self.kernel.dominated(t, self._q_view, self._q_alive)
+        if self._memo is None:
+            dominated = self.kernel.dominated(t, self._prepared.view, self._q_alive)
+        else:
+            dominated = self._q_alive & self._prepared.row(self.kernel, t)
         if not dominated.any():
             return 0
         self._q_bounds[dominated] *= 1.0 - t.probability
@@ -548,7 +587,7 @@ class LocalSite:
         by the maintenance protocol, not here.  A shared site, a
         duplicate key or a dimensionality other than the stored
         tuples' is refused before anything changes."""
-        if self._frozen:
+        if self._memo is not None:
             raise RuntimeError(f"site {self.site_id} is shared and refuses updates")
         if t.key in self.database:
             raise ValueError(f"tuple {t.key} already stored at site {self.site_id}")
@@ -560,7 +599,7 @@ class LocalSite:
 
     def delete_tuple(self, key: int) -> UncertainTuple:
         """Remove the tuple with ``key`` from ``D_i`` (index included); a shared site refuses."""
-        if self._frozen:
+        if self._memo is not None:
             raise RuntimeError(f"site {self.site_id} is shared and refuses updates")
         t = self.database.pop(key, None)
         if t is None:

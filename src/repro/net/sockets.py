@@ -90,9 +90,9 @@ class SiteServer(socketserver.ThreadingTCPServer):
     the hosted site a *template*: each connection is served by a fresh
     :meth:`LocalSite.fork`, so many concurrent query sessions get
     independent queue/feedback state over the same partition (the
-    remote twin of :class:`repro.serve.sites.SharedSiteHost`).  Enable
-    the template's skyline cache first so forks amortise the local
-    computing phase.  ``rpc_delay`` adds a per-RPC service-time sleep —
+    remote twin of :class:`repro.serve.sites.SharedSiteHost`), sharing
+    its memo: a local skyline, factor or dominance row is computed once
+    across connections.  ``rpc_delay`` adds a per-RPC service-time sleep —
     a deterministic stand-in for WAN latency (``perf/``'s ``remote_wan``),
     so socket-wait overlap is measurable on localhost.
     """
@@ -199,10 +199,6 @@ def _serve_partition_process(
     site = LocalSite(
         site_id=site_id, database=partition, preference=preference, config=site_config
     )
-    if fork_per_connection:
-        # Standing template: one local-computing phase serves every
-        # session at the same threshold, across connections.
-        site.enable_skyline_cache()
     server = SiteServer(
         site, fork_per_connection=fork_per_connection, rpc_delay=rpc_delay
     )

@@ -35,6 +35,10 @@ _TUPLE_BEARING = {
     MessageKind.DELTA,
 }
 
+#: ``by_kind`` label → tuples per message by default.  ``bill`` reads the label as
+#: ``kind._value_``: ``kind.value`` and ``Enum.__hash__`` are Python-level calls.
+_DEFAULT_TUPLES = {kind.value: int(kind in _TUPLE_BEARING) for kind in MessageKind}
+
 
 @dataclass(frozen=True)
 class LatencyModel:
@@ -98,10 +102,11 @@ class NetworkStats:
         message's origin for the reader; only the receiver decides the
         direction.
         """
+        label = kind._value_
         if tuples is None:
-            tuples = 1 if kind in _TUPLE_BEARING else 0
+            tuples = _DEFAULT_TUPLES[label]
         self.messages += 1
-        self.by_kind[kind.value] = self.by_kind.get(kind.value, 0) + 1
+        self.by_kind[label] = self.by_kind.get(label, 0) + 1
         if tuples:
             self.tuples_transmitted += tuples
             if receiver == "server":

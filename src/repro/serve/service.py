@@ -21,7 +21,7 @@ each session stays bit-identical to the same spec run solo (the
 exactness suites pin this, sync and async alike).  The only shared
 query-path state is deliberately one-way:
 
-* the hosts' skyline memo (an answer cache — hit or miss, same bytes),
+* the hosts' template memo (an answer cache — hit or miss, same bytes),
 * the :class:`~repro.fault.liveness.LivenessBook`, advanced once per
   scheduling pass so all *fault-free* sessions share one liveness
   probe per dead endpoint per pass.  Sessions running a private chaos

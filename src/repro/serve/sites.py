@@ -9,9 +9,9 @@ only needs its own *candidate queue* over them.
 * :class:`SharedSiteHost` owns one partition and hands out per-session
   :meth:`~repro.distributed.site.LocalSite.fork` views.  Templates are
   cached per :class:`~repro.core.dominance.Preference` (dominance
-  direction/subspace changes the index and the local skyline), each
-  with the shared ``prepare`` memo enabled — so N concurrent sessions
-  at the same threshold cost one local-skyline computation, not N.
+  direction/subspace changes the index and the local skyline), and
+  its forks share one template memo — so N concurrent sessions at the
+  same threshold cost one local skyline, and one probe of each tuple.
 * :class:`StandingReplicaBook` plays the same trick for replication:
   instead of re-shipping every partition to its buddies per query, a
   session's :class:`~repro.replica.manager.ReplicaManager` is built
@@ -57,7 +57,7 @@ class SharedSiteHost:
         self.site_config = site_config
         self._templates: Dict[Optional[Preference], LocalSite] = {}
         #: Observability: forks handed out, and templates (index +
-        #: cache) standing now.
+        #: memo) standing now.
         self.forks_served = 0
 
     def __len__(self) -> int:
@@ -71,9 +71,9 @@ class SharedSiteHost:
         """The standing site for one dominance preference (built once per write).
 
         Bit-identical to ``LocalSite(site_id, partition, preference,
-        config)`` — the constructor a solo run uses — plus the shared
-        skyline memo, which never changes an answer, only skips
-        recomputation.
+        config)`` — the constructor a solo run uses.  Its first fork
+        adds the template memo, which never changes an answer, only
+        skips recomputation, and goes with the template on a write.
         """
         site = self._templates.get(preference)
         if site is None:
@@ -83,7 +83,6 @@ class SharedSiteHost:
                 preference=preference,
                 config=self.site_config,
             )
-            site.enable_skyline_cache()
             self._templates[preference] = site
         return site
 

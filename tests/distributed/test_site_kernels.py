@@ -101,6 +101,21 @@ def test_probes_match_the_oracle(kernel, case):
         )
 
 
+@pytest.mark.parametrize("kernel", KERNELS)
+@given(database_and_preference(), st.data())
+@settings(max_examples=50)
+def test_batched_and_single_probes_agree_bit_for_bit(kernel, case, data):
+    """A forked template keeps one factor map for ``probe`` and
+    ``probe_batch``: that is sound only if the two agree per tuple."""
+    d, db, pref = case
+    s = site(kernel, db, pref)
+    point = st.lists(st.integers(min_value=0, max_value=6).map(float), min_size=d, max_size=d)
+    rows = data.draw(st.lists(st.tuples(point, st.sampled_from([0.3, 1.0])), max_size=12))
+    foreign = [UncertainTuple(90_000 + i, tuple(v), p) for i, (v, p) in enumerate(rows)]
+    ts = foreign + db[:6] + foreign[:2]  # stored tuples exclude themselves; repeats
+    assert [f.hex() for f in s.probe_batch(ts)] == [s.probe(t).hex() for t in ts]
+
+
 @pytest.mark.parametrize("kernel", AGAINST_ORACLE)
 @pytest.mark.parametrize(
     "n, d, seed, grid, preference",
@@ -177,9 +192,6 @@ def test_a_shared_site_refuses_writes(kernel):
     early = template.fork()
     for s in (template, early, early.fork()):
         refuses(s)
-    memoised = site(kernel, db)
-    memoised.enable_skyline_cache()
-    refuses(memoised)
 
 
 def _observed(s, foreign):
