@@ -2,7 +2,7 @@
 
 PR 1 made site failure a first-class protocol event: every
 coordinator→site RPC flows through the script engine's funnel
-(:meth:`ScriptEngine._rpc_script`), which retries under the
+(:meth:`ScriptEngine._lane`), which retries under the
 :class:`RetryPolicy`, escalates exhausted retries to the lifecycle FSM,
 and keeps the Corollary-1 coverage books honest.  Protocol scripts
 reach it by *describing* the call — ``yield _Rpc(site, "method",

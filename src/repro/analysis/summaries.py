@@ -69,9 +69,8 @@ RPC_METHODS = frozenset(
 )
 
 #: A call whose dotted name ends in one of these counts as accounting:
-#: ``NetworkStats.bill`` prices one message, ``record_round`` /
-#: ``record_rpc_time`` price a round and its time.
-ACCOUNTING_MARKERS = ("bill", "record_round", "record_rpc_time")
+#: ``NetworkStats.bill`` prices messages, ``record_round`` a round.
+ACCOUNTING_MARKERS = ("bill", "record_round")
 
 #: The subset of :data:`ACCOUNTING_MARKERS` that bills an individual
 #: *message* (a run loop calling ``record_round`` is not a wrapper that

@@ -69,6 +69,7 @@ if TYPE_CHECKING:  # imported lazily — replica builds on distributed.site
 __all__ = ["Coordinator"]
 
 _SERVER = "server"
+_SITES = "sites"  # the receivers of one round's fan-out, billed together
 
 
 class Coordinator(ScriptEngine):
@@ -95,6 +96,9 @@ class Coordinator(ScriptEngine):
         if batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {batch_size!r}")
         self.sites = list(sites)
+        ids = [s.site_id for s in self.sites]
+        if len(set(ids)) < len(ids):  # every book is keyed by id: they would never probe each other
+            raise ValueError(f"duplicate site id {next(i for i in ids if ids.count(i) > 1)!r}")
         self.threshold = threshold
         self.preference = preference
         super().__init__(
@@ -114,6 +118,8 @@ class Coordinator(ScriptEngine):
         self.coverage = CoverageTracker(s.site_id for s in self.sites)
         self.coverage.add_tighten_hook(self._tighten_result)
         self._site_by_id = {s.site_id: s for s in self.sites}
+        #: Each logical site's name in the books; a failover keeps it.
+        self._names = {site_id: f"site-{site_id}" for site_id in ids}
         self._prepared: set = set()
         #: ``limit=k`` makes the query a top-k probabilistic skyline:
         #: the buffer below holds resolved qualified tuples until they
@@ -178,7 +184,7 @@ class Coordinator(ScriptEngine):
         """
         sites = list(self.sites)  # a failover below swaps entries of self.sites
         for site in sites:
-            self.stats.bill(MessageKind.PREPARE, _SERVER, self._name(site))
+            self.stats.bill(MessageKind.PREPARE, _SERVER, self._names[site.site_id])
         attempts = yield _Fanout(
             tuple((_Rpc(site, "prepare", (self.threshold,)),) for site in sites)
         )
@@ -193,20 +199,23 @@ class Coordinator(ScriptEngine):
                 size, _factors = converged
             else:
                 self._prepared.add(site.site_id)
-                self.stats.bill(MessageKind.PREPARE_REPLY, self._name(site), _SERVER)
+                self.stats.bill(MessageKind.PREPARE_REPLY, self._names[site.site_id], _SERVER)
             sizes.append(size)
         self.stats.record_round()
         return sizes
 
-    def _live_endpoint(self, site: SiteEndpoint) -> Optional[SiteEndpoint]:
-        """The endpoint serving a logical site now; ``None`` while it is DOWN.
+    def _live_endpoints(self, sites: Sequence[SiteEndpoint]) -> List[SiteEndpoint]:
+        """The endpoints serving these logical sites now, DOWN ones left out.
 
         Re-resolves through the live endpoint table: run loops hold
         references from query start, which go stale after a failover or
-        failback swaps the logical site's serving endpoint.
+        failback swaps the logical site's serving endpoint.  While the
+        cluster is healthy no site's FSM is read.
         """
-        site = self._site_by_id.get(site.site_id, site)
-        return None if self.health.is_down(site.site_id) else site
+        live = [self._site_by_id.get(s.site_id, s) for s in sites]
+        if self.health.any_down:
+            return [s for s in live if not self.health.is_down(s.site_id)]
+        return live
 
     def _fan_out_pops_script(
         self, sites: Sequence[SiteEndpoint], request: bool = True
@@ -223,10 +232,9 @@ class Coordinator(ScriptEngine):
         call (a replica may have to be promoted first), so it takes
         the ordinary path there.
         """
-        live = [s for s in map(self._live_endpoint, sites) if s is not None]
-        if request:
-            for site in live:
-                self.stats.bill(MessageKind.NEXT_REQUEST, _SERVER, self._name(site))
+        live = self._live_endpoints(sites)
+        if request and live:
+            self.stats.bill(MessageKind.NEXT_REQUEST, _SERVER, _SITES, messages=len(live))
         attempts = yield _Fanout(
             tuple((_Rpc(site, "pop_representative"),) for site in live)
         )
@@ -248,13 +256,13 @@ class Coordinator(ScriptEngine):
         """
         verdict = self._rode.pop(site.site_id, None)
         if verdict is None:
-            live = self._live_endpoint(site)
-            if live is None:
-                if (yield from self._failover_script(site.site_id)) is None:
-                    return None
-                live = self._site_by_id[site.site_id]
+            if self.health.is_down(site.site_id) and (
+                yield from self._failover_script(site.site_id)
+            ) is None:
+                return None
+            live = self._site_by_id[site.site_id]
             if request:
-                self.stats.bill(MessageKind.NEXT_REQUEST, _SERVER, self._name(live))
+                self.stats.bill(MessageKind.NEXT_REQUEST, _SERVER, self._names[site.site_id])
             verdict = yield _Rpc(live, "pop_representative")
         ok, quaternion = verdict
         if not ok:
@@ -269,12 +277,12 @@ class Coordinator(ScriptEngine):
                 return None
         if quaternion is None:
             self._site_tail_cap[site.site_id] = 0.0
-            self.stats.bill(MessageKind.EXHAUSTED, self._name(site), _SERVER)
+            self.stats.bill(MessageKind.EXHAUSTED, self._names[site.site_id], _SERVER)
             return None
         # The queue pops in descending order: whatever the site still
         # holds is bounded by what it just delivered.
         self._site_tail_cap[site.site_id] = quaternion.local_probability
-        self.stats.bill(MessageKind.REPRESENTATIVE, self._name(site), _SERVER)
+        self.stats.bill(MessageKind.REPRESENTATIVE, self._names[site.site_id], _SERVER)
         self._delivered_keys[site.site_id].append(quaternion.key)
         return quaternion
 
@@ -348,76 +356,79 @@ class Coordinator(ScriptEngine):
         ``record_round`` there, so the simulated clock still counts it
         as a round of its own.
 
-        Accounting is per-reply: FEEDBACK is billed when the probe is
-        *sent* (DOWN sites are never sent to, so never billed), but
-        PROBE_REPLY only when the site actually answers — a site that
-        dies mid-broadcast costs the attempt, not the reply.
+        Accounting is one bill per kind per round: FEEDBACK for every
+        site sent a share (DOWN sites are never sent to, so never
+        billed), NEXT_REQUEST for every pop that rode, and PROBE_REPLY
+        for every site that answered — a site that dies mid-broadcast
+        costs the attempt, not the reply.
         """
         quaternions = list(quaternions)
         if not quaternions:
             return []
         for q in quaternions:
             self.coverage.open(q.tuple.key, q.site, q.tuple, q.local_probability)
-        plan = []  # (site, indices of batch tuples it must probe)
-        total_tuples = 0
-        for site in self.sites:
-            if self.health.is_down(site.site_id):
-                continue
-            indices = [
-                i for i, q in enumerate(quaternions) if q.site != site.site_id
-            ]
-            if not indices:
-                continue
-            plan.append((site, indices))
-            self.stats.bill(
-                MessageKind.FEEDBACK, _SERVER, self._name(site), tuples=len(indices)
-            )
-            total_tuples += len(indices)
-
-        # Two per-site call shapes, mirrored when decoding replies: one
-        # batched RPC, or — for a single-tuple share (every share at
-        # k = 1) — a single per-tuple probe.
         pops = {
             site.site_id: _Rpc(site, "pop_representative")
-            for site in map(self._live_endpoint, refill)
-            if site is not None
+            for site in self._live_endpoints(refill)
         }
-        batched = []
+        # One pass: a site not DOWN probes every batch tuple it did not
+        # originate (an origin has none at k = 1) in one batched RPC, or
+        # a one-tuple share in one per-tuple probe; a riding pop follows.
+        k = len(quaternions)
+        everyone = list(range(k))
+        tuples = [q.tuple for q in quaternions]
+        origins = {q.site for q in quaternions}
+        check = self.health.any_down
+        plan = []  # (site, indices of the batch tuples it probes)
         lanes: List[Tuple[_Rpc, ...]] = []
         riders = []  # (lane index, the pop that closes that lane)
-        for site, indices in plan:
-            ts = [quaternions[i].tuple for i in indices]
-            one_rpc = len(ts) > 1
-            batched.append(one_rpc)
-            if one_rpc:
-                lane = [_Rpc(site, "probe_and_prune_batch", (ts,))]
+        total_tuples = 0
+        for site in self.sites:
+            site_id = site.site_id
+            if check and self.health.is_down(site_id):
+                continue
+            if site_id not in origins:
+                indices, ts = everyone, tuples
             else:
-                lane = [_Rpc(site, "probe_and_prune", (t,)) for t in ts]
-            pop = pops.pop(site.site_id, None)
+                indices = [i for i, q in enumerate(quaternions) if q.site != site_id] if k > 1 else []
+                if not indices:
+                    continue
+                ts = [tuples[i] for i in indices]
+            plan.append((site, indices))
+            total_tuples += len(ts)
+            if len(ts) > 1:
+                lane: Tuple[_Rpc, ...] = (_Rpc(site, "probe_and_prune_batch", (ts,)),)
+            else:
+                lane = (_Rpc(site, "probe_and_prune", (ts[0],)),)
+            pop = pops.pop(site_id, None)
             if pop is not None:
-                lane.append(pop)
                 riders.append((len(lanes), pop))
-            lanes.append(tuple(lane))
+                lane += (pop,)
+            lanes.append(lane)
+        if plan:
+            self.stats.bill(
+                MessageKind.FEEDBACK, _SERVER, _SITES, tuples=total_tuples, messages=len(plan)
+            )
         # An origin with no share of its own (every origin at k = 1)
         # pops in a lane of its own, after the probe lanes.
         for pop in pops.values():
             riders.append((len(lanes), pop))
             lanes.append((pop,))
         attempts = yield _Fanout(tuple(lanes))
+        rode = 0
         for index, pop in riders:
             # A pop rode — and is billed — only if its lane got that
             # far; its verdict leaves the probe results it followed.
             if len(attempts[index]) == len(lanes[index]):
-                self.stats.bill(MessageKind.NEXT_REQUEST, _SERVER, self._name(pop.site))
+                rode += 1
                 self._rode[pop.site.site_id] = attempts[index].pop()
+        if rode:
+            self.stats.bill(MessageKind.NEXT_REQUEST, _SERVER, _SITES, messages=rode)
         out = []
-        for (site, indices), one_rpc, results in zip(plan, batched, attempts):
-            if one_rpc:
-                ok, reply = results[0]
-                factors = list(reply.factors) if ok else []
-            else:
-                factors = [reply.factor for ok, reply in results if ok]
-            if not factors:
+        answered = 0
+        for (site, indices), results in zip(plan, attempts):
+            ok, reply = results[0]
+            if not ok:
                 # Mid-round casualty: a promoted replica supplies the
                 # whole batch's factors through the convergence replay
                 # (billed there as FAILOVER_PROBE/PROBE_REPLY and
@@ -430,12 +441,15 @@ class Coordinator(ScriptEngine):
                     if factor is not None:
                         out.append((site.site_id, index, factor))
                 continue
-            self.stats.bill(MessageKind.PROBE_REPLY, self._name(site), _SERVER)
+            answered += 1
+            factors = reply.factors if len(indices) > 1 else (reply.factor,)
             for index, factor in zip(indices, factors):
                 self.coverage.contribute(
                     quaternions[index].tuple.key, site.site_id, factor
                 )
                 out.append((site.site_id, index, factor))
+        if answered:
+            self.stats.bill(MessageKind.PROBE_REPLY, _SITES, _SERVER, messages=answered)
         self.stats.record_round(tuples_in_round=total_tuples)
         return out
 
@@ -600,7 +614,7 @@ class Coordinator(ScriptEngine):
             cached = book.lookup(key)
             if cached is not None:
                 return cached
-        self.stats.bill(MessageKind.CONTROL, _SERVER, self._name(endpoint))
+        self.stats.bill(MessageKind.CONTROL, _SERVER, self._names[endpoint.site_id])
         alive, _size = yield _Rpc(endpoint, "queue_size", raw=True)
         if book is not None:
             book.record(key, alive)
@@ -666,8 +680,8 @@ class Coordinator(ScriptEngine):
         0 when nothing was prepared; ``None`` if an RPC failed.
         """
         swap = endpoint is not self._site_by_id[site_id]
-        raw = endpoint is self._failed_over.get(site_id) and self.health.lifecycle(site_id).is_up
-        name = self._name(endpoint)
+        raw = endpoint is self._failed_over.get(site_id) and site_id not in self.health.unhealthy
+        name = self._names[site_id]
         size = 0
         if swap or site_id not in self._prepared:
             self.stats.bill(MessageKind.PREPARE, _SERVER, name)
@@ -832,7 +846,3 @@ class Coordinator(ScriptEngine):
 
     def _extra(self) -> dict:
         return {}
-
-    @staticmethod
-    def _name(site: SiteEndpoint) -> str:
-        return f"site-{site.site_id}"

@@ -13,24 +13,24 @@ recovery polls, failover — is the script's business.
 One path per behaviour
 ----------------------
 :meth:`ScriptEngine._lower` expands every descriptor into per-site
-*lanes* — each one site's calls, run in order through the one RPC
-funnel (:meth:`ScriptEngine._rpc_script`) — and two thin pumps differ
-only in how they drive them: :meth:`ScriptEngine._pump`
-(``_drive(script)`` for a single building block) drains the lanes one
-after another, :meth:`ScriptEngine._apump` keeps every lane whose
-endpoint answers with an awaitable in flight at once — one waiter per
-wave, no task per future.  Neither pump contains any bookkeeping, and a
-site sees the same calls in the same order under both, so answers,
-message books, and FSM journals do not depend on which one ran it.
+*lanes*, one generator each that is the RPC funnel
+(:meth:`ScriptEngine._lane`): it runs one site's calls in order, each
+first attempt a plain ``yield``, the retry loop only after a fault.
+Two thin pumps differ only in how they drive lanes:
+:meth:`ScriptEngine._pump` (``_drive(script)`` for a single building
+block) drains them one after another, :meth:`ScriptEngine._apump`
+keeps every lane whose endpoint answers with an awaitable in flight at
+once — one waiter per wave, no task per future.  Neither pump keeps
+books, and a site sees the same calls in the same order under both, so
+answers, message books, and FSM journals do not depend on the pump.
 """
 
 from __future__ import annotations
 
 import asyncio
-import inspect
+import functools
 import itertools
 import time
-from dataclasses import dataclass
 from typing import (
     Any,
     AsyncGenerator,
@@ -39,6 +39,7 @@ from typing import (
     Generator,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -49,20 +50,19 @@ from ..fault.errors import RETRYABLE_FAULTS
 from ..fault.fsm import ClusterHealth
 from ..fault.retry import RetryPolicy, attempt_loop
 from ..net.stats import NetworkStats
-from ..net.transport import SiteEndpoint
+from ..net.transport import PLAIN_REPLIES, SiteEndpoint, is_awaitable
 
 __all__ = ["ScriptEngine"]
 
 
-@dataclass(frozen=True)
-class _Rpc:
+class _Rpc(NamedTuple):
     """One site RPC a protocol script asks to have performed.
 
     The protocol building blocks are *sans-io* generators: instead of
     calling sites directly they yield ``_Rpc`` descriptors and receive
     the ``(ok, value)`` verdict back through ``send()``.  Every
-    descriptor is expanded by :meth:`ScriptEngine._rpc_script` — retry,
-    FSM, and accounting live there, in the script, so the verdict does
+    descriptor runs in a lane (:meth:`ScriptEngine._lane`) — retry,
+    FSM, and accounting live there, in the lane, so the verdict does
     not depend on which pump carried the call.
 
     ``raw=True`` requests a single unretried attempt with no stats or
@@ -76,8 +76,7 @@ class _Rpc:
     raw: bool = False
 
 
-@dataclass(frozen=True)
-class _Fanout:
+class _Fanout(NamedTuple):
     """A one-round fan-out: one *lane* of sequential RPCs per target site.
 
     Each inner tuple is one site's lane: its calls run in order and
@@ -161,7 +160,7 @@ def _advance(
         except RETRYABLE_FAULTS as exc:
             reply = None, exc
             continue
-        if inspect.isawaitable(value):
+        if type(value) not in PLAIN_REPLIES and is_awaitable(value):
             return value, None
         reply = value, None
 
@@ -251,59 +250,52 @@ class ScriptEngine:
         #: backoff) between the fault and that escalation.
         self.retry_policy = retry_policy
 
-    def _rpc_script(
-        self, request: _Rpc
-    ) -> Generator[_Attempt, Any, Tuple[bool, object]]:
-        """Perform one site RPC; never raises transport faults.
+    def _lane(self, plan: Sequence[_Rpc]) -> _Lane:
+        """The RPC funnel: one site's calls in order, up to the first failed one.
 
-        Returns ``(True, value)`` on success.  On a terminal transport
-        fault the site is marked DOWN and ``(False, None)`` is returned
+        Never raises transport faults.  A call's verdict is ``(True,
+        value)`` on success; on a terminal transport fault the site is
+        marked DOWN, the verdict is ``(False, None)`` and the lane ends
         — the caller degrades instead of unwinding.  Attempts and
         backoffs are *yielded* (see :data:`_Attempt`); retry accounting,
-        the observed round-trip clock, and FSM transitions happen here,
+        the observed round-trip clock and FSM transitions happen here,
         so a chaos schedule's transitions and retry books replay
-        bit-for-bit under either pump.
+        bit-for-bit under either pump.  A call's first attempt is a
+        plain ``yield``; only its fault enters the retry loop
+        (:func:`attempt_loop`, handed that fault).  A ``raw`` call is a
+        single attempt that touches neither the books nor the FSM.
         """
-        site, method, args = request.site, request.method, request.args
-        site_id = site.site_id
-
-        def call() -> object:
-            return getattr(site, method)(*args)
-
-        if request.raw:
-            value, error = yield call
-            return error is None, value
-        lifecycle = self.health.lifecycle(site_id)
-
-        def on_retry(attempt: int, delay: float, exc: Exception) -> None:
-            self.stats.record_retry(delay)
-            lifecycle.record_failure()
-
-        start = time.perf_counter()
-        value, error = yield from attempt_loop(
-            call, self.retry_policy or _SINGLE_ATTEMPT, site_id, on_retry
-        )
-        self.stats.record_rpc_time(time.perf_counter() - start)
-        if error is not None:
-            self.stats.record_failure()
-            if not lifecycle.is_down:
-                lifecycle.record_failure()
-                self.health.mark_down(site_id, reason=f"{method}: {error!r}")
-                self.stats.sites_lost += 1
-            return False, None
-        if not lifecycle.is_up:
-            # A retry succeeded while SUSPECT, or a reintegration call
-            # succeeded while RECOVERING: either way the site is back.
-            self.health.mark_up(site_id, reason=f"{method} succeeded")
-        return True, value
-
-    def _lane(self, plan: Sequence[_Rpc]) -> _Lane:
-        """One site's calls in order, stopping at the first failed one."""
+        stats, health = self.stats, self.health
         verdicts: List[Tuple[bool, object]] = []
-        for rpc in plan:
-            verdict = yield from self._rpc_script(rpc)
-            verdicts.append(verdict)
-            if not verdict[0]:
+        for site, method, args, raw in plan:
+            site_id = site.site_id
+            call = functools.partial(getattr(site, method), *args)
+            start = time.perf_counter()
+            value, error = yield call
+            if not raw:
+                if error is not None:
+                    def on_retry(attempt: int, delay: float, exc: Exception) -> None:
+                        stats.rpc_retries += 1
+                        stats.backoff_seconds += delay
+                        health.record_failure(site_id)
+
+                    value, error = yield from attempt_loop(
+                        call, self.retry_policy or _SINGLE_ATTEMPT, site_id, on_retry, error
+                    )
+                stats.rpc_calls += 1
+                stats.rpc_seconds += time.perf_counter() - start
+                if error is not None:
+                    stats.rpc_failures += 1
+                    if not health.is_down(site_id):
+                        health.record_failure(site_id)
+                        health.mark_down(site_id, reason=f"{method}: {error!r}")
+                        stats.sites_lost += 1
+                elif site_id in health.unhealthy:
+                    # A retry succeeded while SUSPECT, or a reintegration
+                    # call succeeded while RECOVERING: the site is back.
+                    health.mark_up(site_id, reason=f"{method} succeeded")
+            verdicts.append((error is None, value))
+            if error is not None:
                 break
         return verdicts
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Set
 
 __all__ = ["SiteState", "Transition", "SiteLifecycle", "ClusterHealth"]
 
@@ -81,7 +81,6 @@ class SiteLifecycle:
         if new is SiteState.UP:
             self.consecutive_failures = 0
 
-    # Convenience predicates the hot paths read.
     @property
     def is_up(self) -> bool:
         return self.state is SiteState.UP
@@ -103,23 +102,20 @@ class ClusterHealth:
         self._lifecycles: Dict[int, SiteLifecycle] = {
             site_id: SiteLifecycle(site_id) for site_id in site_ids
         }
-        #: Sites currently DOWN or RECOVERING.  Keeping the set explicit
-        #: makes the per-iteration recovery poll free while everything
-        #: is healthy.
-        self._unhealthy: set = set()
+        #: Sites not UP — transitions go through this class, never straight
+        #: to a lifecycle — all a healthy cluster's per-RPC check reads.
+        self.unhealthy: Set[int] = set()
 
     def lifecycle(self, site_id: int) -> SiteLifecycle:
         return self._lifecycles[site_id]
-
-    def state(self, site_id: int) -> SiteState:
-        return self._lifecycles[site_id].state
 
     def is_down(self, site_id: int) -> bool:
         return self._lifecycles[site_id].is_down
 
     @property
     def any_down(self) -> bool:
-        return bool(self._unhealthy)
+        """True while any site is not UP (a SUSPECT one is mid-RPC)."""
+        return bool(self.unhealthy)
 
     def down_sites(self) -> List[int]:
         return sorted(
@@ -127,25 +123,25 @@ class ClusterHealth:
         )
 
     def up_sites(self) -> List[int]:
-        return sorted(
-            site_id for site_id, lc in self._lifecycles.items() if lc.is_up
-        )
+        return sorted(self._lifecycles.keys() - self.unhealthy)
 
-    def mark_suspect(self, site_id: int) -> None:
+    def record_failure(self, site_id: int) -> None:
+        """One failed RPC attempt: an UP site turns SUSPECT."""
         self._lifecycles[site_id].record_failure()
+        self.unhealthy.add(site_id)
 
     def mark_down(self, site_id: int, reason: str = "") -> None:
         lc = self._lifecycles[site_id]
         if not lc.is_down:
             lc.to(SiteState.DOWN, reason)
-            self._unhealthy.add(site_id)
+            self.unhealthy.add(site_id)
 
     def mark_recovering(self, site_id: int, reason: str = "") -> None:
         self._lifecycles[site_id].to(SiteState.RECOVERING, reason)
 
     def mark_up(self, site_id: int, reason: str = "") -> None:
         self._lifecycles[site_id].to(SiteState.UP, reason)
-        self._unhealthy.discard(site_id)
+        self.unhealthy.discard(site_id)
 
     def transitions(self) -> List[Transition]:
         """Every recorded transition, in per-site order."""

@@ -69,6 +69,7 @@ def attempt_loop(
     policy: RetryPolicy,
     site_id: int = 0,
     on_retry: Optional[Callable[[int, float, Exception], None]] = None,
+    failed: Optional[Exception] = None,
 ) -> Generator[Union[Callable[[], Any], float], Any, Tuple[Any, Optional[Exception]]]:
     """The retry loop, *sans-io*: decides, never calls and never sleeps.
 
@@ -79,15 +80,17 @@ def attempt_loop(
     ``(None, last_fault)``.  Blocking and event-loop drivers share this
     one loop, so both see the same attempts and the same deterministic
     :meth:`RetryPolicy.backoff` delays.  ``on_retry(attempt, delay,
-    exc)`` fires before each backoff.
+    exc)`` fires before each backoff.  ``failed`` is the fault of a first
+    attempt the caller made itself: the loop goes on as if it had.
     """
     budget = policy.deadline
     spent = 0.0
-    last: Optional[Exception] = None
+    last = failed
     for attempt in range(policy.max_attempts):
-        value, last = yield call
-        if last is None:
-            return value, None
+        if attempt or last is None:
+            value, last = yield call
+            if last is None:
+                return value, None
         if attempt + 1 >= policy.max_attempts:
             break
         delay = policy.backoff(attempt, site_id)

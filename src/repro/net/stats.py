@@ -92,21 +92,22 @@ class NetworkStats:
         sender: str,
         receiver: str,
         tuples: Optional[int] = None,
+        messages: int = 1,
     ) -> None:
-        """Account one message (direction inferred from the receiver).
+        """Account ``messages`` messages of one kind (direction from the receiver).
 
-        ``tuples`` overrides the per-kind default — 1 for a
-        tuple-bearing kind, else 0 — for batched messages: a FEEDBACK
+        ``tuples``, their total, overrides the default — 1 per message of
+        a tuple-bearing kind, else 0 — for batched messages: a FEEDBACK
         carrying k quaternions bears k tuples, because the paper's §3.2
-        metric counts tuples, not envelopes.  ``sender`` names the
-        message's origin for the reader; only the receiver decides the
-        direction.
+        metric counts tuples, not envelopes.  One call for a round's
+        legs of one kind keeps the books of one call per message.  The
+        sender is for the reader; only the receiver decides the direction.
         """
         label = kind._value_
         if tuples is None:
-            tuples = _DEFAULT_TUPLES[label]
-        self.messages += 1
-        self.by_kind[label] = self.by_kind.get(label, 0) + 1
+            tuples = _DEFAULT_TUPLES[label] * messages
+        self.messages += messages
+        self.by_kind[label] = self.by_kind.get(label, 0) + messages
         if tuples:
             self.tuples_transmitted += tuples
             if receiver == "server":
@@ -118,21 +119,6 @@ class NetworkStats:
         """Advance the simulated clock by one parallel communication round."""
         self.rounds += 1
         self.simulated_time += self.latency_model.round_cost(tuples_in_round)
-
-    def record_rpc_time(self, seconds: float) -> None:
-        """One coordinator→site round trip's observed wall clock.
-
-        Summed per call, so overlapped calls each count in full.
-        """
-        self.rpc_calls += 1
-        self.rpc_seconds += seconds
-
-    def record_retry(self, backoff: float) -> None:
-        self.rpc_retries += 1
-        self.backoff_seconds += backoff
-
-    def record_failure(self) -> None:
-        self.rpc_failures += 1
 
     def snapshot(self) -> Dict[str, object]:
         return {

@@ -21,16 +21,17 @@ from __future__ import annotations
 
 import functools
 import inspect
+import types
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Generator,
     List,
     Optional,
     Protocol,
     Sequence,
+    Set,
     Tuple,
     runtime_checkable,
 )
@@ -88,6 +89,21 @@ SURFACE: Tuple[str, ...] = tuple(
 )
 
 
+#: Types :func:`inspect.isawaitable` rejected, so a reply of one is plain
+#: without the ABC walk: hot paths ask :func:`is_awaitable` only on a miss.
+PLAIN_REPLIES: Set[type] = set()
+
+
+def is_awaitable(value: Any) -> bool:
+    """``inspect.isawaitable(value)``, remembering the types that are not
+    — but no generator's: its code's flags decide, not its type."""
+    if inspect.isawaitable(value):
+        return True
+    if not isinstance(value, types.GeneratorType):
+        PLAIN_REPLIES.add(type(value))
+    return False
+
+
 class EndpointInterceptor:
     """Forward the :data:`SURFACE` to ``inner``, with a hook on each side.
 
@@ -114,37 +130,30 @@ class EndpointInterceptor:
     def after(self, method: str, args: Tuple[Any, ...], result: Any) -> None:
         """Runs behind the inner call, given its (awaited) result."""
 
-    def _script(
-        self, method: str, target: Callable[..., Any], args: Tuple[Any, ...]
-    ) -> Generator[Any, Any, Any]:
-        """One intercepted call; yields what its pump may have to await."""
-        yield self.before(method, args)
-        result = yield target(*args)
+    def _run(self, method: str, target: Callable[..., Any], *args: Any) -> Any:
+        """A plain call, until something awaitable turns up."""
+        gate = self.before(method, args)
+        if gate is not None and is_awaitable(gate):
+            return self._arun(method, target, args, gate)
+        result = target(*args)
+        if type(result) in PLAIN_REPLIES or not is_awaitable(result):
+            self.after(method, args, result)
+            return result
+        return self._arun(method, None, args, result)
+
+    async def _arun(
+        self, method: str, target: Optional[Callable[..., Any]], args: Tuple[Any, ...], pending: Any
+    ) -> Any:
+        """Finishes a call `_run` found awaitable: ``pending`` is what
+        :meth:`before` handed back, with the inner call (``target``)
+        still due, or the inner call's own awaitable (``target=None``)."""
+        result = await pending
+        if target is not None:
+            result = target(*args)
+            if is_awaitable(result):
+                result = await result
         self.after(method, args, result)
         return result
-
-    def _run(self, method: str, target: Callable[..., Any], *args: Any) -> Any:
-        """The plain pump, until something awaitable turns up."""
-        script = self._script(method, target, args)
-        value = None
-        try:
-            while True:
-                value = script.send(value)
-                if inspect.isawaitable(value):
-                    return self._arun(script, value)
-        except StopIteration as done:
-            return done.value
-
-    @staticmethod
-    async def _arun(script: Generator[Any, Any, Any], value: Any) -> Any:
-        """The awaiting pump: finishes a call `_run` found awaitable."""
-        try:
-            while True:
-                if inspect.isawaitable(value):
-                    value = await value
-                value = script.send(value)
-        except StopIteration as done:
-            return done.value
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self.inner, name)

@@ -83,6 +83,9 @@ class ReplicaManager:
         bearing ``|D_i|`` tuples — the §3.2 cost of placing a copy.
         """
         primaries = {s.site_id: s for s in sites}
+        if len(primaries) < len(sites):  # two partitions would merge into one
+            ids = [s.site_id for s in sites]
+            raise ValueError(f"duplicate site id {next(i for i in ids if ids.count(i) > 1)!r}")
         placement = assign_buddies(primaries, replication_factor)
         manager = cls({})
         for sid, hosts in sorted(placement.items()):

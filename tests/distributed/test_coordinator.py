@@ -37,6 +37,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DSUD([site], 1.2)
 
+    @pytest.mark.parametrize("coordinator_cls", [DSUD, EDSUD])
+    def test_refuses_duplicate_site_ids(self, coordinator_cls):
+        """Two sites sharing an id never probe each other's tuples: run
+        anyway, these partitions answered 1 member where ids 0, 1, 2 answer 4."""
+        db = make_random_database(90, 2, seed=1, grid=10)
+        parts = [db[i::3] for i in range(3)]
+        with pytest.raises(ValueError, match="duplicate site id 0"):
+            coordinator_cls([LocalSite(i, p) for i, p in zip((0, 0, 1), parts)], 0.3)
+        unique = coordinator_cls([LocalSite(i, p) for i, p in enumerate(parts)], 0.3)
+        assert len(unique.run().answer.members) == 4
+
 
 @pytest.mark.parametrize("coordinator_cls", [DSUD, EDSUD])
 class TestProtocolInvariants:

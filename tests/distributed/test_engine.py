@@ -86,15 +86,41 @@ def dead_lane(out: List[Any]):
     out.append((yield _Rpc(dead, "echo", (3,), raw=True)))
 
 
-def run_blocking(script) -> Dict[str, Any]:
-    runtime = ScriptEngine(NetworkStats(), ClusterHealth(range(4)), TWO_ATTEMPTS)
+class EchoAt:
+    def __init__(self, site_id: int) -> None:
+        self.site_id = site_id
+
+    def echo(self, value: int) -> int:
+        return value * 10
+
+
+def single_attempt(out: List[Any]):
+    """No retry policy; sites 0 and 2 start RECOVERING, site 1 SUSPECT."""
+    suspect, recovering = EchoAt(1), EchoAt(2)
+    out.append((yield _Rpc(EchoAt(0), "echo", (9,), raw=True)))
+    lanes = ((_Rpc(suspect, "echo", (1,)),), (_Rpc(recovering, "echo", (2,)),))
+    out.append((yield _Fanout(lanes)))
+    out.append((yield _Rpc(DeadEndpoint(), "echo", (3,))))
+
+
+def troubled_cluster() -> ClusterHealth:
+    health = ClusterHealth(range(4))
+    health.record_failure(1)
+    for site_id in (0, 2):
+        health.mark_down(site_id, "crash")
+        health.mark_recovering(site_id, "ping")
+    return health
+
+
+def run_blocking(script, policy=TWO_ATTEMPTS, health=lambda: ClusterHealth(range(4))):
+    runtime = ScriptEngine(NetworkStats(), health(), policy)
     out: List[Any] = []
     points = sum(1 for _ in runtime._pump(script(out)))
     return books(runtime, out, points)
 
 
-def run_awaiting(script) -> Dict[str, Any]:
-    runtime = ScriptEngine(NetworkStats(), ClusterHealth(range(4)), TWO_ATTEMPTS)
+def run_awaiting(script, policy=TWO_ATTEMPTS, health=lambda: ClusterHealth(range(4))):
+    runtime = ScriptEngine(NetworkStats(), health(), policy)
     out: List[Any] = []
 
     async def main() -> int:
@@ -145,6 +171,28 @@ class TestEngineWithoutACoordinator:
         assert (blocking["calls"], blocking["retries"], blocking["failures"]) == (1, 1, 1)
         assert blocking["lost"] == 1
         assert blocking["journal"][-1][:3] == (3, "suspect", "down")
+
+    def test_the_inlined_funnel_without_a_policy(self):
+        blocking = run_blocking(single_attempt, None, troubled_cluster)
+        assert blocking == run_awaiting(single_attempt, None, troubled_cluster)
+        assert blocking["verdicts"] == [(True, 90), [[(True, 10)], [(True, 20)]], (False, None)]
+        # The fault is the one failed call of three timed ones, unretried;
+        # the raw probe is neither timed nor journalled: site 0 stays
+        # RECOVERING although it answered.
+        assert (blocking["calls"], blocking["retries"], blocking["failures"]) == (3, 0, 1)
+        assert blocking["lost"] == 1
+        journal = [(s, old, new) for s, old, new, _why in blocking["journal"]]
+        assert journal == [
+            (0, "up", "down"),
+            (0, "down", "recovering"),
+            (1, "up", "suspect"),
+            (1, "suspect", "up"),
+            (2, "up", "down"),
+            (2, "down", "recovering"),
+            (2, "recovering", "up"),
+            (3, "up", "suspect"),
+            (3, "suspect", "down"),
+        ]
 
     def test_drive_returns_the_scripts_value(self):
         def script():

@@ -90,6 +90,7 @@ class TestClusterHealth:
     def test_transitions_aggregate_across_sites(self):
         health = ClusterHealth([0, 1])
         health.mark_down(1, "x")
-        health.mark_suspect(0)
+        health.record_failure(0)
         transitions = health.transitions()
         assert {t.site_id for t in transitions} == {0, 1}
+        assert health.unhealthy == {0, 1}  # a SUSPECT site is not UP either

@@ -448,10 +448,10 @@ class TestConvergence:
         syncs = []
         bill = coordinator.stats.bill
 
-        def recording_bill(kind, sender, receiver, tuples=None):
+        def recording_bill(kind, sender, receiver, tuples=None, messages=1):
             if kind is MessageKind.REPLICA_SYNC:
                 syncs.append(tuples)
-            bill(kind, sender, receiver, tuples)
+            bill(kind, sender, receiver, tuples, messages)
 
         coordinator.stats.bill = recording_bill
         result = coordinator.run()

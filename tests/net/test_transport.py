@@ -2,6 +2,7 @@
 
 import asyncio
 import inspect
+import types
 
 import pytest
 
@@ -10,7 +11,13 @@ from repro.fault.injection import FaultyEndpoint
 from repro.fault.schedule import FaultSchedule
 from repro.net.aio import AsyncLocalEndpoint, AsyncRemoteSiteProxy
 from repro.net.trace import ProtocolTracer
-from repro.net.transport import SURFACE, RecordingEndpoint, SiteEndpoint
+from repro.net.transport import (
+    PLAIN_REPLIES,
+    SURFACE,
+    RecordingEndpoint,
+    SiteEndpoint,
+    is_awaitable,
+)
 
 from ..conftest import make_random_database
 
@@ -188,3 +195,44 @@ class TestEndpointInterceptor:
                 setattr(Partial, name, staticmethod(getattr(site, name)))
         with pytest.raises(AttributeError, match=missing):
             RecordingEndpoint(Partial())
+
+
+def test_is_awaitable_agrees_with_inspect_on_every_reply_shape():
+    """The remembered plain types never change a verdict: each reply an
+    endpoint hands back is judged as ``inspect.isawaitable`` judges it,
+    on its first sighting and after."""
+    site = LocalSite(0, make_random_database(20, 2, seed=2))
+    site.prepare(0.3)
+    foreign = make_random_database(2, 2, seed=9, start_key=500)
+
+    async def answer():
+        return 1
+
+    @types.coroutine
+    def legacy():
+        yield
+
+    def plain_generator():
+        yield
+
+    async def replies():
+        loop = asyncio.get_running_loop()
+        return [
+            None, 3, 0.5, [1], site.probe_and_prune(foreign[0]),
+            site.probe_and_prune_batch(foreign), site.pop_representative(),
+            answer(), loop.create_future(), legacy(), plain_generator(),
+        ]
+
+    async def judge():
+        values = await replies()
+        try:
+            return [(is_awaitable(v), is_awaitable(v), inspect.isawaitable(v)) for v in values]
+        finally:
+            for v in values:
+                if inspect.iscoroutine(v) or inspect.isgenerator(v):
+                    v.close()
+
+    verdicts = asyncio.run(judge())
+    assert all(first == again == expected for first, again, expected in verdicts)
+    assert [expected for *_, expected in verdicts] == [False] * 7 + [True, True, True, False]
+    assert not {asyncio.Future, types.GeneratorType, types.CoroutineType} & PLAIN_REPLIES

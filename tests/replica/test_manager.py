@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.tuples import UncertainTuple
 from repro.distributed.query import build_sites
+from repro.distributed.site import LocalSite
 from repro.net.stats import NetworkStats
 from repro.replica.manager import ReplicaManager
 
@@ -46,6 +47,14 @@ class TestProvisioning:
         _sites, mgr = make_cluster(factor=1)
         assert mgr.replicas == {}
         assert mgr.stats.messages == 0
+
+    def test_duplicate_site_ids_are_refused(self):
+        """Keyed by site id, two partitions would merge: one replica of
+        the second, none of the first."""
+        db = make_random_database(30, 2, seed=5, grid=10)
+        sites = [LocalSite(i, db[j::3]) for j, i in enumerate((0, 0, 1))]
+        with pytest.raises(ValueError, match="duplicate site id 0"):
+            ReplicaManager.provision(sites, 2)
 
     def test_resync_bills_the_book_it_is_handed(self):
         sites, mgr = make_cluster()
